@@ -22,6 +22,7 @@ type ('i, 'o) op = {
   input : 'i;
   out : 'o;
   wall_ns : int;  (** the untraced op, on its lane *)
+  cpu_ns : int;  (** the untraced op's processor time on its lane's thread *)
   gc : Common.gc;  (** domain-local deltas around the untraced op (traced runs) *)
   traced : ('o * Span.t * int) option;  (** traced output, spans, traced wall *)
 }
@@ -31,10 +32,12 @@ type ('i, 'o) run = {
   setups_s : float list;
   wall_ns : int;  (** measured window, first batch start to last batch end *)
   batch_ns : int list;  (** wall of each batch *)
+  batch_cpu_ns : int list;  (** processor time of the whole process in each batch *)
   ops : ('i, 'o) op list;  (** in op-index order *)
   tasks : int;  (** pool deltas over the measured window *)
   steals : int;
   major_collections : int;  (** GC major cycles over the measured window *)
+  calib : Calib.t;  (** host-speed samples taken between batches *)
 }
 
 type stop =
@@ -51,13 +54,15 @@ let min_ops = 1000
 let exec w ~trace (index, input) =
   let untraced () =
     let g0 = if trace then Common.gc_sample () else Common.gc_zero in
+    let c0 = Common.thread_cpu_ns () in
     let t0 = Common.now_ns () in
     let out = w.run input in
     let wall_ns = Common.now_ns () - t0 in
+    let cpu_ns = Common.thread_cpu_ns () - c0 in
     let gc =
       if trace then Common.gc_delta g0 (Common.gc_sample ()) else Common.gc_zero
     in
-    out, wall_ns, gc
+    out, wall_ns, cpu_ns, gc
   in
   let traced () =
     let sp = Span.create ~op:index in
@@ -69,56 +74,66 @@ let exec w ~trace (index, input) =
     out, sp, t1 - t0
   in
   if not trace then
-    let out, wall_ns, gc = untraced () in
-    { index; input; out; wall_ns; gc; traced = None }
+    let out, wall_ns, cpu_ns, gc = untraced () in
+    { index; input; out; wall_ns; cpu_ns; gc; traced = None }
   else if index land 1 = 0 then
-    let out, wall_ns, gc = untraced () in
-    { index; input; out; wall_ns; gc; traced = Some (traced ()) }
+    let out, wall_ns, cpu_ns, gc = untraced () in
+    { index; input; out; wall_ns; cpu_ns; gc; traced = Some (traced ()) }
   else
     let t = traced () in
-    let out, wall_ns, gc = untraced () in
-    { index; input; out; wall_ns; gc; traced = Some t }
+    let out, wall_ns, cpu_ns, gc = untraced () in
+    { index; input; out; wall_ns; cpu_ns; gc; traced = Some t }
 
 let batch w ~seed ~first =
   List.init w.cycle (fun j ->
       let i = if first < 0 then first - j else first + j in
       i, w.input ~seed i)
 
-(* Set-up: inputs, pool spawn and one warm-up cycle, repeated [setups]
-   times in fresh pools; the first repetition is timed from process start.
-   The last pool is the one measured. *)
-let setup w ~seed ~lanes ~setups =
+(* Set-up: pool spawn and one warm-up cycle, repeated [setups] times in
+   fresh pools, each timed in processor time of the whole process; the
+   first repetition counts from process start. The warm-up inputs come from
+   a fixed seed, so every run sets up the same work. The last pool is the
+   one measured. *)
+let warmup_seed = 0
+
+let setup w ~lanes ~setups =
   let rec go n acc prev =
-    let t0 = if acc = [] then Common.process_start_ns else Common.now_ns () in
+    let c0 = if acc = [] then 0 else Common.process_cpu_ns () in
     Option.iter Pool.shutdown prev;
     let pool = Pool.create ~jobs:lanes () in
-    ignore (Pool.map pool (exec w ~trace:false) (batch w ~seed ~first:(-1)));
-    let acc = Common.ms (Common.now_ns () - t0) /. 1e3 :: acc in
+    ignore (Pool.map pool (exec w ~trace:false) (batch w ~seed:warmup_seed ~first:(-1)));
+    let acc = Common.ms (Common.process_cpu_ns () - c0) /. 1e3 :: acc in
     if n <= 1 then pool, List.rev acc else go (n - 1) acc (Some pool)
   in
   go setups [] None
 
 let run w ~seed ~lanes ~setups ~trace stop =
-  let pool, setups_s = setup w ~seed ~lanes ~setups in
+  let pool, setups_s = setup w ~lanes ~setups in
   let s0 = Pool.stats pool in
   let g0 = Gc.quick_stat () in
   let t0 = Common.now_ns () in
   let deadline =
     match stop with Seconds s -> t0 + int_of_float (s *. 1e9) | Batches _ -> max_int
   in
-  let rec loop b acc walls =
+  let calib = Calib.create () in
+  let rec loop b acc walls cpus =
     let more =
       match stop with
       | Seconds _ -> Common.now_ns () < deadline || b * w.cycle < min_ops
       | Batches n -> b < n
     in
-    if not more then acc, walls
-    else
-      let b0 = Common.now_ns () in
+    if not more then acc, walls, cpus
+    else begin
+      Calib.maybe calib;
+      let b0 = Common.now_ns () and c0 = Common.process_cpu_ns () in
       let outs = Pool.map pool (exec w ~trace) (batch w ~seed ~first:(b * w.cycle)) in
-      loop (b + 1) (List.rev_append outs acc) ((Common.now_ns () - b0) :: walls)
+      loop (b + 1) (List.rev_append outs acc)
+        ((Common.now_ns () - b0) :: walls)
+        ((Common.process_cpu_ns () - c0) :: cpus)
+    end
   in
-  let ops, walls = loop 0 [] [] in
+  let ops, walls, cpus = loop 0 [] [] [] in
+  Calib.sample calib;
   let ops = List.rev ops in
   let wall_ns = Common.now_ns () - t0 in
   let s1 = Pool.stats pool in
@@ -129,49 +144,57 @@ let run w ~seed ~lanes ~setups ~trace stop =
     setups_s;
     wall_ns;
     batch_ns = List.rev walls;
+    batch_cpu_ns = List.rev cpus;
     ops;
     tasks = s1.Pool.tasks - s0.Pool.tasks;
     steals = s1.Pool.steals - s0.Pool.steals;
     major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
+    calib;
   }
 
 (* --- metrics shared by both closed loops ---------------------------------- *)
 
 let e2e (r : _ run) ~failed =
   let n = List.length r.ops in
-  let lat =
-    Common.sorted_of_list (List.map (fun (o : _ op) -> Common.ms o.wall_ns) r.ops)
-  in
-  (* The median batch rate: a stretch of the run slowed by something
-     outside the benchmark moves it only if it covers half the batches. *)
+  let sorted f = Common.sorted_of_list (List.map (fun (o : _ op) -> Common.ms (f o)) r.ops) in
+  let lat = sorted (fun o -> o.cpu_ns) and wall = sorted (fun o -> o.wall_ns) in
+  (* The median batch rate over the lanes' processor time: a stretch of
+     the run slowed by something outside the benchmark moves it only if
+     it covers half the batches. *)
   let per_batch = float_of_int (n / List.length r.batch_ns) in
-  let ops_per_s =
-    Common.median (List.map (fun ns -> per_batch /. (Common.ms ns /. 1e3)) r.batch_ns)
-  in
-  let p50 = Common.percentile lat 50. and p99 = Common.percentile lat 99. in
+  let rate ns = per_batch /. (Common.ms ns /. 1e3) in
+  let lanes = float_of_int r.lanes in
+  let cpu_rate = Common.median (List.map (fun ns -> lanes *. rate ns) r.batch_cpu_ns) in
+  let wall_rate = Common.median (List.map rate r.batch_ns) in
+  let p50 = Common.smooth_percentile lat 50. and p99 = Common.smooth_percentile lat 99. in
+  let setup = Common.median r.setups_s in
+  let slow = Calib.slowdown r.calib in
+  let ops_per_s = cpu_rate *. slow in
   ( [
-      "setup_s", Common.median r.setups_s;
+      "setup_s", setup /. slow;
       "ops_per_s", ops_per_s;
       (* A closed loop queues nothing, so the rate it sustains is the
          completed rate. *)
       "max_rate_rps", ops_per_s;
-      "op_ms_p50", p50;
-      "op_ms_p99", p99;
+      "op_ms_p50", p50 /. slow;
+      "op_ms_p99", p99 /. slow;
       "ok_ratio", 1. -. Common.ratio (float_of_int failed) (float_of_int n);
       "peak_rss_mb", Common.peak_rss_mb ();
     ],
     [
       Printf.sprintf
-        "ops: %d in %d batches, %.3f s on %d lanes (%.1f ops/s overall, %.1f median \
-         batch)"
+        "ops: %d in %d batches, %.3f s on %d lane(s): %.1f ops/s (median batch, \
+         processor time), %.1f ops/s (median batch, wall)"
         n
-        (List.length r.batch_ns) (Common.ms r.wall_ns /. 1e3) r.lanes
-        (float_of_int n /. (Common.ms r.wall_ns /. 1e3))
-        ops_per_s;
-      Printf.sprintf "op latency: p50 %.3f ms (n=%d), p99 %.3f ms (n=%d)" p50 n p99 n;
-      Printf.sprintf "setup: %s s (median %.3f s)"
+        (List.length r.batch_ns) (Common.ms r.wall_ns /. 1e3) r.lanes cpu_rate wall_rate;
+      Printf.sprintf
+        "op latency: processor time p50 %.3f ms, p99 %.3f ms; wall p50 %.3f ms, p99 \
+         %.3f ms (n=%d)"
+        p50 p99 (Common.percentile wall 50.) (Common.percentile wall 99.) n;
+      Printf.sprintf "setup: %s s processor time (median %.3f s)"
         (String.concat ", " (List.map (Printf.sprintf "%.3f") r.setups_s))
-        (Common.median r.setups_s);
+        setup;
+      Calib.note r.calib;
     ] )
 
 (* The per-layer split of a traced closed-loop run. [metrics] reads an

@@ -8,8 +8,20 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 let ms ns = float_of_int ns /. 1e6
 let us ns = float_of_int ns /. 1e3
 
+(* Processor time (ns) of the calling thread, which is the calling domain,
+   and of the whole process since it started (cputime.c). The timed
+   end-to-end metrics use these clocks: they stop while the host runs
+   other work, so a neighbour's load does not move the figures. *)
+external thread_cpu_ns : unit -> (int[@untagged])
+  = "perfbench_thread_cpu_ns_byte" "perfbench_thread_cpu_ns"
+[@@noalloc]
+
+external process_cpu_ns : unit -> (int[@untagged])
+  = "perfbench_process_cpu_ns_byte" "perfbench_process_cpu_ns"
+[@@noalloc]
+
 (* Taken when the executable's modules initialise: the origin of the
-   first set-up's [setup_s]. *)
+   written span times. *)
 let process_start_ns = now_ns ()
 
 (* Nearest-rank percentile of an array sorted ascending. *)
@@ -19,6 +31,27 @@ let percentile sorted q =
   else
     let rank = int_of_float (Float.ceil (q /. 100. *. float_of_int n)) in
     sorted.(max 0 (min (n - 1) (rank - 1)))
+
+(* A smoothed percentile: the mean of the order statistics whose ranks lie
+   within [q ± h] percent, h = min 2.5 ((100 - q) / 2), so p50 averages the
+   middle 5% and p99 the band from p98.5 to p99.5. A mix of op classes
+   leaves gaps in the latency distribution, and a single order statistic
+   next to a gap jumps across it between runs; the mean over a band of
+   ranks moves smoothly. *)
+let smooth_percentile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let h = Float.min 2.5 ((100. -. q) /. 2.) in
+    let rank p =
+      max 0 (min (n - 1) (int_of_float (Float.round (p /. 100. *. float_of_int n)) - 1))
+    in
+    let lo = rank (q -. h) and hi = rank (q +. h) in
+    let sum = ref 0. in
+    for i = lo to hi do
+      sum := !sum +. sorted.(i)
+    done;
+    !sum /. float_of_int (hi - lo + 1)
 
 let sorted_of_list xs =
   let a = Array.of_list xs in
@@ -48,37 +81,31 @@ let peak_rss_mb () =
   in
   Fun.protect ~finally:(fun () -> close_in ic) scan
 
-(* Domain-local GC counters around one op. On OCaml 5 [Gc.quick_stat]
-   reports the calling domain's minor heap, and an op runs start to
-   finish on one domain, so the deltas belong to the op alone. *)
+(* Domain-local GC counters around one op. On OCaml 5 [Gc.counters]
+   reads the calling domain's allocation counters ([Gc.quick_stat] sums
+   every domain's), and an op runs start to finish on one domain, so the
+   deltas belong to the op alone. *)
 type gc = {
   minor_words : float;
   major_words : float;
-  major_collections : int;
 }
 
-let gc_zero = { minor_words = 0.; major_words = 0.; major_collections = 0 }
+let gc_zero = { minor_words = 0.; major_words = 0. }
 
 let gc_sample () =
-  let s = Gc.quick_stat () in
-  {
-    minor_words = s.Gc.minor_words;
-    major_words = s.Gc.major_words;
-    major_collections = s.Gc.major_collections;
-  }
+  let minor_words, _promoted, major_words = Gc.counters () in
+  { minor_words; major_words }
 
 let gc_delta a b =
   {
     minor_words = b.minor_words -. a.minor_words;
     major_words = b.major_words -. a.major_words;
-    major_collections = b.major_collections - a.major_collections;
   }
 
 let gc_add a b =
   {
     minor_words = a.minor_words +. b.minor_words;
     major_words = a.major_words +. b.major_words;
-    major_collections = a.major_collections + b.major_collections;
   }
 
 (* Per-op input draws: a pure function of (seed, op index, lane), so an
@@ -120,7 +147,7 @@ let render_fingerprint fp =
 (* What one run of a workload reports. [e2e] and [layers] are
    (name, value) pairs (units live with the metric list in [Main]);
    [notes] are human-readable lines printed above the result (sample
-   counts, ladder steps, the layer split). *)
+   counts, host speed, the layer split). *)
 type result = {
   attempted : int;
   failed : int;

@@ -1,15 +1,15 @@
 (* The repository benchmark: one command, three workloads, every
    end-to-end metric by name and unit, every output checked.
 
-     main.exe --workload proto-mix|chaos-grid|serve-gs|serve-ladder --seed N
-              --seconds S --trace 0|1 [--lanes L]
+     main.exe --workload proto-mix|chaos-grid|serve-gs --seed N --seconds S
+              --trace 0|1
 
    The last line of standard output is the result object:
    {"correct", "attempted", "failed", "metrics"}. With --trace 0 the
    metrics are the end-to-end ones, measured untraced; with --trace 1 the
    per-layer ones, from a traced run that also writes its spans under
-   perfbench/out/. --lanes sets the pool width (default 2; see "Lanes" in
-   perfbench/README.md). *)
+   perfbench/out/. Every workload runs on a pool of one lane (see "Lanes
+   and clocks" in perfbench/README.md). *)
 
 open Perfbench
 
@@ -61,7 +61,6 @@ let per_layer =
       "server.tick_ms_p99", "ms";
       "server.batch_size", "count";
       "server.queue_rejects", "count";
-      "gen.late_ms_p99", "ms";
       "serve.covered_share", "ratio";
       "pool.tasks", "count";
       "pool.steals", "count";
@@ -86,8 +85,7 @@ let end_to_end =
   ]
 
 let usage =
-  "main.exe --workload proto-mix|chaos-grid|serve-gs|serve-ladder --seed N --seconds S \
-   --trace 0|1 [--lanes L]"
+  "main.exe --workload proto-mix|chaos-grid|serve-gs --seed N --seconds S --trace 0|1"
 
 let die msg =
   prerr_endline ("perfbench: " ^ msg);
@@ -102,7 +100,6 @@ let json_number v =
 let () =
   let workload = ref "" and seed = ref None in
   let seconds = ref None and trace = ref None in
-  let lanes = ref 2 in
   let int_of name s =
     match int_of_string_opt s with
     | Some n -> n
@@ -126,7 +123,6 @@ let () =
           | "1" -> trace := Some true
           | _ -> die "--trace expects 0 or 1"),
         "0|1" );
-      "--lanes", Arg.String (fun s -> lanes := int_of "--lanes" s), "L";
     ]
   in
   Arg.parse spec (fun a -> die ("unexpected argument " ^ a)) usage;
@@ -137,14 +133,12 @@ let () =
     | Some s -> Closed_loop.Seconds s
     | None -> die "--seconds is required"
   in
-  if !lanes < 1 then die "--lanes expects a positive integer";
-  let setups = 3 in
+  let lanes = 1 and setups = 5 in
   let result, profile =
     match !workload with
-    | "proto-mix" -> Proto_mix.run ~seed ~lanes:!lanes ~setups ~trace stop
-    | "chaos-grid" -> Chaos_grid.run ~seed ~lanes:!lanes ~setups ~trace stop
-    | "serve-gs" -> Serve_gs.run ~clients:8 ~seed ~lanes:!lanes ~setups ~trace stop
-    | "serve-ladder" -> Serve_gs.run ~seed ~lanes:!lanes ~setups ~trace stop
+    | "proto-mix" -> Proto_mix.run ~seed ~lanes ~setups ~trace stop
+    | "chaos-grid" -> Chaos_grid.run ~seed ~lanes ~setups ~trace stop
+    | "serve-gs" -> Serve_gs.run ~seed ~lanes ~setups ~trace stop
     | "" -> die "--workload is required"
     | w -> die (Printf.sprintf "unknown workload %S" w)
   in
@@ -154,7 +148,10 @@ let () =
   if trace then begin
     (try Sys.mkdir "perfbench/out" 0o755 with Sys_error _ -> ());
     let path = Printf.sprintf "perfbench/out/spans-%s-%d.tsv" !workload seed in
-    Span.write profile ~path ~origin:Common.process_start_ns;
+    (* serve-gs stamps its spans on the main thread's processor-time
+       clock, which starts with the process. *)
+    let origin = if !workload = "serve-gs" then 0 else Common.process_start_ns in
+    Span.write profile ~path ~origin;
     Printf.printf "spans: %d written to %s\n" profile.Span.n_kept path
   end;
   let names = if trace then per_layer else end_to_end in

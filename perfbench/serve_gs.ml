@@ -1,23 +1,18 @@
-(* Gale–Shapley requests through the daemon core, over the real in-process
-   wire path: client [Frame] encode, [Ring] push, server decode,
-   [Server.submit], a wall-clock [Server.tick] loop on the pool,
-   response encode and client decode. Requests are [Frame.Gs] instances
-   with k log-uniform in [64, 4096], split over the two [Flat] families by
-   a seeded draw.
+(* serve-gs: Gale–Shapley requests through the daemon core, over the real
+   in-process wire path: client [Frame] encode, [Ring] push, server
+   decode, [Server.submit], a [Server.tick] loop on the pool, response
+   encode and client decode. Requests are [Frame.Gs] instances with k
+   log-uniform in [64, 4096], split over the two [Flat] families by a
+   seeded draw.
 
-   serve-gs is a closed loop: 8 clients, each sending its next request
-   when the previous one is answered.
-
-   serve-ladder is the open loop: Poisson arrivals at a nominal rate well
-   under capacity (where op_ms_p50/p99 are read), then a ladder of rising
-   rates that finds the highest rate meeting the latency limit without a
-   growing backlog. Every latency is timed from the moment the request
-   was due, so a stall also counts against the requests queued behind it.
-   Client and server share the main domain (a second pool lane, if any, is
-   the only other domain), so a request due during a tick waits in the
-   client: that wait is reported as generator lateness. Queueing makes its
-   figures swing with the host's load (see README.md), so it is not one of
-   the gated workloads. *)
+   A closed loop: [clients] callers, each sending its next request when
+   the previous one is answered. Two clients keep a second request waiting
+   behind every one the tick serves, so a straggler still holds up another
+   request, while the ticks stay small enough that a run's p99 rests on
+   dozens of ticks rather than a handful. Client and server share the
+   calling domain, and with one pool lane every step of a request runs on
+   it, so the loop stamps requests with that thread's processor-time
+   clock: a request's latency is what it would take on a core of its own. *)
 
 module SM = Bsm_stable_matching
 module Pool = Bsm_runtime.Pool
@@ -26,13 +21,7 @@ module Server = Bsm_serve.Server
 module Ring = Bsm_serve.Ring
 module Wire = Bsm_wire.Wire
 
-let nominal_rps = 40.
-let ladder_rps = [ 60.; 90.; 135.; 200.; 300. ]
-let limit_ms = 250.
-
-(* The nominal step takes this share of the window; the ladder steps split
-   the rest so each gets the same number of requests. *)
-let nominal_share = 0.5
+let clients = 2
 let k_min = 64
 let k_max = 4096
 
@@ -57,70 +46,9 @@ let spec_of ~seed i =
         };
   }
 
-(* The arrival schedule: per step, Poisson arrivals at the step's rate over
-   the step's window; due times are offsets (ns) from the window start. *)
-type step = {
-  rate : float;
-  start_ns : int;
-  stop_ns : int;
-}
-
-type schedule = {
-  steps : step array;
-  due : int array;
-  step_of : int array;
-  specs : Frame.spec array;
-}
-
-let schedule ~seed ~seconds =
-  let nominal = seconds *. nominal_share in
-  let ladder = seconds -. nominal in
-  (* Equal request counts per ladder step: durations proportional to 1/rate. *)
-  let inv = List.fold_left (fun acc r -> acc +. (1. /. r)) 0. ladder_rps in
-  let per_step = ladder /. inv in
-  let spans =
-    (nominal_rps, nominal) :: List.map (fun r -> r, per_step /. r) ladder_rps
-  in
-  let ns x = int_of_float (x *. 1e9) in
-  let t = ref 0. in
-  let steps =
-    Array.of_list
-      (List.map
-         (fun (rate, d) ->
-           let s = { rate; start_ns = ns !t; stop_ns = ns (!t +. d) } in
-           t := !t +. d;
-           s)
-         spans)
-  in
-  let due = ref [] and step_of = ref [] in
-  let i = ref 0 in
-  Array.iteri
-    (fun si s ->
-      let at = ref (float_of_int s.start_ns /. 1e9) in
-      let stop = float_of_int s.stop_ns /. 1e9 in
-      let continue = ref true in
-      while !continue do
-        let u = Common.draw_float ~seed ~i:!i ~lane:0 in
-        at := !at -. (log (1. -. u) /. s.rate);
-        if !at >= stop then continue := false
-        else begin
-          due := int_of_float (!at *. 1e9) :: !due;
-          step_of := si :: !step_of;
-          incr i
-        end
-      done)
-    steps;
-  let due = Array.of_list (List.rev !due) in
-  {
-    steps;
-    due;
-    step_of = Array.of_list (List.rev !step_of);
-    specs = Array.init (Array.length due) (spec_of ~seed);
-  }
-
-(* Per-request timestamps (absolute ns), filled in by the loop. *)
+(* Per-request timestamps (the loop's processor-time ns), filled in by the
+   loop. *)
 type stamps = {
-  mutable due : int;  (** scheduled send time; the send itself in a closed loop *)
   mutable enc_start : int;
   mutable enc_stop : int;
   mutable pushed : int;
@@ -137,7 +65,7 @@ type stamps = {
 
 let fresh () =
   {
-    due = 0; enc_start = 0; enc_stop = 0; pushed = 0; dec_start = 0; dec_stop = 0;
+    enc_start = 0; enc_stop = 0; pushed = 0; dec_start = 0; dec_stop = 0;
     submitted = 0; admitted = 0; tick_start = 0; tick_stop = 0; done_at = 0; bytes = 0;
     outcome = None;
   }
@@ -148,40 +76,27 @@ type tick = {
   size : int;
 }
 
-(* How requests arrive: on the open-loop schedule, or from [clients]
-   callers that each send their next request when the previous one is
-   answered, until [stop_ns] and at least [min_ops] are sent. *)
-type arrivals =
-  | Open of schedule
-  | Closed of {
-      clients : int;
-      seed : int;
-      stop_ns : int;  (** offset from the origin *)
-      min_ops : int;
-    }
-
 type loop = {
-  origin : int;  (** absolute ns of offset 0 *)
+  origin : int;  (** processor-time ns when the loop starts *)
   stamps : stamps array;  (** one per request sent, by request id *)
   specs : Frame.spec array;
   ticks : tick list;
   full_retries : int;
   queue_rejects : int;
   end_ns : int;
+  calib : Calib.t;  (** host-speed samples taken between ticks *)
 }
 
 let config =
   { Server.default_config with Server.queue_capacity = 8192; max_k = k_max }
 
-(* A step's backlog may not outgrow what Little's law allows at the
-   latency limit. *)
-let backlog_limit s = s.rate *. limit_ms /. 1e3
-
-(* Run the arrivals through a fresh server on [pool] until every request
-   sent is answered. On the open-loop schedule, a ladder step that ends
-   with a backlog over its limit stops the ladder: later steps could only
-   fail too. *)
-let loop ~pool arrivals =
+(* Send requests [spec_of ~seed i] for i = 0, 1, ... through a fresh
+   server on [pool], keeping [clients] outstanding, until [seconds] of
+   wall time have passed and at least [min_ops] were sent; then drain. *)
+let loop ~pool ~seed ~seconds ~min_ops =
+  (* The loop's processor time, less the host-speed samples it takes. *)
+  let calib = Calib.create () in
+  let clock () = Common.thread_cpu_ns () - calib.Calib.spent_ns in
   let server = Server.create ~pool ~config () in
   let req_ring : string Ring.t = Ring.create ~capacity:8192 () in
   let resp_ring : string Ring.t = Ring.create ~capacity:8192 () in
@@ -190,18 +105,9 @@ let loop ~pool arrivals =
   let ticks = ref [] and tick_no = ref 0 in
   let full_retries = ref 0 and queue_rejects = ref 0 in
   let sent = ref 0 and answered = ref 0 in
-  let origin = Common.now_ns () + 1_000_000 in
-  (* [limit] is how many requests may be sent in all; open loops lower it
-     when the ladder stops. *)
-  let limit, spec_at =
-    match arrivals with
-    | Open sched ->
-      stamps :=
-        Array.init (Array.length sched.due) (fun i ->
-            { (fresh ()) with due = origin + sched.due.(i) });
-      ref (Array.length sched.due), fun i -> sched.specs.(i)
-    | Closed { seed; _ } -> ref max_int, fun i -> spec_of ~seed i
-  in
+  let origin = clock () in
+  let deadline = Common.now_ns () + int_of_float (seconds *. 1e9) in
+  let sending () = Common.now_ns () < deadline || !sent < min_ops in
   let stamp i =
     if i >= Array.length !stamps then begin
       let old = !stamps in
@@ -211,7 +117,6 @@ let loop ~pool arrivals =
     end;
     !stamps.(i)
   in
-  let step = ref 0 in
   let respond resp =
     let out = Wire.encode_into server_enc Frame.response_codec resp in
     if not (Ring.try_push resp_ring out) then
@@ -219,14 +124,13 @@ let loop ~pool arrivals =
   in
   let send i =
     let st = stamp i in
-    st.enc_start <- Common.now_ns ();
-    if st.due = 0 then st.due <- st.enc_start;
+    st.enc_start <- clock ();
     let bytes =
-      Wire.encode_into client_enc Frame.request_codec (Frame.Submit (spec_at i))
+      Wire.encode_into client_enc Frame.request_codec (Frame.Submit (spec_of ~seed i))
     in
-    st.enc_stop <- Common.now_ns ();
+    st.enc_stop <- clock ();
     if Ring.try_push req_ring bytes then begin
-      st.pushed <- Common.now_ns ();
+      st.pushed <- clock ();
       st.bytes <- String.length bytes;
       incr sent;
       true
@@ -236,64 +140,33 @@ let loop ~pool arrivals =
       false
     end
   in
-  let finished () =
-    match arrivals with
-    | Open _ -> !answered >= !limit
-    | Closed { stop_ns; min_ops; _ } ->
-      !answered = !sent && Common.now_ns () >= origin + stop_ns && !sent >= min_ops
-  in
-  while not (finished ()) do
-    let now = Common.now_ns () in
-    (* Client: send what is due. *)
-    (match arrivals with
-    | Open sched ->
-      let n = Array.length sched.due in
-      let last = Array.length sched.steps - 1 in
-      if !step < last && now >= origin + sched.steps.(!step).stop_ns then begin
-        let first_next = ref !sent in
-        while !first_next < n && sched.step_of.(!first_next) <= !step do
-          incr first_next
-        done;
-        let answered_before = ref 0 in
-        for i = 0 to !first_next - 1 do
-          if !stamps.(i).done_at > 0 then incr answered_before
-        done;
-        let backlog = float_of_int (!first_next - !answered_before) in
-        if backlog > backlog_limit sched.steps.(!step) then
-          limit := min !limit !first_next;
-        incr step
-      end;
-      while !sent < !limit && !stamps.(!sent).due <= now && send !sent do () done
-    | Closed { clients; stop_ns; min_ops; _ } ->
-      while
-        !sent - !answered < clients
-        && (now < origin + stop_ns || !sent < min_ops)
-        && send !sent
-      do () done);
+  while !answered < !sent || sending () do
+    (* Client: every free client sends. *)
+    while !sent - !answered < clients && sending () && send !sent do () done;
     (* Server: decode and admit. *)
     let rec admit () =
       match Ring.try_pop req_ring with
       | None -> ()
       | Some bytes ->
-        let t0 = Common.now_ns () in
+        let t0 = clock () in
         (match Wire.decode Frame.request_codec bytes with
         | Ok (Frame.Submit spec) ->
           let st = stamp spec.Frame.req_id in
           st.dec_start <- t0;
-          st.dec_stop <- Common.now_ns ();
+          st.dec_stop <- clock ();
           let resp = Server.submit server ~tick:!tick_no spec in
-          st.submitted <- Common.now_ns ();
+          st.submitted <- clock ();
           respond resp;
-          st.admitted <- Common.now_ns ()
+          st.admitted <- clock ()
         | Ok Frame.Bye | Error _ -> failwith "serve-gs: undecodable request");
         admit ()
     in
     admit ();
     let worked = Server.pending server > 0 in
     if worked then begin
-      let t_start = Common.now_ns () in
+      let t_start = clock () in
       let dones = Server.tick server ~tick:!tick_no in
-      let t_stop = Common.now_ns () in
+      let t_stop = clock () in
       incr tick_no;
       ticks := { t_start; t_stop; size = List.length dones } :: !ticks;
       List.iter
@@ -315,115 +188,37 @@ let loop ~pool arrivals =
         | Frame.Accepted _ -> ()
         | Frame.Rejected { req_id; reason } ->
           if reason = Frame.Queue_full then incr queue_rejects;
-          !stamps.(req_id).done_at <- Common.now_ns ();
+          !stamps.(req_id).done_at <- clock ();
           incr answered
         | Frame.Done { req_id; outcome; _ } ->
           !stamps.(req_id).outcome <- Some outcome;
-          !stamps.(req_id).done_at <- Common.now_ns ();
+          !stamps.(req_id).done_at <- clock ();
           incr answered);
         collect ()
     in
     collect ();
-    (* Idle on the open loop: nothing queued, so sleep until the next
-       request is due. *)
-    match arrivals with
-    | Open _ when (not worked) && !sent < !limit ->
-      let wait = !stamps.(!sent).due - Common.now_ns () in
-      if wait > 0 then Unix.sleepf (float_of_int wait /. 1e9)
-    | _ -> ()
+    Calib.maybe calib
   done;
+  Calib.sample calib;
   {
     origin;
     stamps = Array.sub !stamps 0 !sent;
-    specs = Array.init !sent spec_at;
+    specs = Array.init !sent (spec_of ~seed);
     ticks = List.rev !ticks;
     full_retries = !full_retries;
     queue_rejects = !queue_rejects;
-    end_ns = Common.now_ns ();
+    end_ns = clock ();
+    calib;
   }
 
 (* --- analysis ---------------------------------------------------------------- *)
 
-let latency_ms l i = Common.ms (l.stamps.(i).done_at - l.stamps.(i).due)
-let late_ms l i = Common.ms (l.stamps.(i).enc_start - l.stamps.(i).due)
+let latency_ms l i = Common.ms (l.stamps.(i).done_at - l.stamps.(i).enc_start)
 let all l = List.init (Array.length l.stamps) Fun.id
 
-type step_report = {
-  rate : float;
-  complete : bool;  (** every request of the step was sent *)
-  n : int;
-  p50 : float;
-  p99 : float;
-  late_p99 : float;
-  backlog : int;  (** due by the step's end but not answered by then *)
-  pass : bool;
-}
-
-let step_reports sched l =
-  let sent = Array.length l.stamps in
-  Array.to_list
-    (Array.mapi
-       (fun si (s : step) ->
-         let idx =
-           List.filter
-             (fun i -> sched.step_of.(i) = si)
-             (List.init (Array.length sched.due) Fun.id)
-         in
-         let complete = List.for_all (fun i -> i < sent) idx in
-         let idx = List.filter (fun i -> i < sent) idx in
-         let lat = Common.sorted_of_list (List.map (latency_ms l) idx) in
-         let late = Common.sorted_of_list (List.map (late_ms l) idx) in
-         let t_end = l.origin + s.stop_ns in
-         let backlog = ref 0 in
-         Array.iter
-           (fun st ->
-             if st.due <= t_end && (st.done_at = 0 || st.done_at > t_end) then
-               incr backlog)
-           l.stamps;
-         let p99 = Common.percentile lat 99. in
-         {
-           rate = s.rate;
-           complete;
-           n = List.length idx;
-           p50 = Common.percentile lat 50.;
-           p99;
-           late_p99 = Common.percentile late 99.;
-           backlog = !backlog;
-           pass =
-             complete && p99 <= limit_ms && float_of_int !backlog <= backlog_limit s;
-         })
-       sched.steps)
-
-(* The highest rate meeting the limit: the last passing step of an
-   unbroken run of passes from the nominal one, moved toward the first
-   failing step by where the limit falls between their p99s on a log
-   scale, so the figure varies smoothly rather than in ladder steps. *)
-let max_rate reports =
-  let rec go prev = function
-    | [] -> (match prev with Some p -> p.rate | None -> 0.)
-    | r :: rest when r.pass -> go (Some r) rest
-    | r :: _ -> (
-      match prev with
-      | None -> 0.
-      | Some p when r.complete && r.p99 > limit_ms && p.p99 > 0. ->
-        let x = (log limit_ms -. log p.p99) /. (log r.p99 -. log p.p99) in
-        p.rate *. ((r.rate /. p.rate) ** Float.min 1. (Float.max 0. x))
-      | Some p -> p.rate)
-  in
-  go None reports
-
-let step_line (r : step_report) =
-  if not r.complete then
-    Printf.sprintf "  step %5.0f rps: not sent (ladder stopped)" r.rate
-  else
-    Printf.sprintf
-      "  step %5.0f rps: p50 %7.2f ms, p99 %8.2f ms (n=%d), generator late p99 \
-       %.2f ms, end-of-step backlog %d (limit %.0f): %s"
-      r.rate r.p50 r.p99 r.n r.late_p99 r.backlog (r.rate *. limit_ms /. 1e3)
-      (if r.pass then "pass" else "FAIL")
-
 (* The stable-matching layer of one request, re-assembled from the public
-   calls [Server.execute] makes, with domain-local GC deltas. *)
+   calls [Server.execute] makes, timed in processor time, with
+   domain-local GC deltas. *)
 type gs_parts = {
   make_ns : int;
   gs_ns : int;
@@ -439,13 +234,13 @@ let gs_parts (spec : Frame.spec) =
   | Frame.Bsm _ -> invalid_arg "serve-gs: not a GS request"
   | Frame.Gs { k; seed; family } ->
     let g0 = Common.gc_sample () in
-    let t0 = Common.now_ns () in
+    let t0 = Common.thread_cpu_ns () in
     let flat = SM.Flat.make ~family ~seed ~k in
-    let t1 = Common.now_ns () in
+    let t1 = Common.thread_cpu_ns () in
     let l2r, stats = SM.Flat.gale_shapley flat in
-    let t2 = Common.now_ns () in
+    let t2 = Common.thread_cpu_ns () in
     let blocking = SM.Verify.exists_blocking (SM.Flat.verify_view flat ~l2r) in
-    let t3 = Common.now_ns () in
+    let t3 = Common.thread_cpu_ns () in
     {
       make_ns = t1 - t0;
       gs_ns = t2 - t1;
@@ -456,14 +251,13 @@ let gs_parts (spec : Frame.spec) =
       gc = Common.gc_delta g0 (Common.gc_sample ());
     }
 
-(* The span tree of one answered request: a root from due to client
+(* The span tree of one answered request: a root from send to client
    decode, with the path's steps as consecutive children. *)
 let request_spans l i =
   let st = l.stamps.(i) in
   let sp = Span.create ~op:i in
-  Span.enter_at sp Span.Op ~start:st.due;
+  Span.enter_at sp Span.Op ~start:st.enc_start;
   let iv layer a b = Span.interval sp layer ~start:a ~stop:b in
-  iv Span.Gen_wait st.due st.enc_start;
   iv Span.Encode st.enc_start st.enc_stop;
   iv Span.Ring_push st.enc_stop st.pushed;
   iv Span.Decode st.dec_start st.dec_stop;
@@ -477,54 +271,32 @@ let request_spans l i =
 
 let warmup_requests = 150
 
-(* [clients = None] runs the open-loop schedule; [Some c] the closed loop. *)
-let run ?clients ~seed ~lanes ~setups ~trace stop =
-  let seconds =
+let run ~seed ~lanes ~setups ~trace stop =
+  let seconds, min_ops =
     match stop with
-    | Closed_loop.Seconds s -> s
-    | Closed_loop.Batches b -> float_of_int b
+    | Closed_loop.Seconds s -> s, Closed_loop.min_ops
+    | Closed_loop.Batches b -> 0., 100 * b
   in
-  let arrivals () =
-    match clients, stop with
-    | None, _ -> Open (schedule ~seed ~seconds)
-    | Some clients, Closed_loop.Seconds _ ->
-      Closed
-        {
-          clients;
-          seed;
-          stop_ns = int_of_float (seconds *. 1e9);
-          min_ops = Closed_loop.min_ops;
-        }
-    | Some clients, Closed_loop.Batches b ->
-      Closed { clients; seed; stop_ns = 0; min_ops = 100 * b }
-  in
-  (* Set-up: the arrivals, the pool, and a burst of warm-up requests
-     through a throwaway server (domain spawn, heap growth), in fresh pools
-     [setups] times; the first timed from process start. *)
+  (* Set-up: the pool and warm-up requests through a throwaway server (heap
+     growth), in fresh pools [setups] times, each timed in processor time
+     of the whole process; the first counts from process start. The
+     warm-up requests come from a fixed seed. *)
   let setup first prev =
-    let t0 = if first then Common.process_start_ns else Common.now_ns () in
+    let c0 = if first then 0 else Common.process_cpu_ns () in
     Option.iter Pool.shutdown prev;
-    let arrivals = arrivals () in
     let pool = Pool.create ~jobs:lanes () in
-    let warm =
-      {
-        steps = [| { rate = 1.; start_ns = 0; stop_ns = 1 } |];
-        due = Array.make warmup_requests 0;
-        step_of = Array.make warmup_requests 0;
-        specs = Array.init warmup_requests (spec_of ~seed:(-1 - seed));
-      }
-    in
-    ignore (loop ~pool (Open warm));
-    arrivals, pool, Common.ms (Common.now_ns () - t0) /. 1e3
+    ignore
+      (loop ~pool ~seed:Closed_loop.warmup_seed ~seconds:0.
+         ~min_ops:warmup_requests);
+    pool, Common.ms (Common.process_cpu_ns () - c0) /. 1e3
   in
   let rec setup_all n acc prev =
-    let arrivals, pool, s = setup (acc = []) prev in
-    if n <= 1 then arrivals, pool, List.rev (s :: acc)
-    else setup_all (n - 1) (s :: acc) (Some pool)
+    let pool, s = setup (acc = []) prev in
+    if n <= 1 then pool, List.rev (s :: acc) else setup_all (n - 1) (s :: acc) (Some pool)
   in
-  let arrivals, pool, setups_s = setup_all setups [] None in
+  let pool, setups_s = setup_all setups [] None in
   let s0 = Pool.stats pool and g0 = Gc.quick_stat () in
-  let l = loop ~pool arrivals in
+  let l = loop ~pool ~seed ~seconds ~min_ops in
   let s1 = Pool.stats pool and g1 = Gc.quick_stat () in
   let ids = all l in
   let n_sent = Array.length l.stamps in
@@ -583,95 +355,39 @@ let run ?clients ~seed ~lanes ~setups ~trace stop =
         Common.count fp "proposals" p.proposals
       end)
     parts;
-  let e2e, notes, nominal_late =
-    match arrivals with
-    | Open sched ->
-      let reports = step_reports sched l in
-      let nominal = List.hd reports in
-      let nominal_s =
-        float_of_int (sched.steps.(0).stop_ns - sched.steps.(0).start_ns) /. 1e9
-      in
-      ( [
-          "ops_per_s", float_of_int nominal.n /. nominal_s;
-          "max_rate_rps", max_rate reports;
-          "op_ms_p50", nominal.p50;
-          "op_ms_p99", nominal.p99;
-        ],
-        [
-          Printf.sprintf "open loop: %d requests sent, %d ticks, latency limit %.0f ms"
-            n_sent (List.length l.ticks) limit_ms;
-          Printf.sprintf "nominal %.0f rps: p50 %.3f ms (n=%d), p99 %.3f ms (n=%d)"
-            nominal_rps nominal.p50 nominal.n nominal.p99 nominal.n;
-          Printf.sprintf "max_rate_rps %.1f" (max_rate reports);
-        ]
-        @ List.map step_line reports,
-        nominal.late_p99 )
-    | Closed { clients; _ } ->
-      (* The median rate over windows of [window] consecutive completions:
-         a stretch slowed by something outside the benchmark moves it only
-         if it covers half the run. *)
-      let window_s = Common.ms (l.end_ns - l.origin) /. 1e3 in
-      let done_at = Array.map (fun st -> st.done_at) l.stamps in
-      Array.sort compare done_at;
-      let window = max 1 (min 200 (Array.length done_at - 1)) in
-      let rates =
-        List.init
-          ((Array.length done_at - 1) / window)
-          (fun j ->
-            let a = done_at.(j * window) and b = done_at.((j + 1) * window) in
-            float_of_int window /. (Common.ms (b - a) /. 1e3))
-      in
-      let ops_per_s = Common.median rates in
-      (* Percentiles as the median over windows of 1,000 consecutive
-         requests (each window's p99 has 10 samples beyond it): one stall of
-         the host inflates the tail of the window it falls in only. *)
-      let lat = Array.of_list (List.map (latency_ms l) ids) in
-      let windows = max 1 (Array.length lat / 1000) in
-      let window w =
-        let len = if w = windows - 1 then Array.length lat - (w * 1000) else 1000 in
-        Common.sorted_of_list (Array.to_list (Array.sub lat (w * 1000) len))
-      in
-      let per_window q =
-        Common.median (List.init windows (fun w -> Common.percentile (window w) q))
-      in
-      let p50 = per_window 50. and p99 = per_window 99. in
-      ( [
-          "ops_per_s", ops_per_s;
-          (* A closed loop queues nothing, so the rate it sustains is the
-             completed rate. *)
-          "max_rate_rps", ops_per_s;
-          "op_ms_p50", p50;
-          "op_ms_p99", p99;
-        ],
-        [
-          Printf.sprintf
-            "closed loop: %d clients, %d requests in %.3f s (%.1f/s overall, %.1f \
-             median window), %d ticks"
-            clients n_sent window_s
-            (float_of_int n_sent /. window_s)
-            ops_per_s (List.length l.ticks);
-          Printf.sprintf
-            "request latency: p50 %.3f ms, p99 %.3f ms (medians over %d windows of \
-             >= 1000 requests; n=%d)"
-            p50 p99 windows n_sent;
-        ],
-        0. )
-  in
-  let e2e =
-    ("setup_s", Common.median setups_s)
-    :: e2e
-    @ [
+  let e2e, notes =
+    (* Completed requests per second of the loop's processor time, which
+       neither the host's other work nor the calibration samples reach. *)
+    let window_s = Common.ms (l.end_ns - l.origin) /. 1e3 in
+    let ops_per_s = float_of_int n_sent /. window_s in
+    let lat = Common.sorted_of_list (List.map (latency_ms l) ids) in
+    let p50 = Common.smooth_percentile lat 50. and p99 = Common.smooth_percentile lat 99. in
+    let setup = Common.median setups_s in
+    let slow = Calib.slowdown l.calib in
+    ( [
+        "setup_s", setup /. slow;
+        "ops_per_s", ops_per_s *. slow;
+        (* A closed loop queues nothing, so the rate it sustains is the
+           completed rate. *)
+        "max_rate_rps", ops_per_s *. slow;
+        "op_ms_p50", p50 /. slow;
+        "op_ms_p99", p99 /. slow;
         "ok_ratio", 1. -. Common.ratio (float_of_int failed) (float_of_int n_sent);
         "peak_rss_mb", Common.peak_rss_mb ();
-      ]
-  in
-  let notes =
-    notes
-    @ [
-        Printf.sprintf "setup: %s s (median %.3f s)"
+      ],
+      [
+        Printf.sprintf
+          "closed loop: %d clients, %d requests in %.3f s processor time (%.1f/s), \
+           %d ticks"
+          clients n_sent window_s ops_per_s (List.length l.ticks);
+        Printf.sprintf
+          "request latency, processor time: p50 %.3f ms, p99 %.3f ms (n=%d)" p50 p99
+          n_sent;
+        Printf.sprintf "setup: %s s processor time (median %.3f s)"
           (String.concat ", " (List.map (Printf.sprintf "%.3f") setups_s))
-          (Common.median setups_s);
-      ]
+          setup;
+        Calib.note l.calib;
+      ] )
   in
   let profile = Span.profile () in
   let layers =
@@ -718,7 +434,6 @@ let run ?clients ~seed ~lanes ~setups ~trace stop =
         "server.tick_ms_p99", Common.percentile tick_ms 99.;
         "server.batch_size", mean (fun t -> float_of_int t.size) ticks;
         "server.queue_rejects", float_of_int l.queue_rejects;
-        "gen.late_ms_p99", nominal_late;
         "serve.covered_share", 1. -. unattributed;
         "pool.tasks", float_of_int (s1.Pool.tasks - s0.Pool.tasks);
         "pool.steals", float_of_int (s1.Pool.steals - s0.Pool.steals);

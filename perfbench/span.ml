@@ -23,7 +23,6 @@ type layer =
   | Compute
   | Send
   | Check
-  | Gen_wait
   | Encode
   | Ring_push
   | Decode
@@ -35,8 +34,8 @@ type layer =
 let layers =
   [
     Op; Harness_case; Select_plan; Pki_setup; Schedule_compile; Engine_run;
-    Compute; Send; Check; Gen_wait; Encode; Ring_push; Decode; Submit;
-    Queue_wait; Tick; Respond;
+    Compute; Send; Check; Encode; Ring_push; Decode; Submit; Queue_wait;
+    Tick; Respond;
   ]
 
 let index = function
@@ -49,14 +48,13 @@ let index = function
   | Compute -> 6
   | Send -> 7
   | Check -> 8
-  | Gen_wait -> 9
-  | Encode -> 10
-  | Ring_push -> 11
-  | Decode -> 12
-  | Submit -> 13
-  | Queue_wait -> 14
-  | Tick -> 15
-  | Respond -> 16
+  | Encode -> 9
+  | Ring_push -> 10
+  | Decode -> 11
+  | Submit -> 12
+  | Queue_wait -> 13
+  | Tick -> 14
+  | Respond -> 15
 
 let n_layers = List.length layers
 
@@ -70,7 +68,6 @@ let name = function
   | Compute -> "protocol.compute"
   | Send -> "wire.send"
   | Check -> "problem.check"
-  | Gen_wait -> "gen.wait"
   | Encode -> "frame.encode"
   | Ring_push -> "ring.push"
   | Decode -> "frame.decode"
