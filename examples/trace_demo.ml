@@ -42,8 +42,7 @@ let () =
 
   (* Group trace events by round and summarize. *)
   let by_round =
-    Util.group_by ~key:(fun e -> e.Engine.event_round) ~equal_key:Int.equal
-      res.Engine.trace
+    Util.group_by ~key:(fun e -> e.Engine.event_round) res.Engine.trace
   in
   let describe round =
     if round = 0 then "L waits; honest R would send preference lists here"

@@ -63,7 +63,7 @@ let make p ~self ~sender ~input =
       (Machine.first_per_sender inbox)
   in
   let tally pairs =
-    Util.group_by ~key:snd ~equal_key:String.equal pairs
+    Util.group_by ~key:snd pairs
     |> List.map (fun (v, items) -> v, Party_set.of_list (List.map fst items))
   in
   let my_echo = ref None in

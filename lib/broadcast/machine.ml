@@ -31,13 +31,15 @@ let silent ~rounds out =
     cells = [];
   }
 
+module Senders = Hashtbl.Make (Party_id)
+
 let first_per_sender inbox =
-  let seen = Hashtbl.create 16 in
+  let seen = Senders.create 16 in
   List.filter
     (fun (src, _) ->
-      if Hashtbl.mem seen (Party_id.to_string src) then false
+      if Senders.mem seen src then false
       else begin
-        Hashtbl.add seen (Party_id.to_string src) ();
+        Senders.add seen src ();
         true
       end)
     inbox

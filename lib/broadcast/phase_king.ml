@@ -73,7 +73,7 @@ let relevant extract inbox =
 
 (* Group received (sender, value) pairs by value: (value, sender set). *)
 let tally pairs =
-  Util.group_by ~key:snd ~equal_key:String.equal pairs
+  Util.group_by ~key:snd pairs
   |> List.map (fun (v, items) -> v, Party_set.of_list (List.map fst items))
 
 let make_with_peek p ~self ~input =

@@ -40,7 +40,7 @@ let make (p : Phase_king.params) ~self ~input =
           (Machine.first_per_sender inbox)
       in
       let echoes = (self, peek ()) :: echoes in
-      let grouped = Util.group_by ~key:snd ~equal_key:String.equal echoes in
+      let grouped = Util.group_by ~key:snd echoes in
       let accepted =
         List.find_map
           (fun (z, items) ->

@@ -133,6 +133,20 @@ let atom_label atom lo hi =
 
 (* --- compilation --------------------------------------------------------- *)
 
+(* Labels outlive the run that compiled them (the engine's per-label
+   counts keep them), and a sweep compiles the same few components over
+   and over: keep one copy of each label per domain, up to a bound. *)
+let labels = Domain.DLS.new_key (fun () -> Hashtbl.create 64)
+
+let shared_label s =
+  let tbl = Domain.DLS.get labels in
+  match Hashtbl.find_opt tbl s with
+  | Some l -> l
+  | None ->
+    if Hashtbl.length tbl >= 1024 then Hashtbl.reset tbl;
+    Hashtbl.add tbl s s;
+    s
+
 (* A schedule flattens to atoms with their effective window, sender-side
    restriction, and a salt (pre-order position) that decorrelates the
    probabilistic components. *)
@@ -155,8 +169,14 @@ let flatten t =
       let lo = max lo alo and hi = min hi ahi in
       if lo >= hi then acc
       else
-        { f_label = atom_label atom lo hi; f_salt = salt; f_lo = lo; f_hi = hi;
-          f_side = side; f_atom = atom }
+        {
+          f_label = shared_label (atom_label atom lo hi);
+          f_salt = salt;
+          f_lo = lo;
+          f_hi = hi;
+          f_side = side;
+          f_atom = atom;
+        }
         :: acc
     | Union (a, b) -> go lo hi side (go lo hi side acc a) b
     | During (dlo, dhi, s) -> go (max lo dlo) (min hi dhi) side acc s

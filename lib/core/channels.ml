@@ -77,18 +77,46 @@ let forward_tag = '\002'
 (* [src], [dst], [vround] and [id] sit at a fixed position right after
    the variant tag, so relays and receivers can read them without paying
    for the body (the expensive field: a preference list, a broadcast
-   round's worth of votes). [None] on anything that doesn't parse that
-   far — the caller treats it like a malformed frame. *)
-let peek_header (s : Wire.Slice.t) =
-  try
+   round's worth of votes). The read walks the same varints the
+   [payload_codec] prefix does, in the same order, but lands them in one
+   flat record instead of building party ids and tuples. [None] on
+   anything that doesn't parse that far — the caller treats it like a
+   malformed frame. *)
+module Header = struct
+  type t = {
+    src_side : Side.t;
+    src_index : int;
+    dst_side : Side.t;
+    dst_index : int;
+    vround : int;
+    id : int;
+  }
+
+  (* [Wire.side]'s decoding: a uint that must be 0 or 1. *)
+  let side d =
+    match Wire.Dec.uint d with
+    | 0 -> Side.Left
+    | 1 -> Side.Right
+    | _ -> raise_notrace (Wire.Malformed "relay header: invalid side")
+
+  let read (s : Wire.Slice.t) =
     let d = Wire.Dec.of_slice s in
-    let _tag = Wire.Dec.tag d in
-    let src = Wire.party_id.Wire.read d in
-    let dst = Wire.party_id.Wire.read d in
-    let hvround = Wire.Dec.uint d in
-    let id = Wire.Dec.uint d in
-    Some (src, dst, hvround, id)
-  with Wire.Malformed _ -> None
+    match
+      let (_ : int) = Wire.Dec.tag d in
+      let src_side = side d in
+      let src_index = Wire.Dec.uint d in
+      let dst_side = side d in
+      let dst_index = Wire.Dec.uint d in
+      let vround = Wire.Dec.uint d in
+      let id = Wire.Dec.uint d in
+      { src_side; src_index; dst_side; dst_index; vround; id }
+    with
+    | h -> Some h
+    | exception Wire.Malformed _ -> None
+
+  let is_party side index p =
+    Side.equal side (Party_id.side p) && index = Party_id.index p
+end
 
 (* A [Forward] differs from the [Request] it answers only in the leading
    variant tag, so a forwarder can reuse the received bytes wholesale —
@@ -115,12 +143,11 @@ let forward_slice_codec : Wire.Slice.t Wire.t =
    the receiver's decode, exactly as a byzantine relay could arrange
    anyway. *)
 let forward_payload (env : Engine.env) ~topology ~from ~(data : Wire.Slice.t) =
-  match peek_header data with
-  | Some (src, dst, _, _)
-    when Party_id.equal from src
-         && Topology.connected topology env.self dst
-         && not (Party_id.equal dst env.self) ->
-    env.send_w forward_slice_codec dst data
+  match Header.read data with
+  | Some h when Header.is_party h.src_side h.src_index from ->
+    let dst = Party_id.make h.dst_side h.dst_index in
+    if Topology.connected topology env.self dst && not (Party_id.equal dst env.self)
+    then env.send_w forward_slice_codec dst data
   | Some _ | None -> ()
 
 let forward_duty (env : Engine.env) ~topology (e : Engine.envelope) =
@@ -128,6 +155,37 @@ let forward_duty (env : Engine.env) ~topology (e : Engine.envelope) =
      the leading tag byte before paying for any parsing. *)
   if Wire.Slice.length e.data > 0 && Wire.Slice.get e.data 0 = request_tag then
     forward_payload env ~topology ~from:e.src ~data:e.data
+
+(* --- replay suppression ----------------------------------------------------- *)
+
+(* The relay ids already delivered, per claimed source: one int-keyed
+   table per roster party, found by dense index, so a lookup hashes one
+   int instead of a [(party, id)] pair. A source outside the roster can
+   only come from a forged frame; those few go to [stray], keyed by the
+   whole [(side, index, id)], so they are deduplicated exactly like
+   genuine ones. *)
+module Delivered = struct
+  module Ids = Hashtbl.Make (Int)
+
+  type t = {
+    k : int;
+    roster : unit Ids.t array;
+    stray : (Side.t * int * int, unit) Hashtbl.t;
+  }
+
+  let create ~k =
+    { k; roster = Array.init (2 * k) (fun _ -> Ids.create 8); stray = Hashtbl.create 1 }
+
+  let roster_ids t side index = t.roster.((Side.to_int side * t.k) + index)
+
+  let mem t side index id =
+    if index < t.k then Ids.mem (roster_ids t side index) id
+    else Hashtbl.mem t.stray (side, index, id)
+
+  let add t side index id =
+    if index < t.k then Ids.replace (roster_ids t side index) id ()
+    else Hashtbl.replace t.stray (side, index, id) ()
+end
 
 (* --- the virtual net ----------------------------------------------------- *)
 
@@ -141,7 +199,7 @@ let virtual_net (env : Engine.env) ~topology ~auth =
   (* (src, id) pairs already delivered, for replay suppression in signed
      mode; majority mode is replay-proof by the honest-majority argument
      but deduplicates identically for cheap idempotence. *)
-  let delivered = Hashtbl.create 64 in
+  let delivered = Delivered.create ~k in
   (* The channel layer's own round-local state is corruptible too: a
      scrambled [vround] desynchronizes this party's virtual clock, a
      scrambled [next_id] collides or skips message ids — failure modes a
@@ -201,10 +259,10 @@ let virtual_net (env : Engine.env) ~topology ~auth =
     done;
     let fresh p =
       Party_id.equal p.dst self && p.vround = !vround
-      && not (Hashtbl.mem delivered (p.src, p.id))
+      && not (Delivered.mem delivered (Party_id.side p.src) (Party_id.index p.src) p.id)
     in
     let deliver p =
-      Hashtbl.replace delivered (p.src, p.id) ();
+      Delivered.add delivered (Party_id.side p.src) (Party_id.index p.src) p.id;
       p.src, p.body
     in
     let relayed =
@@ -212,10 +270,10 @@ let virtual_net (env : Engine.env) ~topology ~auth =
       | Signed { verifier; _ } ->
         List.filter_map
           (fun frame ->
-            match peek_header frame with
-            | Some (src, dst, hvround, id)
-              when Party_id.equal dst self && hvround = !vround
-                   && not (Hashtbl.mem delivered (src, id)) -> begin
+            match Header.read frame with
+            | Some h
+              when Header.is_party h.dst_side h.dst_index self && h.vround = !vround
+                   && not (Delivered.mem delivered h.src_side h.src_index h.id) -> begin
               match Wire.decode_slice relay_codec frame with
               | Ok (Forward ({ signature = Some signature; _ } as p))
                 when fresh p
@@ -230,7 +288,7 @@ let virtual_net (env : Engine.env) ~topology ~auth =
         (* Group identical payloads; accept those vouched for by a strict
            majority of distinct forwarders on the opposite side. *)
         let key (_, p) = Wire.encode payload_codec p in
-        Util.group_by ~key ~equal_key:String.equal !forwards
+        Util.group_by ~key !forwards
         |> List.filter_map (fun (_, items) ->
                let p = snd (List.hd items) in
                let forwarders =
@@ -244,6 +302,14 @@ let virtual_net (env : Engine.env) ~topology ~auth =
     in
     incr vround;
     let all = List.rev_append !direct relayed in
-    List.stable_sort (fun (a, _) (b, _) -> Party_id.compare a b) all
+    (* On a fully-connected net the inbox already arrives in sender order
+       (the engine delivers by sender), so check before sorting: the
+       result is the same list either way. *)
+    let by_sender (a, _) (b, _) = Party_id.compare a b in
+    let rec sorted = function
+      | a :: (b :: _ as rest) -> by_sender a b <= 0 && sorted rest
+      | [] | [ _ ] -> true
+    in
+    if sorted all then all else List.stable_sort by_sender all
   in
   { Net.self; stride; send; sync; register_state = env.register_cell }

@@ -74,3 +74,26 @@ type relay =
   | Forward of payload
 
 val relay_codec : relay Bsm_wire.Wire.t
+
+(** The fixed-position header of a [Request] or [Forward] frame — the
+    [(src, dst, vround, id)] prefix of its payload, right after the
+    variant tag — read without touching the body. Relays use it to decide
+    whether to forward, and signed receivers to skip stale or duplicate
+    copies before any body decode or signature check. *)
+module Header : sig
+  type t = {
+    src_side : Bsm_prelude.Side.t;
+    src_index : int;
+    dst_side : Bsm_prelude.Side.t;
+    dst_index : int;
+    vround : int;
+    id : int;
+  }
+
+  (** [read frame] is [Some] exactly when {!relay_codec}'s decoder gets
+      through the tag byte (any value), both party ids and both uints of
+      [frame] without raising [Malformed], with the same field values;
+      the body is neither read nor checked. Indices are not checked
+      against any roster: a forged frame may name a party outside it. *)
+  val read : Bsm_wire.Wire.Slice.t -> t option
+end

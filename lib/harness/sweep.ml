@@ -17,12 +17,28 @@ type case = {
   adversary : adversary;
 }
 
+(* Rendering the setting is most of the cost of building a case, and
+   sweeps build many cases per setting (each keeping its label for as
+   long as its result lives): render each setting once per domain, up to
+   a bound. *)
+let rendered = Domain.DLS.new_key (fun () -> Hashtbl.create 16)
+
+let default_label setting =
+  let tbl = Domain.DLS.get rendered in
+  match Hashtbl.find_opt tbl setting with
+  | Some l -> l
+  | None ->
+    let l = Format.asprintf "%a" Core.Setting.pp setting in
+    if Hashtbl.length tbl >= 256 then Hashtbl.reset tbl;
+    Hashtbl.add tbl setting l;
+    l
+
 let case ?label ?(profile_seed = 0) ?(scenario_seed = 0) ?(adversary = Honest)
     setting =
   let label =
     match label with
     | Some l -> l
-    | None -> Format.asprintf "%a" Core.Setting.pp setting
+    | None -> default_label setting
   in
   { label; setting; profile_seed; scenario_seed; adversary }
 

@@ -3,9 +3,21 @@ type t = {
   index : int;
 }
 
+(* Identifiers below [interned] on either side are built once and shared:
+   decoding one off the wire or enumerating a roster then allocates
+   nothing, and results that outlive a run (decisions, per-party reports)
+   hold no private copies. Ids are immutable and compared structurally,
+   so sharing is invisible. *)
+let interned = 128
+
+let table =
+  Array.map
+    (fun side -> Array.init interned (fun index -> { side; index }))
+    [| Side.Left; Side.Right |]
+
 let make side index =
   if index < 0 then invalid_arg "Party_id.make: negative index";
-  { side; index }
+  if index < interned then table.(Side.to_int side).(index) else { side; index }
 
 let left index = make Side.Left index
 let right index = make Side.Right index

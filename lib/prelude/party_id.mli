@@ -11,7 +11,9 @@ type t = private {
 }
 
 (** [make side index] builds an identifier. Raises [Invalid_argument] if
-    [index < 0]. *)
+    [index < 0]. Identifiers with a small [index] (below 128) are
+    preallocated and shared, so making one allocates nothing; compare
+    identifiers with {!equal}/{!compare}, never physically. *)
 val make : Side.t -> int -> t
 
 (** [left i] is [make Side.Left i]. *)

@@ -117,7 +117,11 @@ let subset_words a b =
   let rec go i = i >= la || (a.(i) land lnot b.(i) = 0 && go (i + 1)) in
   go 0
 
-let union a b = { left = union_words a.left b.left; right = union_words a.right b.right }
+let union a b =
+  if is_empty a then b
+  else if is_empty b then a
+  else { left = union_words a.left b.left; right = union_words a.right b.right }
+
 let inter a b = { left = inter_words a.left b.left; right = inter_words a.right b.right }
 let diff a b = { left = diff_words a.left b.left; right = diff_words a.right b.right }
 let subset a b = subset_words a.left b.left && subset_words a.right b.right

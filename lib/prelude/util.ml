@@ -15,13 +15,27 @@ let strict_majority ~equal ~total xs =
   | Some (x, c) when 2 * c > total -> Some x
   | Some _ | None -> None
 
-let dedup ~equal xs =
-  let keep seen x = if List.exists (equal x) seen then seen else x :: seen in
-  List.rev (List.fold_left keep [] xs)
-
-let group_by ~key ~equal_key xs =
-  let keys = dedup ~equal:equal_key (List.map key xs) in
-  List.map (fun k -> k, List.filter (fun x -> equal_key (key x) k) xs) keys
+(* One pass: each element's key is computed once and hashed to its
+   group's accumulator; groups are remembered in first-seen order. Both
+   the group list and every group's elements are built reversed, then
+   flipped once at the end. *)
+let group_by ~key xs =
+  let groups = Hashtbl.create 16 in
+  let order =
+    List.fold_left
+      (fun order x ->
+        let k = key x in
+        match Hashtbl.find_opt groups k with
+        | Some members ->
+          members := x :: !members;
+          order
+        | None ->
+          let members = ref [ x ] in
+          Hashtbl.add groups k members;
+          (k, members) :: order)
+      [] xs
+  in
+  List.rev_map (fun (k, members) -> k, List.rev !members) order
 
 let range a b = if a >= b then [] else List.init (b - a) (fun i -> a + i)
 

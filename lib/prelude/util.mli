@@ -13,12 +13,13 @@ val count : equal:('a -> 'a -> bool) -> 'a -> 'a list -> int
     strictly more than [total / 2] times in [xs]. *)
 val strict_majority : equal:('a -> 'a -> bool) -> total:int -> 'a list -> 'a option
 
-(** [dedup ~equal xs] keeps the first occurrence of each value. *)
-val dedup : equal:('a -> 'a -> bool) -> 'a list -> 'a list
-
-(** [group_by ~key ~equal_key xs] groups consecutive-or-not elements by key,
-    preserving first-seen key order and element order within groups. *)
-val group_by : key:('a -> 'k) -> equal_key:('k -> 'k -> bool) -> 'a list -> ('k * 'a list) list
+(** [group_by ~key xs] groups consecutive-or-not elements by key,
+    preserving first-seen key order and element order within groups.
+    Keys are compared with structural equality through a hash table, so
+    they must be plain data (the callers use strings and ints). One pass:
+    [key] is called exactly once per element, and the whole grouping is
+    expected O(n) plus the cost of hashing the keys. *)
+val group_by : key:('a -> 'k) -> 'a list -> ('k * 'a list) list
 
 (** [range a b] is [[a; a+1; ...; b-1]] ([[]] when [a >= b]). *)
 val range : int -> int -> int list

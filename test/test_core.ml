@@ -253,6 +253,278 @@ let test_signed_proxy_drops_late_forward () =
   ignore (Engine.run cfg ~programs:(fun p env -> programs p env));
   Alcotest.(check int) "late forward rejected (omission)" 0 (List.length !received)
 
+(* --- relay header read ------------------------------------------------------ *)
+
+(* The relay-header read [Channels.Header.read] replaced: walk the
+   payload codec's own [party_id] and [uint] decoders over the tag,
+   both party ids, the virtual round and the id, catching [Malformed].
+   Kept as the reference the int read must agree with, bit for bit. *)
+let reference_peek_header (s : Wire.Slice.t) =
+  try
+    let d = Wire.Dec.of_slice s in
+    let _tag = Wire.Dec.tag d in
+    let src = Wire.party_id.Wire.read d in
+    let dst = Wire.party_id.Wire.read d in
+    let vround = Wire.Dec.uint d in
+    let id = Wire.Dec.uint d in
+    Some (src, dst, vround, id)
+  with Wire.Malformed _ -> None
+
+let header_as_parties = function
+  | None -> None
+  | Some { Core.Channels.Header.src_side; src_index; dst_side; dst_index; vround; id } ->
+    Some
+      ( Party_id.make src_side src_index,
+        Party_id.make dst_side dst_index,
+        vround,
+        id )
+
+(* Clean relay frames of every shape, with in-roster, out-of-roster and
+   huge party indices and ids, plus every mutation the chaos layer and
+   the decoder fuzzer can apply to them. *)
+let relay_frames rng =
+  let party () =
+    let side = if Rng.bool rng then Side.Left else Side.Right in
+    let index =
+      match Rng.int rng 4 with
+      | 0 -> max_int
+      | 1 -> 1000 + Rng.int rng 1000
+      | _ -> Rng.int rng 4
+    in
+    Party_id.make side index
+  in
+  let big () = if Rng.int rng 4 = 0 then max_int - Rng.int rng 3 else Rng.int rng 300 in
+  let payload () =
+    {
+      Core.Channels.src = party ();
+      dst = party ();
+      vround = big ();
+      id = big ();
+      body = String.init (Rng.int rng 12) (fun _ -> Char.chr (Rng.int rng 256));
+      signature = None;
+    }
+  in
+  let clean =
+    List.init 60 (fun i ->
+        let frame =
+          match i mod 3 with
+          | 0 -> Core.Channels.Direct (String.make (Rng.int rng 20) 'd')
+          | 1 -> Core.Channels.Request (payload ())
+          | _ -> Core.Channels.Forward (payload ())
+        in
+        Wire.encode Core.Channels.relay_codec frame)
+  in
+  let mutated =
+    List.concat_map
+      (fun frame ->
+        let kinds =
+          List.filter_map
+            (fun kind ->
+              Bsm_chaos.Mutation.apply
+                ~hash:(Rng.mix64 (Int64.of_int (Rng.int rng 1_000_000)))
+                ~src:(party ()) ~prev:(Some (List.hd clean)) kind frame)
+            Bsm_chaos.Mutation.all_kinds
+        in
+        let fuzzed = List.init 4 (fun _ -> Bsm_wire.Fuzz.mutate rng frame) in
+        let truncated = List.init (String.length frame) (fun n -> String.sub frame 0 n) in
+        kinds @ fuzzed @ truncated)
+      clean
+  in
+  clean @ mutated
+
+let test_header_read_matches_reference () =
+  let rng = Rng.make 4242 in
+  let frames = relay_frames rng in
+  List.iteri
+    (fun i frame ->
+      (* Once as a whole string, once as a view with live bytes on both
+         sides: the read must stop at the slice's edges. *)
+      let pad = String.make (1 + Rng.int rng 3) '\255' in
+      let views =
+        [
+          Wire.Slice.of_string frame;
+          Wire.Slice.make (pad ^ frame ^ pad) ~off:(String.length pad)
+            ~len:(String.length frame);
+        ]
+      in
+      List.iter
+        (fun view ->
+          let expected = reference_peek_header view in
+          let got = header_as_parties (Core.Channels.Header.read view) in
+          if expected <> got then
+            Alcotest.failf "frame %d (%s): int header read disagrees with the codec" i
+              (Wire.to_hex frame))
+        views)
+    frames;
+  Alcotest.(check bool) "both accept and reject outcomes exercised" true
+    (List.exists (fun f -> reference_peek_header (Wire.Slice.of_string f) = None) frames
+    && List.exists (fun f -> reference_peek_header (Wire.Slice.of_string f) <> None) frames)
+
+(* Today's forwarding rule over the reference header read: a [Request]
+   whose claimed source is the neighbour it came from, towards a party
+   the relay reaches other than itself, goes out with its tag byte
+   flipped to [Forward] and every other byte unchanged. *)
+let reference_forwards ~topology ~relay ~from frames =
+  List.filter_map
+    (fun frame ->
+      if String.length frame = 0 || frame.[0] <> '\001' then None
+      else
+        match reference_peek_header (Wire.Slice.of_string frame) with
+        | Some (src, dst, _, _)
+          when Party_id.equal from src
+               && Topology.connected topology relay dst
+               && not (Party_id.equal dst relay) ->
+          Some (dst, "\002" ^ String.sub frame 1 (String.length frame - 1))
+        | Some _ | None -> None)
+    frames
+
+let test_forward_duty_matches_reference () =
+  (* A byzantine L0 hands relay R0 every frame of the corpus, plus
+     requests with L0 as the true source towards in- and out-of-roster
+     targets with huge ids, and one naming a source outside the roster;
+     R0 runs [forward_duty] on each. The engine trace of R0's sends and
+     the bytes each L party receives must be exactly the reference
+     rule's forwards, in order. *)
+  let k = 3 and topology = Topology.Bipartite in
+  let rng = Rng.make 99 in
+  let from = Party_id.left 0 and relay = Party_id.right 0 in
+  let request ~dst ~id =
+    Wire.encode Core.Channels.relay_codec
+      (Core.Channels.Request
+         { src = from; dst; vround = 0; id; body = "b"; signature = None })
+  in
+  let genuine =
+    List.concat_map
+      (fun dst ->
+        [ request ~dst ~id:0; request ~dst ~id:max_int ])
+      [
+        Party_id.left 1;
+        Party_id.left 2;
+        Party_id.left 0;
+        Party_id.right 0;
+        Party_id.right 2;
+        Party_id.left 1000;
+        Party_id.left max_int;
+      ]
+  in
+  let forged_source =
+    Wire.encode Core.Channels.relay_codec
+      (Core.Channels.Request
+         {
+           src = Party_id.left 1000;
+           dst = Party_id.left 1;
+           vround = 0;
+           id = max_int;
+           body = "forged";
+           signature = None;
+         })
+  in
+  let frames =
+    (* The crafted requests also in every truncated form, so partially
+       parseable requests are covered; the corpus brings its own. *)
+    List.concat_map
+      (fun f -> f :: List.init (String.length f) (fun n -> String.sub f 0 n))
+      (forged_source :: genuine)
+    @ relay_frames rng
+  in
+  let received = Hashtbl.create 8 in
+  let programs p (env : Engine.env) =
+    if Party_id.equal p from then begin
+      List.iter (env.Engine.send relay) frames;
+      ignore (env.Engine.next_round ());
+      ignore (env.Engine.next_round ())
+    end
+    else if Party_id.equal p relay then begin
+      let inbox = env.Engine.next_round () in
+      List.iter (Core.Channels.forward_duty env ~topology) inbox;
+      ignore (env.Engine.next_round ())
+    end
+    else begin
+      ignore (env.Engine.next_round ());
+      let inbox = env.Engine.next_round () in
+      Hashtbl.replace received p
+        (List.map (fun (e : Engine.envelope) -> Wire.Slice.to_string e.data) inbox)
+    end
+  in
+  let cfg =
+    Engine.config ~k ~trace_limit:1_000_000 ~link:(Engine.Of_topology topology) ()
+  in
+  let res = Engine.run cfg ~programs:(fun p env -> programs p env) in
+  let expected = reference_forwards ~topology ~relay ~from frames in
+  let sent =
+    List.filter_map
+      (fun (e : Engine.event) ->
+        if e.event_round = 1 && Party_id.equal e.event_src relay then
+          Some (e.event_dst, e.event_bytes)
+        else None)
+      res.Engine.trace
+  in
+  Alcotest.(check (list (pair string int)))
+    "relay sends exactly the reference forwards"
+    (List.map (fun (dst, f) -> Party_id.to_string dst, String.length f) expected)
+    (List.map (fun (dst, n) -> Party_id.to_string dst, n) sent);
+  List.iter
+    (fun p ->
+      if not (Party_id.equal p from || Party_id.equal p relay) then
+        Alcotest.(check (list string))
+          (Party_id.to_string p ^ " receives the reference forwards")
+          (List.filter_map
+             (fun (dst, f) -> if Party_id.equal dst p then Some f else None)
+             expected)
+          (try Hashtbl.find received p with Not_found -> []))
+    (Party_id.all ~k);
+  Alcotest.(check bool) "some frames forwarded, some to out-of-roster targets" true
+    (expected <> []
+    && List.exists (fun (dst, _) -> Party_id.index dst >= k) expected)
+
+let test_majority_dedups_forged_sources () =
+  (* Two byzantine relays of three (a majority, so the vote passes) forward
+     crafted copies to L1: one naming a source outside the roster, one
+     with the largest id a frame can carry, each twice per forwarder. The
+     next virtual round they replay both under the new round stamp. Each
+     must be delivered exactly once, in the first virtual round only. *)
+  let k = 3 and topology = Topology.One_sided in
+  let target = Party_id.left 1 in
+  let forward ~vround ~src ~id ~body =
+    Wire.encode Core.Channels.relay_codec
+      (Core.Channels.Forward { src; dst = target; vround; id; body; signature = None })
+  in
+  let crafted ~vround =
+    [
+      forward ~vround ~src:(Party_id.left 1000) ~id:7 ~body:"stray";
+      forward ~vround ~src:(Party_id.left 2) ~id:max_int ~body:"huge";
+    ]
+  in
+  let byzantine (env : Engine.env) =
+    for vround = 0 to 1 do
+      ignore (env.Engine.next_round ());
+      List.iter
+        (fun f ->
+          env.Engine.send target f;
+          env.Engine.send target f)
+        (crafted ~vround);
+      ignore (env.Engine.next_round ())
+    done
+  in
+  let inboxes = ref [] in
+  let programs p (env : Engine.env) =
+    if Party_id.equal p (Party_id.right 0) || Party_id.equal p (Party_id.right 1) then
+      byzantine env
+    else begin
+      let net = Core.Channels.virtual_net env ~topology ~auth:Core.Channels.Majority in
+      let first = net.Bsm_runtime.Net.sync () in
+      let second = net.Bsm_runtime.Net.sync () in
+      if Party_id.equal p target then inboxes := [ first; second ]
+    end
+  in
+  let cfg = Engine.config ~k ~link:(Engine.Of_topology topology) () in
+  ignore (Engine.run cfg ~programs:(fun p env -> programs p env));
+  let show inbox = List.map (fun (src, body) -> Party_id.to_string src, body) inbox in
+  Alcotest.(check (list (list (pair string string))))
+    "each crafted message once, then suppressed"
+    [ [ "L2", "huge"; "L1000", "stray" ]; [] ]
+    (List.map show !inboxes)
+
 let prop_channels_reliable_links =
   (* Random topology, auth mode and traffic: for several virtual rounds,
      every honest party sends random messages to random peers over the
@@ -371,7 +643,9 @@ let test_round_complexity_matches_plan () =
 
 let test_predicted_messages_exact () =
   (* The closed-form communication model must match the engine's counter
-     exactly, for every representative solvable setting and k = 2..6. *)
+     exactly, for every representative solvable setting and k = 2..8 —
+     k = 7 and 8 pin both majority-proxy stacks (one-sided and bipartite,
+     unauthenticated) past the sizes the chaos grids reach. *)
   List.iter
     (fun k ->
       let rng = Rng.make (k * 997) in
@@ -386,7 +660,7 @@ let test_predicted_messages_exact () =
               (Format.asprintf "%a" Core.Setting.pp s)
               predicted measured)
         (solvable_examples ~k))
-    [ 2; 3; 4; 5; 6 ]
+    [ 2; 3; 4; 5; 6; 7; 8 ]
 
 (* --- byzantine end-to-end runs ------------------------------------------- *)
 
@@ -1011,6 +1285,12 @@ let () =
           Alcotest.test_case "signed proxy drops late forward" `Quick
             test_signed_proxy_drops_late_forward;
           QCheck_alcotest.to_alcotest prop_channels_reliable_links;
+          Alcotest.test_case "header read matches the codec" `Quick
+            test_header_read_matches_reference;
+          Alcotest.test_case "forward duty matches the reference" `Quick
+            test_forward_duty_matches_reference;
+          Alcotest.test_case "majority dedups forged sources and huge ids" `Quick
+            test_majority_dedups_forged_sources;
         ] );
       ( "end-to-end",
         [

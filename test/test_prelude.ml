@@ -16,6 +16,21 @@ let test_party_id_string_roundtrip () =
     (fun p -> Alcotest.check party_id "roundtrip" p (Party_id.of_string (Party_id.to_string p)))
     (Party_id.all ~k:13)
 
+let test_party_id_make_shares_small_ids () =
+  (* Small ids are preallocated: making one twice (from any entry point)
+     yields the same value, and large ids still behave like any other. *)
+  List.iter
+    (fun p ->
+      Alcotest.(check bool)
+        ("shared " ^ Party_id.to_string p)
+        true
+        (Party_id.make (Party_id.side p) (Party_id.index p) == p))
+    (Party_id.all ~k:128);
+  let big = Party_id.make Side.Right 1_000_000 in
+  Alcotest.check party_id "large index roundtrip" big
+    (Party_id.of_string (Party_id.to_string big));
+  Alcotest.(check int) "large index" 1_000_000 (Party_id.index big)
+
 let test_party_id_of_string_rejects () =
   List.iter
     (fun s ->
@@ -186,10 +201,53 @@ let test_strict_majority () =
     (Util.strict_majority ~equal:Int.equal ~total:4 [ 1; 1; 2 ])
 
 let test_group_by_preserves_order () =
-  let groups = Util.group_by ~key:(fun x -> x mod 2) ~equal_key:Int.equal [ 1; 2; 3; 4 ] in
+  let groups = Util.group_by ~key:(fun x -> x mod 2) [ 1; 2; 3; 4 ] in
   Alcotest.(check (list (pair int (list int)))) "keyed in first-seen order"
     [ 1, [ 1; 3 ]; 0, [ 2; 4 ] ]
     groups
+
+(* The two-pass grouping [Util.group_by] used to be, with its [dedup]
+   inlined: collect the distinct keys in first-seen order, then filter
+   the whole input once per key. Quadratic, and it re-evaluates [key]
+   for every element on every pass — kept as the reference the one-pass
+   version must agree with. *)
+let reference_group_by ~key ~equal_key xs =
+  let keep seen x = if List.exists (equal_key x) seen then seen else x :: seen in
+  let keys = List.rev (List.fold_left keep [] (List.map key xs)) in
+  List.map (fun k -> k, List.filter (fun x -> equal_key (key x) k) xs) keys
+
+let test_group_by_matches_reference () =
+  (* Elements are (position, draw) pairs, so equal keys still carry
+     distinguishable elements and within-group order is observable. Few
+     distinct draws against long lists give heavy key repetition. *)
+  let rng = Rng.make 2024 in
+  let counted key =
+    let calls = ref 0 in
+    (fun x ->
+      incr calls;
+      key x),
+    calls
+  in
+  for trial = 1 to 300 do
+    let n = Rng.int rng 120 in
+    let distinct = 1 + Rng.int rng 6 in
+    let xs = List.init n (fun i -> i, Rng.int rng distinct) in
+    let check_keys (type k) name (key : int * int -> k) (equal_key : k -> k -> bool)
+        (key_t : k Alcotest.testable) =
+      let expected = reference_group_by ~key ~equal_key xs in
+      let key', calls = counted key in
+      let got = Util.group_by ~key:key' xs in
+      Alcotest.(check (list (pair key_t (list (pair int int)))))
+        (Printf.sprintf "%s keys, trial %d" name trial)
+        expected got;
+      Alcotest.(check int)
+        (Printf.sprintf "%s keys, trial %d: key once per element" name trial)
+        n !calls
+    in
+    check_keys "int" snd Int.equal Alcotest.int;
+    check_keys "string" (fun (_, v) -> "key-" ^ string_of_int v) String.equal
+      Alcotest.string
+  done
 
 let test_is_permutation () =
   Alcotest.(check bool) "valid" true (Util.is_permutation [ 2; 0; 1 ] ~n:3);
@@ -204,7 +262,7 @@ let test_cdiv () =
 
 let test_dedup_take_range () =
   Alcotest.(check (list int)) "dedup keeps first" [ 3; 1; 2 ]
-    (Util.dedup ~equal:Int.equal [ 3; 1; 3; 2; 1 ]);
+    (List.map fst (Util.group_by ~key:Fun.id [ 3; 1; 3; 2; 1 ]));
   Alcotest.(check (list int)) "take" [ 1; 2 ] (Util.take 2 [ 1; 2; 3 ]);
   Alcotest.(check (list int)) "take beyond" [ 1 ] (Util.take 5 [ 1 ]);
   Alcotest.(check (list int)) "range" [ 2; 3; 4 ] (Util.range 2 5);
@@ -359,6 +417,7 @@ let () =
           Alcotest.test_case "party id string roundtrip" `Quick
             test_party_id_string_roundtrip;
           Alcotest.test_case "of_string rejects" `Quick test_party_id_of_string_rejects;
+          Alcotest.test_case "small ids shared" `Quick test_party_id_make_shares_small_ids;
           Alcotest.test_case "roster order" `Quick test_party_id_order_is_roster_order;
           Alcotest.test_case "dense roundtrip" `Quick test_dense_roundtrip;
         ] );
@@ -378,6 +437,8 @@ let () =
           Alcotest.test_case "most common" `Quick test_most_common;
           Alcotest.test_case "strict majority" `Quick test_strict_majority;
           Alcotest.test_case "group by" `Quick test_group_by_preserves_order;
+          Alcotest.test_case "group by matches two-pass reference" `Quick
+            test_group_by_matches_reference;
           Alcotest.test_case "is permutation" `Quick test_is_permutation;
           Alcotest.test_case "ceiling division" `Quick test_cdiv;
           Alcotest.test_case "dedup/take/range" `Quick test_dedup_take_range;

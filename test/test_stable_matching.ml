@@ -53,6 +53,31 @@ let test_prefs_similar_is_permutation () =
       (Util.is_permutation (SM.Prefs.to_list p) ~n:8)
   done
 
+let test_prefs_lookups_and_order () =
+  (* Each list is one packed block: lookups, the list view, equality and
+     ordering must all read as the plain order array they encode — the
+     ordering being the polymorphic compare of those arrays (shorter
+     first, then rank by rank). *)
+  let rng = Rng.make 5 in
+  let sign c = Int.compare c 0 in
+  let draw () =
+    let k = 1 + Rng.int rng 12 in
+    SM.Prefs.random rng k
+  in
+  for _ = 1 to 300 do
+    let a = draw () in
+    let b = if Rng.int rng 4 = 0 then SM.Prefs.of_list_exn (SM.Prefs.to_list a) else draw () in
+    let order p = Array.of_list (SM.Prefs.to_list p) in
+    Array.iteri
+      (fun r c ->
+        Alcotest.(check int) "at" c (SM.Prefs.at a r);
+        Alcotest.(check int) "rank" r (SM.Prefs.rank a c))
+      (order a);
+    Alcotest.(check int) "compare" (sign (Stdlib.compare (order a) (order b)))
+      (sign (SM.Prefs.compare a b));
+    Alcotest.(check bool) "equal" (order a = order b) (SM.Prefs.equal a b)
+  done
+
 (* --- Gale–Shapley ------------------------------------------------------- *)
 
 let test_gs_textbook_instance () =
@@ -687,6 +712,7 @@ let () =
             test_prefs_codec_rejects_malformed;
           Alcotest.test_case "similar keeps permutation" `Quick
             test_prefs_similar_is_permutation;
+          Alcotest.test_case "lookups and order" `Quick test_prefs_lookups_and_order;
         ] );
       ( "gale-shapley",
         [

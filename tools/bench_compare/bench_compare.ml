@@ -19,8 +19,14 @@
    got slower. Exits 1 if any compared
    number regresses by more than the threshold (default 20%) AND by
    more than 1 unit (quick runs have millisecond-scale walls where
-   percentages alone are noise). Tables/rows present on only one side
-   are reported but don't fail the diff: the bench grows across PRs.
+   percentages alone are noise).
+
+   Missing input fails too (exit 1, naming what is missing): a table or
+   row of OLD that NEW lacks, a compared key (or the whole_run block)
+   present in one file only, or two files with no bench record at all.
+   Tables/rows new in NEW are reported but don't fail the diff: the
+   bench grows across PRs. A key absent from both files is reported and
+   skipped (recovery rows have no rounds when nothing was scrambled).
 
    The container has no JSON library, so this is a minimal scanner over
    the bench writers' known layouts ("key": number pairs inside each
@@ -96,22 +102,8 @@ let scan s ~marker ~keys =
   in
   go 0 []
 
-type record = {
-  table : string;
-  sequential_ms : float option;
-  parallel_ms : float option;
-}
-
-let records s =
-  List.map
-    (fun (table, values) ->
-      {
-        table;
-        sequential_ms = List.assoc "sequential_ms" values;
-        parallel_ms = List.assoc "parallel_ms" values;
-      })
-    (scan s ~marker:"{\"table\": \""
-       ~keys:[ "sequential_ms"; "parallel_ms" ])
+(* BENCH_sweeps.json tables: the sequential wall per table. *)
+let table_rows s = scan s ~marker:"{\"table\": \"" ~keys:[ "sequential_ms" ]
 
 (* BENCH_scale.json rows: per-row Gale-Shapley and sequential
    verification walls. *)
@@ -172,9 +164,13 @@ let () =
       exit 2
   in
   let old_s = read_file old_path and new_s = read_file new_path in
-  let olds = records old_s and news = records new_s in
   let regressions = ref 0 in
-  let compare_value ?(unit = "ms") label old_v new_v =
+  let missing = ref [] in
+  let report_missing what =
+    Printf.printf "  %-40s MISSING\n" what;
+    missing := what :: !missing
+  in
+  let compare_value ~unit label old_v new_v =
     let pct = (new_v -. old_v) /. old_v *. 100. in
     let regressed =
       old_v > 0.
@@ -186,144 +182,68 @@ let () =
       (if regressed then "  REGRESSION" else "");
     if regressed then incr regressions
   in
-  let compare_ms = compare_value ~unit:"ms" in
   Printf.printf "bench_compare: %s -> %s (threshold %.0f%%)\n" old_path new_path
     !threshold;
-  let old_rows = scale_rows old_s and new_rows = scale_rows new_s in
-  let old_serve = serve_rows old_s and new_serve = serve_rows new_s in
-  let old_plane = plane_rows old_s and new_plane = plane_rows new_s in
-  let old_recovery = recovery_rows old_s and new_recovery = recovery_rows new_s in
-  if
-    olds <> [] || news <> []
-    || (old_rows = [] && new_rows = [] && old_serve = [] && new_serve = []
-       && old_plane = [] && new_plane = [] && old_recovery = []
-       && new_recovery = [])
-  then begin
-    Printf.printf "sequential wall per table:\n";
-    List.iter
-      (fun (n : record) ->
-        match List.find_opt (fun (o : record) -> o.table = n.table) olds with
-        | None -> Printf.printf "  %-40s (new table, no baseline)\n" n.table
-        | Some o -> (
-          match o.sequential_ms, n.sequential_ms with
-          | Some om, Some nm -> compare_ms n.table om nm
-          | _ -> Printf.printf "  %-40s (no sequential_ms to compare)\n" n.table))
-      news;
-    List.iter
-      (fun (o : record) ->
-        if not (List.exists (fun (n : record) -> n.table = o.table) news) then
-          Printf.printf "  %-40s (dropped from new run)\n" o.table)
-      olds
-  end;
-  if old_rows <> [] || new_rows <> [] then begin
-    Printf.printf "gs + sequential-verify wall per scale row:\n";
-    List.iter
-      (fun (name, new_values) ->
-        match List.assoc_opt name old_rows with
-        | None -> Printf.printf "  %-40s (new row, no baseline)\n" name
-        | Some old_values ->
-          List.iter
-            (fun (key, nv) ->
-              match List.assoc_opt key old_values, nv with
-              | Some (Some om), Some nm ->
-                compare_ms (Printf.sprintf "%s %s" name key) om nm
-              | _ ->
-                Printf.printf "  %-40s (no %s to compare)\n" name key)
-            new_values)
-      new_rows;
-    List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name new_rows) then
-          Printf.printf "  %-40s (dropped from new run)\n" name)
-      old_rows
-  end;
-  if old_serve <> [] || new_serve <> [] then begin
-    Printf.printf "ticks + latency quantiles per serve workload:\n";
-    List.iter
-      (fun (name, new_values) ->
-        match List.assoc_opt name old_serve with
-        | None -> Printf.printf "  %-40s (new workload, no baseline)\n" name
-        | Some old_values ->
-          List.iter
-            (fun (key, nv) ->
-              match List.assoc_opt key old_values, nv with
-              | Some (Some ov), Some nv ->
-                compare_value ~unit:"ticks"
-                  (Printf.sprintf "%s %s" name key)
-                  ov nv
-              | _ -> Printf.printf "  %-40s (no %s to compare)\n" name key)
-            new_values)
-      new_serve;
-    List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name new_serve) then
-          Printf.printf "  %-40s (dropped from new run)\n" name)
-      old_serve
-  end;
-  if old_plane <> [] || new_plane <> [] then begin
-    Printf.printf "message-plane leg walls per workload:\n";
-    List.iter
-      (fun (name, new_values) ->
-        match List.assoc_opt name old_plane with
-        | None -> Printf.printf "  %-40s (new workload, no baseline)\n" name
-        | Some old_values ->
-          List.iter
-            (fun (key, nv) ->
-              match List.assoc_opt key old_values, nv with
-              | Some (Some om), Some nm ->
-                compare_ms (Printf.sprintf "%s %s" name key) om nm
-              | _ ->
-                Printf.printf "  %-40s (no %s to compare)\n" name key)
-            new_values)
-      new_plane;
-    List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name new_plane) then
-          Printf.printf "  %-40s (dropped from new run)\n" name)
-      old_plane
-  end;
-  if old_recovery <> [] || new_recovery <> [] then begin
-    Printf.printf "rounds-to-recovery per recovery-grid row:\n";
-    List.iter
-      (fun (name, new_values) ->
-        match List.assoc_opt name old_recovery with
-        | None -> Printf.printf "  %-40s (new row, no baseline)\n" name
-        | Some old_values ->
-          List.iter
-            (fun (key, nv) ->
-              match List.assoc_opt key old_values, nv with
-              | Some (Some ov), Some nv ->
-                compare_value ~unit:"rounds"
-                  (Printf.sprintf "%s %s" name key)
-                  ov nv
-              | _ -> Printf.printf "  %-40s (no %s to compare)\n" name key)
-            new_values)
-      new_recovery;
-    List.iter
-      (fun (name, _) ->
-        if not (List.mem_assoc name new_recovery) then
-          Printf.printf "  %-40s (dropped from new run)\n" name)
-      old_recovery
-  end;
+  (* One keyed-row diff for every schema: each NEW row against its OLD
+     namesake, key by key, then every OLD row NEW dropped. *)
+  let diff_rows ~title ~what ~unit ~label scan_rows =
+    let old_rows = scan_rows old_s and new_rows = scan_rows new_s in
+    if old_rows <> [] || new_rows <> [] then begin
+      Printf.printf "%s:\n" title;
+      List.iter
+        (fun (name, new_values) ->
+          match List.assoc_opt name old_rows with
+          | None -> Printf.printf "  %-40s (new %s, no baseline)\n" name what
+          | Some old_values ->
+            List.iter
+              (fun (key, nv) ->
+                match List.assoc key old_values, nv with
+                | Some ov, Some nv -> compare_value ~unit (label name key) ov nv
+                | None, None ->
+                  Printf.printf "  %-40s (no %s in either file)\n" name key
+                | Some _, None ->
+                  report_missing (Printf.sprintf "%s %s: %s missing from NEW" what name key)
+                | None, Some _ ->
+                  report_missing (Printf.sprintf "%s %s: %s missing from OLD" what name key))
+              new_values)
+        new_rows;
+      List.iter
+        (fun (name, _) ->
+          if not (List.mem_assoc name new_rows) then
+            report_missing (Printf.sprintf "%s %s dropped from NEW" what name))
+        old_rows
+    end;
+    old_rows <> [] || new_rows <> []
+  in
+  let keyed name key = Printf.sprintf "%s %s" name key in
+  let found =
+    List.filter Fun.id
+      [
+        diff_rows ~title:"sequential wall per table" ~what:"table" ~unit:"ms"
+          ~label:(fun name _ -> name) table_rows;
+        diff_rows ~title:"gs + sequential-verify wall per scale row" ~what:"row"
+          ~unit:"ms" ~label:keyed scale_rows;
+        diff_rows ~title:"ticks + latency quantiles per serve workload"
+          ~what:"workload" ~unit:"ticks" ~label:keyed serve_rows;
+        diff_rows ~title:"message-plane leg walls per workload" ~what:"workload"
+          ~unit:"ms" ~label:keyed plane_rows;
+        diff_rows ~title:"rounds-to-recovery per recovery-grid row"
+          ~what:"recovery row" ~unit:"rounds" ~label:keyed recovery_rows;
+      ]
+  in
   (match whole_run_parallel_ms old_s, whole_run_parallel_ms new_s with
   | Some om, Some nm ->
     Printf.printf "whole-run parallel wall:\n";
-    compare_ms "whole_run" om nm
-  | None, None
-    when old_rows <> [] || new_rows <> [] || old_serve <> [] || new_serve <> []
-         || old_plane <> [] || new_plane <> [] || old_recovery <> []
-         || new_recovery <> []
-    ->
-    (* Scale, serve, plane and chaos recovery files carry no whole_run
-       block; nothing to say. *)
-    ()
-  | _ ->
-    Printf.printf
-      "whole-run parallel wall: not compared (missing in one file — PR 3 \
-       baselines predate it)\n");
-  if !regressions > 0 then begin
+    compare_value ~unit:"ms" "whole_run" om nm
+  | None, None -> ()
+  | Some _, None -> report_missing "whole_run parallel_ms missing from NEW"
+  | None, Some _ -> report_missing "whole_run parallel_ms missing from OLD");
+  if found = [] then report_missing "bench records (none found in either file)";
+  if !missing <> [] then
+    Printf.eprintf "bench_compare: missing input: %s\n"
+      (String.concat "; " (List.rev !missing));
+  if !regressions > 0 then
     Printf.eprintf "bench_compare: %d regression(s) beyond %.0f%%\n"
       !regressions !threshold;
-    exit 1
-  end
+  if !missing <> [] || !regressions > 0 then exit 1
   else print_endline "bench_compare: no regressions beyond threshold"
