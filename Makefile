@@ -1,4 +1,4 @@
-.PHONY: all build test bench bench-quick bench-compare chaos-quick fuzz-quick scale-quick serve-quick plane-quick smoke fmt ci clean
+.PHONY: all build test bench bench-quick bench-compare fuzz-quick serve-quick plane-quick smoke fmt ci clean
 
 all: build
 
@@ -12,27 +12,25 @@ test:
 bench:
 	dune exec bench/main.exe
 
-# Smallest k per table, no microbenchmarks; writes
-# BENCH_sweeps.quick.json. Finishes in seconds — used by ci to keep the
-# sweep pipeline (engine, pool, GC accounting, JSON writer) exercised.
-# Runs the fused scheduler (the default) and asserts whole-run parallel
-# speedup >= 1.0 when both --jobs and the recommended domain count are
-# >= 2; on a single-core container the check is skipped with a notice.
+# Smallest k per table, no microbenchmarks: every table, the chaos grid
+# (C1/C4) and the T-scale k = 10^3 rows in seconds. Writes
+# BENCH_sweeps.quick.json, BENCH_chaos.quick.json (deterministic in the
+# chaos seeds) and BENCH_scale.quick.json. Fails on a within-budget bSM
+# violation, a stuck or violated recovery, an unstable GS output, a
+# failed epsilon check, a parallel result that differs from the
+# sequential one, or a whole-run parallel speedup < 1.0 when both --jobs
+# and the recommended domain count are >= 2 (on a single-core container
+# that check is skipped with a notice).
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
-# Diff two BENCH_sweeps.json (or BENCH_scale.json) files: per-table
-# sequential wall (per-row gs/verify walls for scale files) plus the
-# whole-run parallel wall, failing on regressions beyond 20% (and 1 ms).
+# Diff two bench files of the same schema — BENCH_sweeps, BENCH_scale,
+# BENCH_serve, BENCH_plane or BENCH_chaos — record by record, failing on
+# regressions beyond 20% (and 1 unit), on a record or key missing from
+# one side, and on a file that is not well-formed JSON.
 # Usage: make bench-compare OLD=baseline.json NEW=BENCH_sweeps.json
 bench-compare:
 	dune exec tools/bench_compare/bench_compare.exe -- $(OLD) $(NEW)
-
-# Chaos grid only (smallest k): fault schedules vs the bSM oracle.
-# Writes BENCH_chaos.quick.json and fails on any within-budget
-# violation. Deterministic in the chaos seeds.
-chaos-quick:
-	dune exec bench/main.exe -- --chaos-quick
 
 # Deterministic decoder fuzzing over every registered codec (the
 # Codec_corpus): per codec, 500 clean round-trips plus 500 mutated-frame
@@ -48,12 +46,6 @@ fuzz-quick:
 # under the usual 20% + 1 ms gate. Finishes in under a second.
 plane-quick:
 	dune exec bench/plane.exe
-
-# T-scale gate: GS + sharded early-exit verification on implicit (Flat)
-# instances at k = 10^3 (both families), seq==par shard identity
-# enforced. Writes BENCH_scale.quick.json; finishes in seconds.
-scale-quick:
-	dune exec bin/main.exe -- bench --scale --quick
 
 # Serving smoke: 100 instances through the daemon core over the
 # in-process ring transport (the real wire path: encode, admit,
@@ -78,7 +70,7 @@ fmt:
 	  echo "ocamlformat not found; skipping format check"; \
 	fi
 
-ci: build test bench-quick chaos-quick fuzz-quick scale-quick serve-quick plane-quick fmt
+ci: build test bench-quick fuzz-quick serve-quick plane-quick fmt
 
 clean:
 	dune clean

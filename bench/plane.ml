@@ -157,24 +157,30 @@ let run_workload w =
     fingerprint;
   }
 
-let json_of_row r last =
+let json_of_row r =
   let m = r.metrics in
-  Printf.sprintf
-    "    {\"plane\": \"%s\", \"k\": %d, \"rounds\": %d, \"payload_bytes\": %d,\n\
-    \     \"encode_frames\": %d, \"encode_bytes\": %d,\n\
-    \     \"deliver_sent\": %d, \"deliver_delivered\": %d, \"bytes_sent\": %d, \
-     \"bytes_delivered\": %d,\n\
-    \     \"encode_ms\": %.3f, \"deliver_ms\": %.3f, \"decode_ms\": %.3f, \
-     \"fingerprint\": \"%Lx\"}%s\n"
-    r.w.name r.w.k r.w.rounds r.w.payload_bytes r.encode_frames r.encode_bytes
-    m.Engine.messages_sent m.Engine.messages_delivered m.Engine.bytes_sent
-    m.Engine.bytes_delivered r.encode_ms r.deliver_ms r.decode_ms r.fingerprint
-    (if last then "" else ",")
+  let ms = Json.rounded "%.3f" in
+  Json.Obj
+    [
+      "plane", Json.String r.w.name;
+      "k", Json.Int r.w.k;
+      "rounds", Json.Int r.w.rounds;
+      "payload_bytes", Json.Int r.w.payload_bytes;
+      "encode_frames", Json.Int r.encode_frames;
+      "encode_bytes", Json.Int r.encode_bytes;
+      "deliver_sent", Json.Int m.Engine.messages_sent;
+      "deliver_delivered", Json.Int m.Engine.messages_delivered;
+      "bytes_sent", Json.Int m.Engine.bytes_sent;
+      "bytes_delivered", Json.Int m.Engine.bytes_delivered;
+      "encode_ms", ms r.encode_ms;
+      "deliver_ms", ms r.deliver_ms;
+      "decode_ms", ms r.decode_ms;
+      "fingerprint", Json.String (Printf.sprintf "%Lx" r.fingerprint);
+    ]
 
 let () =
   print_endline "message-plane micro-bench (encode / deliver / decode)";
   let rows = List.map run_workload workloads in
-  let n = List.length rows in
   List.iter
     (fun r ->
       let throughput ms frames =
@@ -189,10 +195,7 @@ let () =
         (throughput r.decode_ms r.encode_frames)
         r.fingerprint)
     rows;
-  let oc = open_out "BENCH_plane.json" in
-  output_string oc "{\n  \"workloads\": [\n";
-  List.iteri (fun i r -> output_string oc (json_of_row r (i = n - 1))) rows;
-  output_string oc "  ]\n}\n";
-  close_out oc;
+  Json.to_file "BENCH_plane.json"
+    (Json.Obj [ "workloads", Json.List (List.map json_of_row rows) ]);
   Printf.printf
     "wrote BENCH_plane.json (all fields but the *_ms walls deterministic)\n"

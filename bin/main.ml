@@ -10,10 +10,6 @@
                  one to exercise the shrinker end-to-end)
      replay      re-execute a repro file bit-identically and check it
      fuzz        deterministic decoder fuzzing over every registered codec
-     bench       the chaos grid as a scheduling benchmark (--fused for the
-                 shared task-graph scheduler and its steal counters);
-                 --scale for the T-scale large-k bench (GS + sharded
-                 verification on implicit instances, BENCH_scale.json)
      ssm         execute a simplified-stable-matching scenario
      attack      run an impossibility construction (Figures 2-4)
      topology    render the three communication models (Figure 1)
@@ -520,119 +516,6 @@ let fuzz_cmd =
           crash.")
     Term.(const run $ cases $ seed)
 
-(* --- bench ------------------------------------------------------------------- *)
-
-let bench_cmd =
-  let run_scale ~quick ~full ~jobs =
-    let mode =
-      if quick then H.Scale.Quick else if full then H.Scale.Full else H.Scale.Default
-    in
-    let jobs = Bsm_runtime.Pool.resolve_jobs ?jobs () in
-    let results =
-      Bsm_runtime.Pool.with_pool ~jobs (fun pool -> H.Scale.run ~pool mode)
-    in
-    Format.printf "%a" H.Scale.pp_results results;
-    let path =
-      if quick then "BENCH_scale.quick.json" else "BENCH_scale.json"
-    in
-    H.Scale.write_json ~path ~jobs results;
-    Format.printf "wrote %s (%d job(s); seq==par shard identity checked)@." path
-      jobs;
-    if List.exists (fun (r : H.Scale.result) -> not r.stable) results then begin
-      Format.printf "FAIL: a Gale-Shapley output was not stable@.";
-      exit 1
-    end
-  in
-  let run full fused jobs scale quick =
-    if scale || quick then run_scale ~quick ~full ~jobs
-    else begin
-    let cells =
-      if full then Chaos.Chaos_sweep.full_grid ()
-      else Chaos.Chaos_sweep.quick_grid ()
-    in
-    let jobs = Bsm_runtime.Pool.resolve_jobs ?jobs () in
-    let outcomes, wall_ms, tasks, steals =
-      Bsm_runtime.Pool.with_pool ~jobs (fun pool ->
-          if fused then begin
-            let batch = H.Sweep.Fused.create () in
-            let handle =
-              Chaos.Chaos_sweep.submit batch ~table:"chaos grid" cells
-            in
-            let rs = H.Sweep.Fused.drain ~pool batch in
-            ( H.Sweep.Fused.results handle,
-              rs.H.Sweep.Fused.wall_ms,
-              rs.H.Sweep.Fused.tasks,
-              rs.H.Sweep.Fused.steals )
-          end
-          else begin
-            let outcomes, m =
-              H.Sweep.measure (fun () -> Chaos.Chaos_sweep.run_cells ~pool cells)
-            in
-            outcomes, m.H.Sweep.wall_ms, List.length cells, 0
-          end)
-    in
-    let s = Chaos.Chaos_sweep.summarize outcomes in
-    Format.printf "%a@." Chaos.Chaos_sweep.pp_summary s;
-    Format.printf
-      "scheduler: %s — %.1f ms wall, %d tasks, %d steals, %d job(s)@."
-      (if fused then "fused (one task graph, one drain point)"
-       else "single barriered map")
-      wall_ms tasks steals jobs;
-    if s.Chaos.Chaos_sweep.violated > 0 then exit 1
-    end
-  in
-  let full =
-    Arg.(
-      value & flag
-      & info [ "full" ]
-          ~doc:
-            "Chaos grid: run the full grid (k = 2 and 4, three chaos seeds). \
-             With --scale: add the k = 10^6 row.")
-  in
-  let fused =
-    Arg.(
-      value & flag
-      & info [ "fused" ]
-          ~doc:
-            "Drain the grid through the fused task-graph scheduler (one task \
-             per cell, work-stealing lanes) instead of one barriered map, and \
-             report its steal counters.")
-  in
-  let jobs =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "j"; "jobs" ]
-          ~doc:
-            "Domains for the sweep. An explicit value takes precedence over \
-             BSM_JOBS (default: BSM_JOBS, else the recommended domain count).")
-  in
-  let scale =
-    Arg.(
-      value & flag
-      & info [ "scale" ]
-          ~doc:
-            "Run the T-scale large-k bench instead of the chaos grid: \
-             Gale-Shapley plus sharded early-exit verification on implicit \
-             (Flat) instances at k = 10^3..10^5 (10^6 with --full), writing \
-             deterministic BENCH_scale.json.")
-  in
-  let quick =
-    Arg.(
-      value & flag
-      & info [ "quick" ]
-          ~doc:
-            "With --scale: k = 10^3 rows only (the CI gate), writing \
-             BENCH_scale.quick.json.")
-  in
-  Cmd.v
-    (Cmd.info "bench"
-       ~doc:
-         "Run the chaos grid as a scheduling benchmark and report wall clock, \
-          task and steal counts, or the T-scale large-k bench with --scale \
-          (the full experiment tables live in bench/main.exe).")
-    Term.(const run $ full $ fused $ jobs $ scale $ quick)
-
 (* --- attack ------------------------------------------------------------------ *)
 
 let attack_cmd =
@@ -1111,8 +994,7 @@ let load_cmd =
     | None ->
       let results = Serve.Serve_bench.run params in
       Format.printf "%a@." Serve.Serve_bench.pp_results results;
-      Serve.Serve_bench.write_json ~path:out
-        (Serve.Serve_bench.to_json ~wall results);
+      Json.to_file out (Serve.Serve_bench.to_json ~wall results);
       Printf.printf "wrote %s\n" out;
       if chaos then begin
         if results.Serve.Serve_bench.violations > 0 then begin
@@ -1204,6 +1086,6 @@ let () =
   exit (Cmd.eval (Cmd.group info
     [
       solvable_cmd; matrix_cmd; run_cmd; chaos_cmd; replay_cmd; fuzz_cmd;
-      bench_cmd; ssm_cmd; attack_cmd; topology_cmd; complexity_cmd; lattice_cmd;
+      ssm_cmd; attack_cmd; topology_cmd; complexity_cmd; lattice_cmd;
       roommates_cmd; bsr_cmd; manipulate_cmd; serve_cmd; load_cmd;
     ]))

@@ -35,9 +35,6 @@ let run_cell ?max_rounds c =
 let run_cells ?pool ?max_rounds cells =
   Sweep.map ?pool (run_cell ?max_rounds) cells
 
-let submit batch ~table ?max_rounds cells =
-  Sweep.Fused.add batch ~table (run_cell ?max_rounds) cells
-
 type summary = {
   cells : int;
   ok : int;
@@ -126,103 +123,84 @@ let recovery_grid outcomes =
 
 (* --- JSON ---------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let set_to_string s =
   "{" ^ String.concat "," (List.map Party_id.to_string (Party_set.elements s)) ^ "}"
 
 let to_json ~jobs outcomes =
   let s = summarize outcomes in
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  (* [tasks] = one fused-scheduler task per cell. Deliberately the only
-     scheduling field here: wall clocks and steal counts vary run to run
-     and live in BENCH_sweeps.json, keeping this file bit-identical for a
-     given grid and seeds. *)
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  \"summary\": {\"cells\": %d, \"tasks\": %d, \"ok\": %d, \
-        \"expected_degradation\": %d, \"violation\": %d},\n"
-       s.cells s.cells s.ok s.degraded s.violated);
-  Buffer.add_string buf "  \"runs\": [\n";
-  let n = List.length outcomes in
-  List.iteri
-    (fun i o ->
-      let r = o.oracle in
-      let m = r.Oracle.metrics in
-      let by_label =
-        String.concat ", "
-          (List.map
-             (fun (l, c) -> Printf.sprintf "\"%s\": %d" (json_escape l) c)
-             m.Engine.messages_dropped_by_label)
-      in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"case\": \"%s\", \"schedule\": \"%s\", \"chaos_seed\": %d,\n\
-           \     \"verdict\": \"%s\", \"within_budget\": %b, \"charged\": \
-            \"%s\", \"corrupted\": \"%s\", \"violations\": %d,\n\
-           \     \"rounds\": %d, \"sent\": %d, \"delivered\": %d, \
-            \"dropped_topology\": %d, \"dropped_fault\": %d, \"corrupted_frames\": \
-            %d, \"cells_scrambled\": %d, \"first_scramble_round\": %s, \
-            \"recovery\": %s, \"bytes_sent\": %d, \"bytes_delivered\": %d, \
-            \"dropped_by_label\": {%s}}%s\n"
-           (json_escape o.cell.case.Sweep.label)
-           (json_escape (Schedule.describe o.cell.schedule))
-           o.cell.chaos_seed
-           (json_escape (Oracle.verdict_to_string r.Oracle.verdict))
-           r.Oracle.within_budget
-           (json_escape (set_to_string r.Oracle.charged))
-           (json_escape (set_to_string r.Oracle.corrupted))
-           (List.length r.Oracle.violations)
-           m.Engine.rounds_used m.Engine.messages_sent m.Engine.messages_delivered
-           m.Engine.messages_dropped_topology m.Engine.messages_dropped_fault
-           m.Engine.messages_corrupted m.Engine.cells_scrambled
-           (match m.Engine.first_scramble_round with
-           | Some r -> string_of_int r
-           | None -> "null")
-           (match r.Oracle.recovery with
-           | Some rc ->
-             Printf.sprintf "\"%s\"" (json_escape (Oracle.recovery_to_string rc))
-           | None -> "null")
-           m.Engine.bytes_sent m.Engine.bytes_delivered by_label
-           (if i = n - 1 then "" else ",")))
-    outcomes;
-  Buffer.add_string buf "  ],\n";
+  let int_opt = function Some n -> Json.Int n | None -> Json.Null in
+  let run o =
+    let r = o.oracle in
+    let m = r.Oracle.metrics in
+    Json.Obj
+      [
+        "case", Json.String o.cell.case.Sweep.label;
+        "schedule", Json.String (Schedule.describe o.cell.schedule);
+        "chaos_seed", Json.Int o.cell.chaos_seed;
+        "verdict", Json.String (Oracle.verdict_to_string r.Oracle.verdict);
+        "within_budget", Json.Bool r.Oracle.within_budget;
+        "charged", Json.String (set_to_string r.Oracle.charged);
+        "corrupted", Json.String (set_to_string r.Oracle.corrupted);
+        "violations", Json.Int (List.length r.Oracle.violations);
+        "rounds", Json.Int m.Engine.rounds_used;
+        "sent", Json.Int m.Engine.messages_sent;
+        "delivered", Json.Int m.Engine.messages_delivered;
+        "dropped_topology", Json.Int m.Engine.messages_dropped_topology;
+        "dropped_fault", Json.Int m.Engine.messages_dropped_fault;
+        "corrupted_frames", Json.Int m.Engine.messages_corrupted;
+        "cells_scrambled", Json.Int m.Engine.cells_scrambled;
+        "first_scramble_round", int_opt m.Engine.first_scramble_round;
+        ( "recovery",
+          match r.Oracle.recovery with
+          | Some rc -> Json.String (Oracle.recovery_to_string rc)
+          | None -> Json.Null );
+        "bytes_sent", Json.Int m.Engine.bytes_sent;
+        "bytes_delivered", Json.Int m.Engine.bytes_delivered;
+        ( "dropped_by_label",
+          Json.Obj
+            (List.map
+               (fun (label, c) -> label, Json.Int c)
+               m.Engine.messages_dropped_by_label) );
+      ]
+  in
   (* Recovery grid: one row per (schedule, chaos_seed) that scrambled
-     state anywhere, aggregated over cases. The [recovery_row] marker is
-     what tools/bench_compare scans for; values are pure counts over
+     state anywhere, aggregated over cases. tools/bench_compare looks the
+     rows up by their [recovery_row] name; values are pure counts over
      deterministic outcomes, so this section is as diffable as the rest
      of the file. *)
-  let recovery_rows = recovery_grid outcomes in
-  Buffer.add_string buf "  \"recovery_grid\": [\n";
-  let rn = List.length recovery_rows in
-  List.iteri
-    (fun i row ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"recovery_row\": \"%s#seed%d\", \"cells\": %d, \"recovered\": \
-            %d, \"stuck\": %d, \"violated\": %d, \"no_scramble\": %d, \
-            \"max_rounds_to_recovery\": %d, \"mean_rounds_to_recovery\": %.2f}%s\n"
-           (json_escape row.rg_schedule) row.rg_seed row.rg_cells row.rg_recovered
-           row.rg_stuck row.rg_violated row.rg_no_scramble row.rg_max_rounds
-           row.rg_mean_rounds
-           (if i = rn - 1 then "" else ",")))
-    recovery_rows;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
+  let recovery row =
+    Json.Obj
+      [
+        ( "recovery_row",
+          Json.String (Printf.sprintf "%s#seed%d" row.rg_schedule row.rg_seed) );
+        "cells", Json.Int row.rg_cells;
+        "recovered", Json.Int row.rg_recovered;
+        "stuck", Json.Int row.rg_stuck;
+        "violated", Json.Int row.rg_violated;
+        "no_scramble", Json.Int row.rg_no_scramble;
+        "max_rounds_to_recovery", Json.Int row.rg_max_rounds;
+        "mean_rounds_to_recovery", Json.rounded "%.2f" row.rg_mean_rounds;
+      ]
+  in
+  Json.Obj
+    [
+      "jobs", Json.Int jobs;
+      (* [tasks] = one fused-scheduler task per cell. Deliberately the
+         only scheduling field here: wall clocks and steal counts vary run
+         to run and live in BENCH_sweeps.json, keeping this file
+         bit-identical for a given grid and seeds. *)
+      ( "summary",
+        Json.Obj
+          [
+            "cells", Json.Int s.cells;
+            "tasks", Json.Int s.cells;
+            "ok", Json.Int s.ok;
+            "expected_degradation", Json.Int s.degraded;
+            "violation", Json.Int s.violated;
+          ] );
+      "runs", Json.List (List.map run outcomes);
+      "recovery_grid", Json.List (List.map recovery (recovery_grid outcomes));
+    ]
 
 (* --- standard grids ------------------------------------------------------ *)
 

@@ -3,7 +3,7 @@
     {!Bsm_harness.Sweep} (each cell is pure given its seeds; results
     compare structurally because {!Oracle.report} holds no closures).
 
-    [to_json] renders a deterministic report — no wall-clock inside —
+    [to_json] builds a deterministic report — no wall-clock inside —
     so the same grid and seeds produce a bit-identical
     [BENCH_chaos.json], replayable and diffable across machines. *)
 
@@ -31,22 +31,13 @@ type outcome = {
   oracle : Oracle.report;
 }
 
-(** [run_cells ?pool cells] — every cell through {!Oracle.run}, in input
+(** [run_cell c] — one cell through {!Oracle.run}; pure given the
+    cell's seeds, so it is safe as a sweep or fused-batch task. *)
+val run_cell : ?max_rounds:int -> cell -> outcome
+
+(** [run_cells ?pool cells] — every cell through {!run_cell}, in input
     order; parallel across the pool's domains when [pool] is given. *)
 val run_cells : ?pool:Pool.t -> ?max_rounds:int -> cell list -> outcome list
-
-(** [submit batch ~table cells] registers the chaos cells into a fused
-    sweep batch ({!Bsm_harness.Sweep.Fused}) instead of running them in
-    their own barriered map: the whole (case × schedule × seed) grid
-    joins the bench tables' shared task graph and drains at the single
-    drain point, with the same bit-identity guarantee as {!run_cells}
-    (read the outcomes back with [Sweep.Fused.results]). *)
-val submit :
-  Sweep.Fused.t ->
-  table:string ->
-  ?max_rounds:int ->
-  cell list ->
-  outcome Sweep.Fused.handle
 
 type summary = {
   cells : int;
@@ -81,13 +72,13 @@ val recovery_grid : outcome list -> recovery_row list
 
 (** Deterministic JSON report (summary + one row per cell with verdict,
     budget attribution, per-fate message counts, scrambled-cell counts
-    and recovery verdict, followed by the {!recovery_grid} as
-    [recovery_row]-marked rows). [jobs] is recorded for provenance only;
+    and recovery verdict, followed by the {!recovery_grid} rows, each
+    named by its [recovery_row] member). [jobs] is recorded for provenance only;
     the summary carries the fused task count (one task per cell) but
     deliberately no wall clocks or steal counts — those vary run to run
     and belong to BENCH_sweeps.json, keeping this file bit-identical for
     a given grid and seeds. *)
-val to_json : jobs:int -> outcome list -> string
+val to_json : jobs:int -> outcome list -> Bsm_prelude.Json.t
 
 (** The standard grids the bench, CLI and CI share: T-table settings
     (Theorems 2, 5, 6, 7 — including both Π_bSM regimes) × the schedule
@@ -99,7 +90,7 @@ val to_json : jobs:int -> outcome list -> string
     protocol state, timed by the convergence oracle; all admissible and
     required to come back as byzantine-equivalent degradation at worst,
     never a crash). [quick_grid] is the smallest-k instance (a few
-    seconds end-to-end, wired into [make chaos-quick] / CI); [full_grid]
+    seconds end-to-end, run by [make bench-quick] in CI); [full_grid]
     adds k = 4 and two more chaos seeds. *)
 val quick_grid : unit -> cell list
 

@@ -15,7 +15,6 @@ module Pool = Bsm_runtime.Pool
 
 type mode =
   | Quick
-  | Default
   | Full
 
 type row = {
@@ -33,18 +32,16 @@ let rows mode =
       { k = 1_000; seed = 0x5C02; family = SM.Flat.Common_acceptors };
     ]
   in
-  let default =
+  match mode with
+  | Quick -> base
+  | Full ->
     base
     @ [
         { k = 10_000; seed = 0x5C03; family = SM.Flat.Uniform };
         { k = 10_000; seed = 0x5C04; family = SM.Flat.Common_acceptors };
         { k = 100_000; seed = 0x5C05; family = SM.Flat.Uniform };
+        { k = 1_000_000; seed = 0x5C06; family = SM.Flat.Uniform };
       ]
-  in
-  match mode with
-  | Quick -> base
-  | Default -> default
-  | Full -> default @ [ { k = 1_000_000; seed = 0x5C06; family = SM.Flat.Uniform } ]
 
 (* Fixed shard count, independent of the job count, so the cell
    decomposition (and thus every shard result) is the same whatever
@@ -165,9 +162,8 @@ let assemble (p : prepared) ~shard_counts ~verify_seq_ms ~verify_par_ms =
     verify_par_ms;
   }
 
-(* Standalone driver for the CLI: sequential reference pass, then the
-   pool-parallel pass over the same cells, with bit-identity enforced
-   per row. *)
+(* Standalone driver: sequential reference pass, then the pool-parallel
+   pass over the same cells, with bit-identity enforced per row. *)
 let run_row ?pool (p : prepared) =
   let cs = cells p in
   let seq, seq_m = Sweep.measure (fun () -> List.map (run_cell p) cs) in
@@ -183,42 +179,40 @@ let run_row ?pool (p : prepared) =
   assemble p ~shard_counts:seq ~verify_seq_ms:seq_m.Sweep.wall_ms
     ~verify_par_ms:par_m.Sweep.wall_ms
 
-let run ?pool mode = List.map (fun r -> run_row ?pool (prepare r)) (rows mode)
-
 let to_json ~jobs results =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    "  \"_comment\": \"T-scale bench: GS + sharded early-exit verification \
-     on implicit (Flat) instances. Deterministic in (family, seed, k): \
-     every field except *_ms. *_ms are wall-clock, environment-dependent.\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" shards);
-  Buffer.add_string buf "  \"rows\": [\n";
-  List.iteri
-    (fun i r ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"row\": \"%s\", \"k\": %d, \"family\": \"%s\", \"seed\": %d, \
-            \"proposals\": %d, \"rounds\": %d, \"blocking_gs\": %d, \
-            \"stable\": %b, \"blocking_perturbed\": %d, \"eps_min\": %.3e, \
-            \"fingerprint\": \"%Lx\", \"gs_ms\": %.3f, \
-            \"verify_sequential_ms\": %.3f, \"verify_parallel_ms\": %.3f}%s\n"
-           (label r.row) r.row.k
-           (SM.Flat.family_to_string r.row.family)
-           r.row.seed r.stats.SM.Gale_shapley.proposals
-           r.stats.SM.Gale_shapley.rounds r.blocking_gs r.stable
-           r.blocking_perturbed r.eps_min r.fingerprint r.gs_ms r.verify_seq_ms
-           r.verify_par_ms
-           (if i = List.length results - 1 then "" else ",")))
-    results;
-  Buffer.add_string buf "  ]\n}\n";
-  Buffer.contents buf
-
-let write_json ~path ~jobs results =
-  let oc = open_out path in
-  output_string oc (to_json ~jobs results);
-  close_out oc
+  let ms = Json.rounded "%.3f" in
+  Json.Obj
+    [
+      ( "_comment",
+        Json.String
+          "T-scale bench: GS + sharded early-exit verification on implicit \
+           (Flat) instances. Deterministic in (family, seed, k): every field \
+           except *_ms. *_ms are wall-clock, environment-dependent." );
+      "jobs", Json.Int jobs;
+      "shards", Json.Int shards;
+      ( "rows",
+        Json.List
+          (List.map
+             (fun r ->
+               Json.Obj
+                 [
+                   "row", Json.String (label r.row);
+                   "k", Json.Int r.row.k;
+                   "family", Json.String (SM.Flat.family_to_string r.row.family);
+                   "seed", Json.Int r.row.seed;
+                   "proposals", Json.Int r.stats.SM.Gale_shapley.proposals;
+                   "rounds", Json.Int r.stats.SM.Gale_shapley.rounds;
+                   "blocking_gs", Json.Int r.blocking_gs;
+                   "stable", Json.Bool r.stable;
+                   "blocking_perturbed", Json.Int r.blocking_perturbed;
+                   "eps_min", Json.rounded "%.3e" r.eps_min;
+                   "fingerprint", Json.String (Printf.sprintf "%Lx" r.fingerprint);
+                   "gs_ms", ms r.gs_ms;
+                   "verify_sequential_ms", ms r.verify_seq_ms;
+                   "verify_parallel_ms", ms r.verify_par_ms;
+                 ])
+             results) );
+    ]
 
 let pp_results ppf results =
   Format.fprintf ppf "%-22s %12s %9s %9s %11s %9s %11s %11s@."

@@ -7,9 +7,9 @@
     pairs) — sharded into {!shards} fixed row ranges so the check can
     run pool-parallel. Shard counts are pure functions of the row:
     the parallel pass must be bit-identical to the sequential pass, and
-    every driver (this module's {!run}, the bench's fused table)
-    asserts it. All fields of a {!result} except the [*_ms] wall clocks
-    are deterministic in [(family, seed, k)].
+    every driver ({!run_row}, the bench's fused table) asserts it. All
+    fields of a {!result} except the [*_ms] wall clocks are
+    deterministic in [(family, seed, k)].
 
     The ε-stability knob is cross-checked per row against the exact
     counts: ε = 0 agrees with exact stability on the GS output, and on
@@ -21,8 +21,7 @@ module Pool := Bsm_runtime.Pool
 
 type mode =
   | Quick  (** k = 10³ rows only — the CI gate (sub-second) *)
-  | Default  (** up to k = 10⁵ *)
-  | Full  (** adds the k = 10⁶ row (tens of seconds) *)
+  | Full  (** k = 10³..10⁶ (tens of seconds) *)
 
 type row = {
   k : int;
@@ -93,12 +92,9 @@ val assemble :
     pass over the same cells; raises [Failure] if they diverge. *)
 val run_row : ?pool:Pool.t -> prepared -> result
 
-val run : ?pool:Pool.t -> mode -> result list
-
-(** Deterministic-schema JSON (see the in-file [_comment] for the
+(** The [BENCH_scale] report (see its [_comment] member for the
     determinism scope); [tools/bench_compare] reads the
     [verify_sequential_ms]/[gs_ms] of each ["row"] record. *)
-val to_json : jobs:int -> result list -> string
+val to_json : jobs:int -> result list -> Bsm_prelude.Json.t
 
-val write_json : path:string -> jobs:int -> result list -> unit
 val pp_results : Format.formatter -> result list -> unit

@@ -256,44 +256,57 @@ let instances_per_sec r =
 let workload_name params = if params.chaos then "bsm-chaos" else "gs"
 
 let to_json ?(wall = false) r =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  Buffer.add_string buf
-    "  \"_comment\": \"serve bench: open-loop client driving the daemon over \
-     the in-process ring transport. Deterministic in (params): every field \
-     except the optional wall block is bit-identical across runs and job \
-     counts; latencies are scheduler ticks, not wall time.\",\n";
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" r.params.jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" r.params.seed);
-  Buffer.add_string buf "  \"workloads\": [\n";
-  Buffer.add_string buf
-    (Printf.sprintf
-       "    {\"workload\": \"%s\", \"instances\": %d, \"k_min\": %d, \"k_max\": \
-        %d, \"mean_gap\": %d, \"queue_capacity\": %d, \"batch\": %d, \
-        \"matched\": %d, \"failed\": %d, \"timed_out\": %d, \"violations\": %d, \
-        \"queue_rejects\": %d, \"ticks\": %d, \"p50_ticks\": %d, \"p99_ticks\": \
-        %d, \"max_ticks\": %d, \"request_bytes\": %d, \"response_bytes\": %d, \
-        \"fingerprint\": \"%Lx\"}\n"
-       (workload_name r.params) r.params.instances r.params.k_min r.params.k_max
-       r.params.mean_gap r.params.queue_capacity r.params.batch r.matched
-       r.failed r.timed_out r.violations r.queue_rejects r.ticks r.p50_ticks
-       r.p99_ticks r.max_ticks r.request_bytes r.response_bytes r.fingerprint);
-  Buffer.add_string buf "  ]";
-  if wall then
-    Buffer.add_string buf
-      (Printf.sprintf
-         ",\n  \"wall\": {\"wall_ms\": %.3f, \"instances_per_sec\": %.1f, \
-          \"p50_ms_est\": %.3f, \"p99_ms_est\": %.3f}"
-         r.wall_ms (instances_per_sec r)
-         (float_of_int r.p50_ticks *. r.wall_ms /. float_of_int (max 1 r.ticks))
-         (float_of_int r.p99_ticks *. r.wall_ms /. float_of_int (max 1 r.ticks)));
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
-
-let write_json ~path json =
-  let oc = open_out path in
-  output_string oc json;
-  close_out oc
+  let ms = Json.rounded "%.3f" in
+  let est ticks = float_of_int ticks *. r.wall_ms /. float_of_int (max 1 r.ticks) in
+  let workload =
+    Json.Obj
+      [
+        "workload", Json.String (workload_name r.params);
+        "instances", Json.Int r.params.instances;
+        "k_min", Json.Int r.params.k_min;
+        "k_max", Json.Int r.params.k_max;
+        "mean_gap", Json.Int r.params.mean_gap;
+        "queue_capacity", Json.Int r.params.queue_capacity;
+        "batch", Json.Int r.params.batch;
+        "matched", Json.Int r.matched;
+        "failed", Json.Int r.failed;
+        "timed_out", Json.Int r.timed_out;
+        "violations", Json.Int r.violations;
+        "queue_rejects", Json.Int r.queue_rejects;
+        "ticks", Json.Int r.ticks;
+        "p50_ticks", Json.Int r.p50_ticks;
+        "p99_ticks", Json.Int r.p99_ticks;
+        "max_ticks", Json.Int r.max_ticks;
+        "request_bytes", Json.Int r.request_bytes;
+        "response_bytes", Json.Int r.response_bytes;
+        "fingerprint", Json.String (Printf.sprintf "%Lx" r.fingerprint);
+      ]
+  in
+  Json.Obj
+    ([
+       ( "_comment",
+         Json.String
+           "serve bench: open-loop client driving the daemon over the \
+            in-process ring transport. Deterministic in (params): every field \
+            except the optional wall block is bit-identical across runs and \
+            job counts; latencies are scheduler ticks, not wall time." );
+       "jobs", Json.Int r.params.jobs;
+       "seed", Json.Int r.params.seed;
+       "workloads", Json.List [ workload ];
+     ]
+    @
+    if wall then
+      [
+        ( "wall",
+          Json.Obj
+            [
+              "wall_ms", ms r.wall_ms;
+              "instances_per_sec", Json.rounded "%.1f" (instances_per_sec r);
+              "p50_ms_est", ms (est r.p50_ticks);
+              "p99_ms_est", ms (est r.p99_ticks);
+            ] );
+      ]
+    else [])
 
 let pp_results ppf r =
   Format.fprintf ppf

@@ -64,11 +64,11 @@ val run : params -> results
 (** Instances per wall second — the headline throughput number. *)
 val instances_per_sec : results -> float
 
-(** [to_json ?wall results] — deterministic by default; [~wall:true]
-    appends the environment-dependent wall block. *)
-val to_json : ?wall:bool -> results -> string
+(** [to_json ?wall results] — the [BENCH_serve] report, deterministic
+    by default; [~wall:true] appends the environment-dependent wall
+    block. *)
+val to_json : ?wall:bool -> results -> Bsm_prelude.Json.t
 
-val write_json : path:string -> string -> unit
 val pp_results : Format.formatter -> results -> unit
 
 (** [live_check ~k ~seed] — run fault-free distributed Gale–Shapley

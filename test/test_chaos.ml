@@ -687,6 +687,24 @@ let test_replay_gate_exit_codes () =
 
 (* --- chaos sweeps --------------------------------------------------------- *)
 
+let chaos_json outcomes = Json.to_string (Chaos_sweep.to_json ~jobs:1 outcomes)
+
+(* The printed report read back the way tools/bench_compare reads it. *)
+let chaos_report outcomes =
+  match Json.of_string (chaos_json outcomes) with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "BENCH_chaos does not parse: %s" (Json.error_to_string e)
+
+let json_list key v =
+  match Json.member key v with
+  | Some (Json.List l) -> l
+  | _ -> Alcotest.failf "no %S list" key
+
+let json_string key v =
+  match Json.member key v with
+  | Some (Json.String s) -> Some s
+  | _ -> None
+
 let test_quick_grid_par_equals_seq () =
   let cells = Chaos_sweep.quick_grid () in
   let seq = Chaos_sweep.run_cells cells in
@@ -694,25 +712,25 @@ let test_quick_grid_par_equals_seq () =
     Pool.with_pool ~jobs:4 (fun pool -> Chaos_sweep.run_cells ~pool cells)
   in
   Alcotest.(check bool) "bit-identical" true (seq = par);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 par)
+  Alcotest.(check string) "same json" (chaos_json seq) (chaos_json par)
 
 let test_fused_submit_matches_run_cells () =
-  (* The chaos grid submitted into a fused batch (one task per cell in
-     the shared graph) must be bit-identical to the barriered run_cells
-     path, json included. *)
+  (* The chaos grid submitted into a fused batch (one run_cell task per
+     cell in the shared graph, as the bench's C1 table does) must be
+     bit-identical to the run_cells path, json included. *)
   let cells = Chaos_sweep.quick_grid () in
   let seq = Chaos_sweep.run_cells cells in
   let fused =
     Pool.with_pool ~jobs:4 (fun pool ->
         let batch = H.Sweep.Fused.create () in
-        let handle = Chaos_sweep.submit batch ~table:"chaos" cells in
+        let handle =
+          H.Sweep.Fused.add batch ~table:"chaos" Chaos_sweep.run_cell cells
+        in
         let _ = H.Sweep.Fused.drain ~pool batch in
         H.Sweep.Fused.results handle)
   in
   Alcotest.(check bool) "fused == sequential" true (seq = fused);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 fused)
+  Alcotest.(check string) "same json" (chaos_json seq) (chaos_json fused)
 
 let test_quick_grid_has_no_violations () =
   let outcomes = Chaos_sweep.run_cells (Chaos_sweep.quick_grid ()) in
@@ -725,15 +743,8 @@ let test_quick_grid_has_no_violations () =
     (s.Chaos_sweep.ok + s.Chaos_sweep.degraded + s.Chaos_sweep.violated)
 
 let test_json_deterministic () =
-  let run () =
-    Chaos_sweep.to_json ~jobs:1 (Chaos_sweep.run_cells (Chaos_sweep.quick_grid ()))
-  in
+  let run () = chaos_json (Chaos_sweep.run_cells (Chaos_sweep.quick_grid ())) in
   Alcotest.(check string) "same seeds, same bytes" (run ()) (run ())
-
-let contains ~sub s =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
 
 let test_json_pins_corruption_schema () =
   (* BENCH_chaos rows must carry the corrupted-frame count and fold the
@@ -748,12 +759,14 @@ let test_json_pins_corruption_schema () =
     "every corruption tallied under the component label"
     [ "corrupt(R0,bit-flip,100%)", m.Engine.messages_corrupted ]
     m.Engine.messages_dropped_by_label;
-  let json = Chaos_sweep.to_json ~jobs:1 outcomes in
+  let run = List.hd (json_list "runs" (chaos_report outcomes)) in
   Alcotest.(check bool) "corrupted_frames in json" true
-    (contains json
-       ~sub:(Printf.sprintf "\"corrupted_frames\": %d" m.Engine.messages_corrupted));
+    (Json.member "corrupted_frames" run = Some (Json.Int m.Engine.messages_corrupted));
   Alcotest.(check bool) "mutation label in json" true
-    (contains json ~sub:"\"corrupt(R0,bit-flip,100%)\"")
+    (Json.member "dropped_by_label" run
+    = Some
+        (Json.Obj
+           [ "corrupt(R0,bit-flip,100%)", Json.Int m.Engine.messages_corrupted ]))
 
 let test_mutation_sweep_par_equals_seq () =
   (* Mutation schedules go through the same seq==par bit-identity bar as
@@ -768,8 +781,7 @@ let test_mutation_sweep_par_equals_seq () =
   let seq = Chaos_sweep.run_cells cells in
   let par = Pool.with_pool ~jobs:4 (fun pool -> Chaos_sweep.run_cells ~pool cells) in
   Alcotest.(check bool) "bit-identical" true (seq = par);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 par)
+  Alcotest.(check string) "same json" (chaos_json seq) (chaos_json par)
 
 let test_state_corruption_sweep_par_equals_seq () =
   (* The recovery grid's bar: corrupt-state schedules through the pool
@@ -790,8 +802,7 @@ let test_state_corruption_sweep_par_equals_seq () =
   let seq = Chaos_sweep.run_cells cells in
   let par = Pool.with_pool ~jobs:4 (fun pool -> Chaos_sweep.run_cells ~pool cells) in
   Alcotest.(check bool) "bit-identical" true (seq = par);
-  Alcotest.(check string) "same json" (Chaos_sweep.to_json ~jobs:1 seq)
-    (Chaos_sweep.to_json ~jobs:1 par);
+  Alcotest.(check string) "same json" (chaos_json seq) (chaos_json par);
   (* The grid must have exercised the oracle: at least one cell recovered. *)
   Alcotest.(check bool) "some cell recovered" true
     (List.exists
@@ -827,11 +838,18 @@ let test_recovery_grid_rows () =
   Alcotest.(check bool) "mean == max for one cell" true
     (Float.equal row.Chaos_sweep.rg_mean_rounds
        (float_of_int row.Chaos_sweep.rg_max_rounds));
-  let json = Chaos_sweep.to_json ~jobs:1 outcomes in
-  Alcotest.(check bool) "recovery_row marker in json" true
-    (contains json ~sub:"{\"recovery_row\": \"corrupt-state(R0@1,100%)#seed1\"");
+  let report = chaos_report outcomes in
+  Alcotest.(check (list (option string)))
+    "recovery_row names in json"
+    [ Some "corrupt-state(R0@1,100%)#seed1" ]
+    (List.map (json_string "recovery_row") (json_list "recovery_grid" report));
   Alcotest.(check bool) "per-run recovery field in json" true
-    (contains json ~sub:"\"recovery\": \"recovered:")
+    (List.exists
+       (fun run ->
+         match json_string "recovery" run with
+         | Some r -> String.starts_with ~prefix:"recovered:" r
+         | None -> false)
+       (json_list "runs" report))
 
 let test_grid_shape () =
   let cases =

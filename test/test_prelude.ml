@@ -408,6 +408,178 @@ let test_table_rejects_bad_row () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "accepted short row"
 
+(* --- Json ------------------------------------------------------------------- *)
+
+let json_testable =
+  Alcotest.testable (fun ppf v -> Format.pp_print_string ppf (Json.to_string v)) ( = )
+
+let parses s =
+  match Json.of_string s with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%S: %s" s (Json.error_to_string e)
+
+(* Finite floats over the whole range: raw bit patterns (non-finite
+   ones replaced), QCheck's spread around 1, and the edge cases. *)
+let finite_float_gen =
+  QCheck.Gen.(
+    oneof
+      [
+        map
+          (fun bits ->
+            let f = Int64.float_of_bits bits in
+            if Float.is_finite f then f else 0.)
+          ui64;
+        float;
+        oneofl
+          [ 0.; -0.; 1.; 0.1; 1e21; 1e-7; max_float; -.max_float; min_float; 5e-324 ];
+      ])
+
+let json_gen =
+  let open QCheck.Gen in
+  let bytes = string_size ~gen:char (int_bound 8) in
+  let scalar =
+    oneof
+      [
+        return Json.Null;
+        map (fun b -> Json.Bool b) bool;
+        map (fun i -> Json.Int i) (oneof [ int; oneofl [ min_int; max_int; 0; -1 ] ]);
+        map (fun f -> Json.Float f) finite_float_gen;
+        map (fun s -> Json.String s) bytes;
+      ]
+  in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         if depth = 0 then scalar
+         else
+           frequency
+             [
+               2, scalar;
+               ( 1,
+                 map (fun l -> Json.List l) (list_size (int_bound 4) (self (depth - 1))) );
+               ( 1,
+                 map
+                   (fun kvs -> Json.Obj kvs)
+                   (list_size (int_bound 4) (pair bytes (self (depth - 1)))) );
+             ])
+
+let json_arb = QCheck.make ~print:Json.to_string json_gen
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json: of_string (to_string v) = Ok v" ~count:1000 json_arb
+    (fun v -> Json.of_string (Json.to_string v) = Ok v)
+
+let prop_json_prefixes_rejected =
+  QCheck.Test.make ~name:"json: every proper prefix of an object is rejected"
+    ~count:200
+    (QCheck.make ~print:Json.to_string
+       QCheck.Gen.(
+         map
+           (fun kvs -> Json.Obj kvs)
+           (list_size (int_bound 4) (pair (string_size (int_bound 4)) json_gen))))
+    (fun v ->
+      let s = Json.to_string v in
+      List.for_all
+        (fun len -> Result.is_error (Json.of_string (String.sub s 0 len)))
+        (Util.range 0 (String.length s)))
+
+let prop_json_random_bytes_rejected =
+  QCheck.Test.make ~name:"json: random bytes are an Error, never an exception"
+    ~count:2000
+    (QCheck.make ~print:String.escaped
+       QCheck.Gen.(string_size ~gen:char (int_range 8 64)))
+    (fun s ->
+      match Json.of_string s with
+      | Error e -> e.Json.offset >= 0 && e.Json.offset <= String.length s
+      | Ok _ -> false)
+
+let test_json_rejects_malformed () =
+  List.iter
+    (fun (s, offset) ->
+      match Json.of_string s with
+      | Ok _ -> Alcotest.failf "accepted %S" s
+      | Error e ->
+        Alcotest.(check int) (Printf.sprintf "offset of %S" s) offset e.Json.offset)
+    [
+      "", 0;
+      "  ", 2;
+      "{} x", 3;
+      "[1] [2]", 4;
+      "+1", 0;
+      "01", 1;
+      "-01", 2;
+      "-", 1;
+      "1.", 2;
+      ".5", 0;
+      "1e", 2;
+      "1e400", 0;
+      "4611686018427387904", 0;
+      "[1,]", 3;
+      "[1 2]", 3;
+      "{\"a\" 1}", 5;
+      "{\"a\": 1,}", 8;
+      "{a: 1}", 1;
+      "tru", 0;
+      "nulll", 4;
+      "\"abc", 4;
+      "\"a\\x\"", 2;
+      "\"\\u12G4\"", 1;
+      "\"\\u12\"", 1;
+      "\"\\ud83d\\ude00\"", 1;
+      "\"\\ud800\"", 1;
+      "\"\\udc00x\"", 1;
+      "\"a\nb\"", 2;
+      "\"\001\"", 1;
+      "[{\"rows\": [{\"gs_ms\": 15.", 24;
+      String.make 100_000 '[', 513;
+    ]
+
+let test_json_accepts_rfc_forms () =
+  Alcotest.check json_testable "whitespace, escapes, exponents"
+    (Json.Obj
+       [
+         "a", Json.List [ Json.Int 1; Json.Float (-2500.); Json.Bool true; Json.Null ];
+         "s\n", Json.String "\"\\/\b\012\n\r\t\001\xc3\xa9\xe2\x82\xac\xf0\x9f\x98\x80";
+         "e", Json.Float 1e-3;
+       ])
+    (parses
+       " {\"a\" : [1, -2.5E+3,true ,null],\r\n\
+        \"s\\n\":\"\\\"\\\\\\/\\b\\f\\n\\r\\t\\u0001\\u00e9\\u20AC\xf0\x9f\x98\x80\", \"e\": 1e-3}\t")
+
+let test_json_printer_layout () =
+  let v =
+    Json.Obj
+      [
+        "jobs", Json.Int 2;
+        "eps", Json.rounded "%.3e" 0.0025291;
+        "ms", Json.rounded "%.3f" 15.5501;
+        "whole_run", Json.Obj [ "tasks", Json.Int 3; "speedup", Json.Float 2. ];
+        ( "rows",
+          Json.List [ Json.Obj [ "row", Json.String "k=1"; "x", Json.List [] ]; Json.Obj [] ] );
+        "empty", Json.List [];
+      ]
+  in
+  Alcotest.(check string) "one record per line"
+    "{\n\
+    \  \"jobs\": 2,\n\
+    \  \"eps\": 0.002529,\n\
+    \  \"ms\": 15.55,\n\
+    \  \"whole_run\": {\"tasks\": 3, \"speedup\": 2.0},\n\
+    \  \"rows\": [\n\
+    \    {\"row\": \"k=1\", \"x\": []},\n\
+    \    {}\n\
+    \  ],\n\
+    \  \"empty\": []\n\
+     }"
+    (Json.to_string v);
+  Alcotest.(check (option (float 0.))) "member + number" (Some 15.55)
+    (Option.bind (Json.member "ms" v) Json.number);
+  Alcotest.(check bool) "absent member" true (Json.member "nope" v = None);
+  match Json.to_string (Json.Float Float.nan) with
+  | exception Invalid_argument _ -> ()
+  | s -> Alcotest.failf "printed nan as %s" s
+
+let qcheck = QCheck_alcotest.to_alcotest
+
 let () =
   Alcotest.run "prelude"
     [
@@ -466,5 +638,16 @@ let () =
         [
           Alcotest.test_case "renders aligned" `Quick test_table_renders;
           Alcotest.test_case "rejects bad row" `Quick test_table_rejects_bad_row;
+        ] );
+      ( "json",
+        [
+          qcheck prop_json_roundtrip;
+          qcheck prop_json_prefixes_rejected;
+          qcheck prop_json_random_bytes_rejected;
+          Alcotest.test_case "rejects malformed input at its offset" `Quick
+            test_json_rejects_malformed;
+          Alcotest.test_case "accepts RFC 8259 forms" `Quick
+            test_json_accepts_rfc_forms;
+          Alcotest.test_case "printer layout pinned" `Quick test_json_printer_layout;
         ] );
     ]

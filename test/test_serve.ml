@@ -171,8 +171,8 @@ let test_load_seq_equals_par () =
   (* And bit-identical JSON across two runs at the same jobs. *)
   let again = Serve.Serve_bench.run (bench_params ~jobs:1 ~chaos:false) in
   Alcotest.(check string) "replayable JSON"
-    (Serve.Serve_bench.to_json seq)
-    (Serve.Serve_bench.to_json again)
+    (Json.to_string (Serve.Serve_bench.to_json seq))
+    (Json.to_string (Serve.Serve_bench.to_json again))
 
 let test_chaos_on_live_within_budget () =
   let r = Serve.Serve_bench.run { (bench_params ~jobs:2 ~chaos:true) with instances = 40 } in

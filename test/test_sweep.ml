@@ -553,32 +553,44 @@ let test_scale_json_schema () =
       (fun row -> H.Scale.run_row (H.Scale.prepare row))
       [ scale_row; scale_row_common ]
   in
-  let json = H.Scale.to_json ~jobs:1 results in
-  let contains sub =
-    let n = String.length json and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub json i m = sub || go (i + 1)) in
-    go 0
+  (* Read the printed report back the way bench_compare does: records by
+     key, not by layout. *)
+  let json =
+    match Json.of_string (Json.to_string (H.Scale.to_json ~jobs:1 results)) with
+    | Ok v -> v
+    | Error e ->
+      Alcotest.failf "BENCH_scale does not parse: %s" (Json.error_to_string e)
   in
-  (* The exact shapes bench_compare's scanner keys on. *)
-  List.iter
-    (fun r ->
+  Alcotest.(check bool) "jobs" true (Json.member "jobs" json = Some (Json.Int 1));
+  let rows =
+    match Json.member "rows" json with
+    | Some (Json.List rows) -> rows
+    | _ -> Alcotest.fail "no rows list"
+  in
+  List.iter2
+    (fun (r : H.Scale.result) row ->
+      let label = H.Scale.label r.H.Scale.row in
       Alcotest.(check bool)
-        (Printf.sprintf "row marker for %s" (H.Scale.label r.H.Scale.row))
+        (Printf.sprintf "row name for %s" label)
         true
-        (contains
-           (Printf.sprintf "{\"row\": \"%s\"" (H.Scale.label r.H.Scale.row))))
-    results;
-  List.iter
-    (fun key ->
+        (Json.member "row" row = Some (Json.String label));
+      List.iter
+        (fun key ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: key %s present" label key)
+            true
+            (Json.member key row <> None))
+        [
+          "proposals"; "rounds"; "blocking_gs"; "stable"; "blocking_perturbed";
+          "eps_min"; "fingerprint"; "gs_ms"; "verify_sequential_ms";
+          "verify_parallel_ms";
+        ];
       Alcotest.(check bool)
-        (Printf.sprintf "key %s present" key)
+        (Printf.sprintf "%s: blocking_perturbed" label)
         true
-        (contains (Printf.sprintf "\"%s\":" key)))
-    [
-      "proposals"; "rounds"; "blocking_gs"; "stable"; "blocking_perturbed";
-      "eps_min"; "fingerprint"; "gs_ms"; "verify_sequential_ms";
-      "verify_parallel_ms"; "jobs";
-    ]
+        (Json.member "blocking_perturbed" row
+        = Some (Json.Int r.H.Scale.blocking_perturbed)))
+    results rows
 
 let () =
   Alcotest.run "sweep"

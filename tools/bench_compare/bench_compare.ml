@@ -1,143 +1,91 @@
-(* bench_compare — diff two BENCH_sweeps.json (or BENCH_scale.json)
-   files and fail on wall regressions.
+(* bench_compare — diff two BENCH_*.json files and fail on regressions.
 
    Usage: bench_compare OLD.json NEW.json [--threshold PCT]
 
-   Per table it compares the sequential wall clock — the one number
-   that is comparable across scheduler modes (fused vs barrier) and job
-   counts — and, when both files carry a "whole_run" block, the
-   whole-run parallel wall. T-scale files carry one record per
-   "{\"row\": ..." marker instead; for those the Gale-Shapley wall
-   (gs_ms) and the sequential verification wall (verify_sequential_ms)
-   are compared per row. BENCH_serve.json carries one record per
-   "{\"workload\": ..." marker; for those the drain time (ticks) and
-   latency quantiles (p50_ticks, p99_ticks) are compared — virtual
-   scheduler ticks, but the same gate applies. BENCH_chaos.json carries
-   a recovery grid with one record per "{\"recovery_row\": ..." marker;
-   for those the rounds-to-recovery aggregates (max and mean engine
-   rounds) are compared — growth means recovery from state corruption
-   got slower. Exits 1 if any compared
-   number regresses by more than the threshold (default 20%) AND by
-   more than 1 unit (quick runs have millisecond-scale walls where
-   percentages alone are noise).
+   Both files are parsed with Bsm_prelude.Json; a file that is not one
+   well-formed JSON value (truncated, malformed, trailing bytes) is an
+   error naming the file and the byte offset (exit 2, like an
+   unreadable file). Records are looked up by key, in the five bench
+   schemas:
 
-   Missing input fails too (exit 1, naming what is missing): a table or
-   row of OLD that NEW lacks, a compared key (or the whole_run block)
-   present in one file only, or two files with no bench record at all.
-   Tables/rows new in NEW are reported but don't fail the diff: the
-   bench grows across PRs. A key absent from both files is reported and
-   skipped (recovery rows have no rounds when nothing was scrambled).
+   - BENCH_sweeps: "sweeps" records named by "table" — the sequential
+     wall (sequential_ms), plus the "whole_run" block's parallel_ms;
+   - BENCH_scale: "rows" named by "row" — the Gale-Shapley wall (gs_ms)
+     and the sequential verification wall (verify_sequential_ms);
+   - BENCH_serve: "workloads" named by "workload" — drain time and
+     latency quantiles (ticks, p50_ticks, p99_ticks): virtual scheduler
+     ticks, but the same gate applies;
+   - BENCH_plane: "workloads" named by "plane" — the message-plane legs
+     (encode_ms, deliver_ms, decode_ms);
+   - BENCH_chaos: "recovery_grid" named by "recovery_row" — the
+     rounds-to-recovery aggregates (max_rounds_to_recovery,
+     mean_rounds_to_recovery): growth means recovery from state
+     corruption got slower.
 
-   The container has no JSON library, so this is a minimal scanner over
-   the bench writers' known layouts ("key": number pairs inside each
-   record). It tolerates the PR 3 schema (parallel_ms per table, no
-   whole_run), the fused schema, and the scale schema. *)
+   Exits 1 if any compared number regresses by more than the threshold
+   (default 20%) AND by more than 1 unit (quick runs have
+   millisecond-scale walls where percentages alone are noise).
 
-let read_file path =
-  try
-    let ic = open_in_bin path in
-    let s = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    s
-  with Sys_error msg ->
-    Printf.eprintf "bench_compare: %s\n" msg;
+   Missing input fails too (exit 1, naming what is missing on a MISSING
+   line): a table or row of OLD that NEW lacks, a compared key (or the
+   whole_run block) present in one file only, or two files with no bench
+   record at all. Tables/rows new in NEW are reported but don't fail the
+   diff: the bench grows across PRs. A key absent from both files is
+   reported and skipped (recovery rows have no rounds when nothing was
+   scrambled). *)
+
+open Bsm_prelude
+
+let read_json path =
+  let contents =
+    try
+      let ic = open_in_bin path in
+      Fun.protect
+        ~finally:(fun () -> close_in ic)
+        (fun () -> really_input_string ic (in_channel_length ic))
+    with Sys_error msg ->
+      Printf.eprintf "bench_compare: %s\n" msg;
+      exit 2
+  in
+  match Json.of_string contents with
+  | Ok v -> v
+  | Error e ->
+    Printf.eprintf "bench_compare: %s: malformed JSON at %s\n" path
+      (Json.error_to_string e);
     exit 2
 
-(* Index of [sub] in [s] at or after [pos], if any. *)
-let find s pos sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
-  in
-  if m = 0 then None else go (max 0 pos)
+(* Per schema, [(list, name, unit, keys)]: its records are the elements
+   of the top-level [list] member, each named by its [name] member, and
+   [keys] are the numbers compared, in [unit]. *)
+let schemas =
+  [
+    "sweeps", "table", "ms", [ "sequential_ms" ];
+    "rows", "row", "ms", [ "gs_ms"; "verify_sequential_ms" ];
+    "workloads", "workload", "ticks", [ "ticks"; "p50_ticks"; "p99_ticks" ];
+    "workloads", "plane", "ms", [ "encode_ms"; "deliver_ms"; "decode_ms" ];
+    ( "recovery_grid",
+      "recovery_row",
+      "rounds",
+      [ "max_rounds_to_recovery"; "mean_rounds_to_recovery" ] );
+  ]
 
-(* Parse the number starting at [pos] (after optional spaces). *)
-let float_at s pos =
-  let n = String.length s in
-  let pos = ref pos in
-  while !pos < n && s.[!pos] = ' ' do incr pos done;
-  let start = !pos in
-  while
-    !pos < n
-    &&
-    match s.[!pos] with
-    | '0' .. '9' | '.' | '-' | '+' | 'e' | 'E' -> true
-    | _ -> false
-  do
-    incr pos
-  done;
-  float_of_string_opt (String.sub s start (!pos - start))
+let number key v = Option.bind (Json.member key v) Json.number
 
-(* ["key": v] within s.[pos..stop), if present. *)
-let key_float s ~pos ~stop key =
-  let needle = Printf.sprintf "\"%s\":" key in
-  match find s pos needle with
-  | Some i when i < stop -> float_at s (i + String.length needle)
-  | Some _ | None -> None
+(* The named records of [json]'s [list], with their [keys] numbers. *)
+let records (list, name, _, keys) json =
+  match Json.member list json with
+  | Some (Json.List items) ->
+    List.filter_map
+      (fun item ->
+        match Json.member name item with
+        | Some (Json.String n) ->
+          Some (n, List.map (fun key -> key, number key item) keys)
+        | _ -> None)
+      items
+  | _ -> []
 
-(* One scanned record: its name plus the requested "key": number values
-   (in [keys] order), scoped to the span between this marker and the
-   next. *)
-let scan s ~marker ~keys =
-  let rec go pos acc =
-    match find s pos marker with
-    | None -> List.rev acc
-    | Some i -> (
-      let name_start = i + String.length marker in
-      match String.index_from_opt s name_start '"' with
-      | None -> List.rev acc
-      | Some name_end ->
-        let name = String.sub s name_start (name_end - name_start) in
-        let stop =
-          match find s name_end marker with
-          | Some j -> j
-          | None -> String.length s
-        in
-        let values =
-          List.map (fun key -> key, key_float s ~pos:name_end ~stop key) keys
-        in
-        go stop ((name, values) :: acc))
-  in
-  go 0 []
-
-(* BENCH_sweeps.json tables: the sequential wall per table. *)
-let table_rows s = scan s ~marker:"{\"table\": \"" ~keys:[ "sequential_ms" ]
-
-(* BENCH_scale.json rows: per-row Gale-Shapley and sequential
-   verification walls. *)
-let scale_rows s =
-  scan s ~marker:"{\"row\": \"" ~keys:[ "gs_ms"; "verify_sequential_ms" ]
-
-(* BENCH_serve.json workloads: drain time and latency quantiles, all in
-   virtual scheduler ticks (deterministic across runs and job counts). *)
-let serve_rows s =
-  scan s ~marker:"{\"workload\": \"" ~keys:[ "ticks"; "p50_ticks"; "p99_ticks" ]
-
-(* BENCH_plane.json workloads: the message-plane micro-bench's three
-   legs (arena encode, engine delivery pass, slice decode). *)
-let plane_rows s =
-  scan s ~marker:"{\"plane\": \"" ~keys:[ "encode_ms"; "deliver_ms"; "decode_ms" ]
-
-(* BENCH_chaos.json recovery grid: rounds-to-recovery per
-   (schedule#seed) row — deterministic engine rounds rather than walls,
-   but growth means recovery from state corruption got slower. *)
-let recovery_rows s =
-  scan s ~marker:"{\"recovery_row\": \""
-    ~keys:[ "max_rounds_to_recovery"; "mean_rounds_to_recovery" ]
-
-(* The whole_run block's parallel wall, if the file has one. *)
-let whole_run_parallel_ms s =
-  match find s 0 "\"whole_run\":" with
-  | None -> None
-  | Some i ->
-    let stop =
-      match String.index_from_opt s i '}' with
-      | Some j -> j
-      | None -> String.length s
-    in
-    key_float s ~pos:i ~stop "parallel_ms"
+let whole_run_parallel_ms json =
+  Option.bind (Json.member "whole_run" json) (number "parallel_ms")
 
 let () =
   let threshold = ref 20.0 in
@@ -163,7 +111,7 @@ let () =
       Printf.eprintf "usage: bench_compare OLD.json NEW.json [--threshold PCT]\n";
       exit 2
   in
-  let old_s = read_file old_path and new_s = read_file new_path in
+  let old_json = read_json old_path and new_json = read_json new_path in
   let regressions = ref 0 in
   let missing = ref [] in
   let report_missing what =
@@ -184,12 +132,13 @@ let () =
   in
   Printf.printf "bench_compare: %s -> %s (threshold %.0f%%)\n" old_path new_path
     !threshold;
-  (* One keyed-row diff for every schema: each NEW row against its OLD
-     namesake, key by key, then every OLD row NEW dropped. *)
-  let diff_rows ~title ~what ~unit ~label scan_rows =
-    let old_rows = scan_rows old_s and new_rows = scan_rows new_s in
+  (* One keyed-record diff for every schema: each NEW record against its
+     OLD namesake, key by key, then every OLD record NEW dropped. *)
+  let diff ((_, what, unit, keys) as schema) =
+    let old_rows = records schema old_json and new_rows = records schema new_json in
+    let label name key = match keys with [ _ ] -> name | _ -> name ^ " " ^ key in
     if old_rows <> [] || new_rows <> [] then begin
-      Printf.printf "%s:\n" title;
+      Printf.printf "%s per %s:\n" (String.concat ", " keys) what;
       List.iter
         (fun (name, new_values) ->
           match List.assoc_opt name old_rows with
@@ -197,14 +146,16 @@ let () =
           | Some old_values ->
             List.iter
               (fun (key, nv) ->
+                let missing_from side =
+                  report_missing
+                    (Printf.sprintf "%s %s: %s missing from %s" what name key side)
+                in
                 match List.assoc key old_values, nv with
                 | Some ov, Some nv -> compare_value ~unit (label name key) ov nv
                 | None, None ->
                   Printf.printf "  %-40s (no %s in either file)\n" name key
-                | Some _, None ->
-                  report_missing (Printf.sprintf "%s %s: %s missing from NEW" what name key)
-                | None, Some _ ->
-                  report_missing (Printf.sprintf "%s %s: %s missing from OLD" what name key))
+                | Some _, None -> missing_from "NEW"
+                | None, Some _ -> missing_from "OLD")
               new_values)
         new_rows;
       List.iter
@@ -215,23 +166,8 @@ let () =
     end;
     old_rows <> [] || new_rows <> []
   in
-  let keyed name key = Printf.sprintf "%s %s" name key in
-  let found =
-    List.filter Fun.id
-      [
-        diff_rows ~title:"sequential wall per table" ~what:"table" ~unit:"ms"
-          ~label:(fun name _ -> name) table_rows;
-        diff_rows ~title:"gs + sequential-verify wall per scale row" ~what:"row"
-          ~unit:"ms" ~label:keyed scale_rows;
-        diff_rows ~title:"ticks + latency quantiles per serve workload"
-          ~what:"workload" ~unit:"ticks" ~label:keyed serve_rows;
-        diff_rows ~title:"message-plane leg walls per workload" ~what:"workload"
-          ~unit:"ms" ~label:keyed plane_rows;
-        diff_rows ~title:"rounds-to-recovery per recovery-grid row"
-          ~what:"recovery row" ~unit:"rounds" ~label:keyed recovery_rows;
-      ]
-  in
-  (match whole_run_parallel_ms old_s, whole_run_parallel_ms new_s with
+  let found = List.filter diff schemas in
+  (match whole_run_parallel_ms old_json, whole_run_parallel_ms new_json with
   | Some om, Some nm ->
     Printf.printf "whole-run parallel wall:\n";
     compare_value ~unit:"ms" "whole_run" om nm
@@ -239,6 +175,7 @@ let () =
   | Some _, None -> report_missing "whole_run parallel_ms missing from NEW"
   | None, Some _ -> report_missing "whole_run parallel_ms missing from OLD");
   if found = [] then report_missing "bench records (none found in either file)";
+  flush stdout;
   if !missing <> [] then
     Printf.eprintf "bench_compare: missing input: %s\n"
       (String.concat "; " (List.rev !missing));
