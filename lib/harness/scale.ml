@@ -116,8 +116,7 @@ type result = {
   verify_par_ms : float;
 }
 
-let fingerprint l2r =
-  Array.fold_left Rng.mix64_absorb (Rng.mix64 0x5CA1EL) l2r
+let fingerprint l2r = SM.Flat.fingerprint ~salt:0x5CA1EL l2r
 
 (* Cross-check the ε-stability knob against the assembled exact counts:
    ε = 0 must agree with stability of the GS output, a budget at (or

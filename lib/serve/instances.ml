@@ -80,14 +80,14 @@ let transition t record into =
   t.counts.(state_index into) <- t.counts.(state_index into) + 1;
   record.state <- into
 
+(* A finished record leaves the table, so a long-running daemon's table
+   holds only live requests; the caller keeps the record it passed in. *)
 let finish t record ~tick outcome =
   transition t record (final_of_outcome outcome);
   record.outcome <- Some outcome;
-  record.done_tick <- tick
+  record.done_tick <- tick;
+  Hashtbl.remove (table t record.spec.req_id) record.spec.req_id
 
 let count t state = t.counts.(state_index state)
 let pending t = count t Submitted + count t Running
 let total t = t.total
-
-let iter_shard t shard f =
-  Hashtbl.iter (fun _ record -> f record) t.tables.(shard)

@@ -1,12 +1,16 @@
-(** The daemon's instance table: every admitted submission, sharded by
-    request id, with an enforced lifecycle.
+(** The daemon's instance table: every live (submitted or running)
+    request, sharded by request id, with an enforced lifecycle.
 
     States move strictly forward:
     [Submitted → Running → Matched | Failed | Timed_out] — any other
     transition raises [Invalid_argument] (a scheduler bug, not a client
-    error). Shard count mirrors the pool's lanes so a full table walk
-    partitions into per-lane chunks, and per-state counters make the
-    admission/consistency checks O(1).
+    error). Shard count mirrors the pool's lanes, and per-state
+    counters make the admission/consistency checks O(1).
+
+    {!finish} drops a record from the table, so memory tracks the live
+    requests, not every request ever served. The per-state counters and
+    {!total} still count finished records, and a finished [req_id] may
+    be submitted again: only a duplicate {e live} id is refused.
 
     The table itself is single-writer (the daemon's coordinator domain
     admits and retires; pool tasks only compute outcomes), so access is
@@ -47,6 +51,8 @@ val shards : t -> int
     reject those first — see {!mem}). *)
 val add : t -> tick:int -> Frame.spec -> record
 
+(** [mem t req_id] / [find t req_id] see live records only. *)
+
 val mem : t -> int -> bool
 val find : t -> int -> record option
 
@@ -55,7 +61,8 @@ val find : t -> int -> record option
 val transition : t -> record -> state -> unit
 
 (** [finish t record ~tick outcome] — transition to the outcome's final
-    state, recording outcome and completion tick. *)
+    state, recording outcome and completion tick in [record], and drop
+    it from the table: {!find} and {!mem} no longer see its id. *)
 val finish : t -> record -> tick:int -> Frame.outcome -> unit
 
 (** Live records (submitted or running). *)
@@ -64,8 +71,6 @@ val pending : t -> int
 (** Records in the given state. *)
 val count : t -> state -> int
 
-(** Total records ever admitted. *)
+(** Total records ever admitted (finished ones included), the sum of
+    the per-state {!count}s. *)
 val total : t -> int
-
-(** Walk one shard's records (unspecified order). *)
-val iter_shard : t -> int -> (record -> unit) -> unit

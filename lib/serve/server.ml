@@ -58,9 +58,6 @@ let close t = t.closing <- true
 
 let fingerprint_salt = 0x5E27EL
 
-let gs_fingerprint l2r =
-  Array.fold_left Rng.mix64_absorb (Rng.mix64 fingerprint_salt) l2r
-
 (* A deterministic digest of a bSM run: there is no single matching
    array to hash (honest parties output pairings individually), so
    fingerprint the run's observable metrics instead — stable across
@@ -149,13 +146,11 @@ let execute_bsm ~chaos ~chaos_seed ~max_rounds ~req_id ~k ~topology ~auth ~t_lef
 let execute ~chaos ~chaos_seed ~max_rounds (spec : Frame.spec) =
   match spec.workload with
   | Frame.Gs { k; seed; family } ->
-    let flat = SM.Flat.make ~family ~seed ~k in
-    let l2r, stats = SM.Flat.gale_shapley flat in
-    if SM.Verify.exists_blocking (SM.Flat.verify_view flat ~l2r) then
-      Frame.Failed "unstable matching", false
+    let s = SM.Flat.solve (SM.Flat.make ~family ~seed ~k) ~salt:fingerprint_salt in
+    if not s.SM.Flat.stable then Frame.Failed "unstable matching", false
     else
       ( Frame.Matched
-          { fingerprint = gs_fingerprint l2r; rounds = stats.SM.Gale_shapley.rounds },
+          { fingerprint = s.SM.Flat.fingerprint; rounds = s.SM.Flat.stats.rounds },
         false )
   | Frame.Bsm { k; topology; auth; t_left; t_right; profile_seed; scenario_seed; coalition }
     ->

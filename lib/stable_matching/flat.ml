@@ -8,66 +8,21 @@ open Bsm_prelude
    permutation of [0, k): rank→candidate ([order]) is one PRP
    evaluation and candidate→rank ([rank]) is one inverse evaluation,
    both O(1) and allocation-free, so Gale–Shapley and the early-exit
-   verifier run at k = 10⁵..10⁶ in O(k) memory. *)
+   verifier run at k = 10⁵..10⁶ in O(k) memory.
 
-module Perm = struct
-  (* Format-preserving permutation of [0, n): a 4-round balanced
-     Feistel network over the smallest even bit-width covering [n],
-     cycle-walked back into the domain. Intermediate points of a walk
-     lie outside [0, n), so walking the inverse network undoes the walk
-     exactly; the domain is < 4n, so a walk takes < 4 steps in
-     expectation. Round keys come from [Rng.mix64_absorb] chains, the
-     repository's standard stateless mixer. *)
-  type t = {
-    n : int;
-    half_bits : int;
-    half_mask : int;
-    keys : int64 array;
-  }
+   The permutation is a 4-round balanced Feistel network over the
+   smallest even bit-width covering [k], cycle-walked back into the
+   domain. Intermediate points of a walk lie outside [0, k), so walking
+   the inverse network undoes the walk exactly; the domain is < 4k, so
+   a walk takes < 4 steps in expectation. A party's key is the
+   [Rng.mix64_absorb] chain over (seed, side, index) and its round keys
+   absorb 0..3 into it. A probe derives all five keys on the fly, as
+   unboxed locals: keeping per-party key tables instead measured no
+   faster and raised the top heap by 21%.
 
-  let rounds = 4
-
-  let make ~key ~n =
-    if n <= 0 then invalid_arg "Flat.Perm.make: n must be positive";
-    let bits = ref 2 in
-    while 1 lsl !bits < n do bits := !bits + 2 done;
-    let keys = Array.init rounds (fun r -> Rng.mix64_absorb key r) in
-    { n; half_bits = !bits / 2; half_mask = (1 lsl (!bits / 2)) - 1; keys }
-
-  let round_f t i x = Int64.to_int (Rng.mix64_absorb t.keys.(i) x) land t.half_mask
-
-  let encrypt_once t x =
-    let l = ref (x lsr t.half_bits) and r = ref (x land t.half_mask) in
-    for i = 0 to rounds - 1 do
-      let l' = !r in
-      let r' = !l lxor round_f t i !r in
-      l := l';
-      r := r'
-    done;
-    (!l lsl t.half_bits) lor !r
-
-  let decrypt_once t x =
-    let l = ref (x lsr t.half_bits) and r = ref (x land t.half_mask) in
-    for i = rounds - 1 downto 0 do
-      let r' = !l in
-      let l' = !r lxor round_f t i !l in
-      l := l';
-      r := r'
-    done;
-    (!l lsl t.half_bits) lor !r
-
-  let fwd t x =
-    if x < 0 || x >= t.n then invalid_arg "Flat.Perm.fwd";
-    let y = ref (encrypt_once t x) in
-    while !y >= t.n do y := encrypt_once t !y done;
-    !y
-
-  let inv t y =
-    if y < 0 || y >= t.n then invalid_arg "Flat.Perm.inv";
-    let x = ref (decrypt_once t y) in
-    while !x >= t.n do x := decrypt_once t !x done;
-    !x
-end
+   Gale–Shapley and the scan of its output share one per-domain slab
+   (see [with_slab]), so a warm served request ([solve]) allocates no
+   O(k) block at all. *)
 
 type family =
   | Uniform
@@ -81,116 +36,320 @@ type t = {
   k : int;
   seed : int;
   family : family;
-  geometry : Perm.t;  (* key-free template: shared n/bit split *)
+  half_bits : int;
+  half_mask : int;
+  left_prefix : int64;  (* the (seed, side) prefix of every key chain *)
+  right_prefix : int64;
 }
 
 let make ~family ~seed ~k =
   if k <= 0 then invalid_arg "Flat.make: k must be positive";
-  { k; seed; family; geometry = Perm.make ~key:0L ~n:k }
+  let bits = ref 2 in
+  while 1 lsl !bits < k do bits := !bits + 2 done;
+  let prefix side =
+    Rng.mix64_absorb (Rng.mix64 (Int64.of_int seed)) (Side.to_int side)
+  in
+  {
+    k;
+    seed;
+    family;
+    half_bits = !bits / 2;
+    half_mask = (1 lsl (!bits / 2)) - 1;
+    left_prefix = prefix Side.Left;
+    right_prefix = prefix Side.Right;
+  }
 
 let k t = t.k
 let family t = t.family
 let seed t = t.seed
 
-(* Per-party permutation: same geometry, fresh round keys derived from
-   (seed, side, index). Under [Common_acceptors] every right party
-   shares one key — the common-preferences regime of
-   Hirvonen–Ranjbaran (arXiv:2402.16532) on the accepting side. *)
-let party_perm t side index =
-  let index =
-    match t.family, (side : Side.t) with
-    | Common_acceptors, Right -> 0
-    | (Uniform | Common_acceptors), _ -> index
+(* --- the permutation -------------------------------------------------- *)
+
+(* [Rng.mix64_absorb], restated here so that it inlines: without
+   flambda every out-of-line call returns a boxed int64. The tests pin
+   [fingerprint] (built on it) against the [Rng] chain. *)
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] absorb h x =
+  let z = Int64.logxor h (Int64.add (Int64.of_int x) golden_gamma) in
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L
   in
-  let key =
-    Rng.mix64_absorb
-      (Rng.mix64_absorb (Rng.mix64 (Int64.of_int t.seed)) (Side.to_int side))
-      index
+  let z =
+    Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL
   in
-  { t.geometry with Perm.keys = Array.init Perm.rounds (Rng.mix64_absorb key) }
+  Int64.logxor z (Int64.shift_right_logical z 31)
 
-(* Staged: [left_order t l] derives the party's permutation once and
-   returns a cheap probe — callers that scan a whole row (the verifier,
-   the acceptor comparisons in GS) partially apply and reuse it. *)
-let left_order t l =
-  let p = party_perm t Side.Left l in
-  fun rank -> Perm.fwd p rank
+let[@inline] round key mask x = Int64.to_int (absorb key x) land mask
 
-let left_rank t l =
-  let p = party_perm t Side.Left l in
-  fun r -> Perm.inv p r
+(* One pass of the network; round i maps (l, r) to (r, l ⊕ f_i(r)). *)
+let[@inline] encrypt k0 k1 k2 k3 bits mask x =
+  let l = x lsr bits and r = x land mask in
+  let l, r = r, l lxor round k0 mask r in
+  let l, r = r, l lxor round k1 mask r in
+  let l, r = r, l lxor round k2 mask r in
+  let l, r = r, l lxor round k3 mask r in
+  (l lsl bits) lor r
 
-let right_order t r =
-  let p = party_perm t Side.Right r in
-  fun rank -> Perm.fwd p rank
+let[@inline] decrypt k0 k1 k2 k3 bits mask x =
+  let l = x lsr bits and r = x land mask in
+  let l, r = r lxor round k3 mask l, l in
+  let l, r = r lxor round k2 mask l, l in
+  let l, r = r lxor round k1 mask l, l in
+  let l, r = r lxor round k0 mask l, l in
+  (l lsl bits) lor r
 
-let right_rank t r =
-  let p = party_perm t Side.Right r in
-  fun l -> Perm.inv p l
+(* Party [index]'s permutation at [x] (forward, or inverse when
+   [inverse]), keys derived from [prefix]. *)
+let permute t prefix index ~inverse x =
+  let key = absorb prefix index in
+  let k0 = absorb key 0 and k1 = absorb key 1 in
+  let k2 = absorb key 2 and k3 = absorb key 3 in
+  let n = t.k and bits = t.half_bits and mask = t.half_mask in
+  let y = ref x in
+  if inverse then begin
+    y := decrypt k0 k1 k2 k3 bits mask !y;
+    while !y >= n do y := decrypt k0 k1 k2 k3 bits mask !y done
+  end
+  else begin
+    y := encrypt k0 k1 k2 k3 bits mask !y;
+    while !y >= n do y := encrypt k0 k1 k2 k3 bits mask !y done
+  end;
+  !y
 
-(* Deferred acceptance on the implicit profile, left-proposing. Same
-   round structure as [Gale_shapley.run_oriented] — every free proposer
-   proposes once per round, acceptors keep the best — but the free set
-   is an explicit worklist instead of a k-wide flag rescan, and all
-   state lives in six preallocated int arrays. Within a round the
-   "keep best" fold is order-independent, so the worklist order (which
-   mixes displaced and rejected proposers) cannot affect the outcome:
-   the matching and stats are bit-identical to the array-scan
-   algorithm, which the tests pin via [to_profile]. *)
-let gale_shapley t =
+let out_of_range t name i =
+  invalid_arg (Printf.sprintf "Flat.%s: %d out of range [0, %d)" name i t.k)
+
+let[@inline] check t name i = if i < 0 || i >= t.k then out_of_range t name i
+
+(* Under [Common_acceptors] every right party shares the key of index
+   0 — the common-preferences regime of Hirvonen–Ranjbaran
+   (arXiv:2402.16532) on the accepting side. Callers range-check the
+   party first, so the collapse cannot hide a bad index. *)
+let right_index t r =
+  match t.family with
+  | Uniform -> r
+  | Common_acceptors -> 0
+
+(* Full arity: a fully applied probe allocates nothing; only staging
+   ([left_order t l]) allocates, the closure. *)
+let left_order t l rank =
+  check t "left_order" l;
+  check t "left_order" rank;
+  permute t t.left_prefix l ~inverse:false rank
+
+let left_rank t l r =
+  check t "left_rank" l;
+  check t "left_rank" r;
+  permute t t.left_prefix l ~inverse:true r
+
+let right_order t r rank =
+  check t "right_order" r;
+  check t "right_order" rank;
+  permute t t.right_prefix (right_index t r) ~inverse:false rank
+
+let right_rank t r l =
+  check t "right_rank" r;
+  check t "right_rank" l;
+  permute t t.right_prefix (right_index t r) ~inverse:true l
+
+(* --- per-domain slab --------------------------------------------------- *)
+
+(* The O(k) state of one GS run and the scan of its output. Each array
+   has one role during GS and one after it:
+   - [next_rank]: the rank each proposer proposes at next; then l2r;
+   - [held]: the proposer each acceptor holds (-1 none); then r2l;
+   - [memo]: each acceptor's rank of its held proposer (see
+     [partner_rank]);
+   - [free]: the round's worklist of free proposers. *)
+type slab = {
+  next_rank : int array;
+  held : int array;
+  memo : int array;
+  free : int array;
+}
+
+(* One slab per domain, reused across requests. The slot is emptied
+   while a slab is in use, so a nested call takes a fresh one rather
+   than clobbering it — the pattern of [Wire.encode]'s scratch encoder.
+   Capacities are powers of two so that a mix of sizes settles on one
+   slab. *)
+type slot = { mutable spare : slab option }
+
+let slab_key = Domain.DLS.new_key (fun () -> { spare = None })
+
+(* A slab above this many parties (4 arrays of 2¹⁶ words, 2 MiB) is
+   dropped after use rather than pinned for the domain's lifetime: the
+   served sizes sit far below it (the daemon admits k ≤ 4096 by
+   default), the T-scale rows at k ≥ 10⁵ far above. *)
+let slab_retain_limit = 1 lsl 16
+
+let slab_capacity k =
+  if k > slab_retain_limit then k
+  else begin
+    let c = ref 1 in
+    while !c < k do c := 2 * !c done;
+    !c
+  end
+
+let with_slab k f =
+  let slot = Domain.DLS.get slab_key in
+  let s =
+    match slot.spare with
+    | Some s when Array.length s.held >= k -> s
+    | Some _ | None ->
+      let c = slab_capacity k in
+      {
+        next_rank = Array.make c 0;
+        held = Array.make c 0;
+        memo = Array.make c 0;
+        free = Array.make c 0;
+      }
+  in
+  slot.spare <- None;
+  let give_back () =
+    if Array.length s.held <= slab_retain_limit then slot.spare <- Some s
+  in
+  match f s with
+  | v ->
+    give_back ();
+    v
+  | exception exn ->
+    give_back ();
+    raise exn
+
+(* [memo.(r)] caches the rank right party [r] gives its partner:
+   - [>= 0]: that rank ([k] when [r] is unmatched, so that every
+     candidate ranks ahead of it);
+   - [-1 - l]: the partner is [l], its rank not yet probed.
+   The first lookup probes and stores it. *)
+let partner_rank t memo r =
+  let v = memo.(r) in
+  if v >= 0 then v
+  else begin
+    let v = right_rank t r (-1 - v) in
+    memo.(r) <- v;
+    v
+  end
+
+(* --- Gale–Shapley -------------------------------------------------------- *)
+
+(* Deferred acceptance on the implicit profile, left-proposing, in the
+   first [t.k] cells of slab [s]. Same round structure as
+   [Gale_shapley.run_oriented] — every free proposer proposes once per
+   round, acceptors keep the best — but the free set is an explicit
+   worklist instead of a k-wide flag rescan. Within a round the "keep
+   best" fold is order-independent, so the worklist order (which mixes
+   displaced and rejected proposers) cannot affect the outcome: the
+   matching and stats are bit-identical to the array-scan algorithm,
+   which the tests pin via [to_profile].
+
+   A round compacts its losers into the front of [free] in place: item
+   [i] is read before the at most [i + 1]-th loser is written. An
+   acceptor's held rank is memoised, so a contested proposal probes
+   only the newcomer's rank. On return, [next_rank] holds l2r, [held]
+   r2l, and [memo] the partner ranks for the scan. *)
+let run_gs t s =
   let k = t.k in
-  let next_rank = Array.make k 0 in
-  let held = Array.make k (-1) in
-  let cur = Array.init k Fun.id in
-  let nxt = Array.make k 0 in
-  let cur_n = ref k in
+  let { next_rank; held; memo; free } = s in
+  Array.fill next_rank 0 k 0;
+  Array.fill held 0 k (-1);
+  for i = 0 to k - 1 do
+    free.(i) <- i
+  done;
+  let free_n = ref k in
   let proposals = ref 0 in
   let rounds = ref 0 in
-  while !cur_n > 0 do
+  while !free_n > 0 do
     incr rounds;
-    let nxt_n = ref 0 in
-    for i = 0 to !cur_n - 1 do
-      let p = cur.(i) in
+    let n = !free_n in
+    proposals := !proposals + n;
+    free_n := 0;
+    for i = 0 to n - 1 do
+      let p = free.(i) in
       let a = left_order t p next_rank.(p) in
       next_rank.(p) <- next_rank.(p) + 1;
-      incr proposals;
       let current = held.(a) in
-      if current = -1 then held.(a) <- p
-      else begin
-        let rank_a = right_rank t a in
-        if rank_a p < rank_a current then begin
-          held.(a) <- p;
-          nxt.(!nxt_n) <- current;
-          incr nxt_n
-        end
-        else begin
-          nxt.(!nxt_n) <- p;
-          incr nxt_n
-        end
+      if current < 0 then begin
+        held.(a) <- p;
+        memo.(a) <- -1 - p
       end
-    done;
-    Array.blit nxt 0 cur 0 !nxt_n;
-    cur_n := !nxt_n
+      else begin
+        let rank_p = right_rank t a p in
+        let loser =
+          if rank_p < partner_rank t memo a then begin
+            held.(a) <- p;
+            memo.(a) <- rank_p;
+            current
+          end
+          else p
+        in
+        free.(!free_n) <- loser;
+        incr free_n
+      end
+    done
   done;
-  let l2r = Array.make k (-1) in
-  Array.iteri (fun a p -> l2r.(p) <- a) held;
-  l2r, { Gale_shapley.proposals = !proposals; rounds = !rounds }
+  for a = 0 to k - 1 do
+    next_rank.(held.(a)) <- a
+  done;
+  { Gale_shapley.proposals = !proposals; rounds = !rounds }
 
+let gale_shapley t =
+  with_slab t.k (fun s ->
+      let stats = run_gs t s in
+      Array.sub s.next_rank 0 t.k, stats)
+
+(* --- verification --------------------------------------------------------- *)
+
+let all _ = true
+
+let view t ~l2r ~memo =
+  {
+    Verify.k = t.k;
+    left_order = (fun l rank -> left_order t l rank);
+    left_rank = (fun l r -> left_rank t l r);
+    right_rank = (fun r l -> right_rank t r l);
+    left_partner = (fun l -> l2r.(l));
+    right_partner_rank = (fun r -> partner_rank t memo r);
+    consider_left = all;
+    consider_right = all;
+  }
+
+(* The memo starts unprobed: one O(k) pass, the cost of the r2l array
+   it replaces, so each of Scale's sharded views pays nothing extra. *)
 let verify_view t ~l2r =
   let k = t.k in
   if Array.length l2r <> k then invalid_arg "Flat.verify_view: wrong length";
-  let r2l = Array.make k (-1) in
-  Array.iteri (fun l r -> if r >= 0 then r2l.(r) <- l) l2r;
-  {
-    Verify.k;
-    left_order = left_order t;
-    left_rank = left_rank t;
-    right_rank = right_rank t;
-    left_partner = (fun l -> l2r.(l));
-    right_partner = (fun r -> r2l.(r));
-    consider_left = (fun _ -> true);
-    consider_right = (fun _ -> true);
-  }
+  let memo = Array.make k k in
+  Array.iteri (fun l r -> if r >= 0 then memo.(r) <- -1 - l) l2r;
+  view t ~l2r ~memo
+
+(* [Rng.mix64_absorb] folded over the first [n] cells of [a], from
+   [Rng.mix64 salt]. *)
+let fold_matching ~salt a n =
+  let h = ref (Rng.mix64 salt) in
+  for i = 0 to n - 1 do
+    h := absorb !h a.(i)
+  done;
+  !h
+
+let fingerprint ~salt l2r = fold_matching ~salt l2r (Array.length l2r)
+
+type solved = {
+  stats : Gale_shapley.stats;
+  stable : bool;
+  fingerprint : int64;
+}
+
+let solve t ~salt =
+  with_slab t.k (fun s ->
+      let stats = run_gs t s in
+      let v = view t ~l2r:s.next_rank ~memo:s.memo in
+      {
+        stats;
+        stable = not (Verify.exists_blocking v);
+        fingerprint = fold_matching ~salt s.next_rank t.k;
+      })
 
 (* Materialize as an explicit [Profile.t] — O(k²); small-k tests only. *)
 let to_profile t =

@@ -9,7 +9,15 @@
     candidate→rank one inverse — so Gale–Shapley and the early-exit
     verifier run at k = 10⁵..10⁶ in O(k) memory. Everything is a pure
     function of [(family, seed, k)]: results are bit-replayable and
-    domain-safe under parallel sweeps. *)
+    domain-safe under parallel sweeps.
+
+    Allocation: a fully applied probe allocates nothing (the keys are
+    derived per probe as unboxed locals, not stored per party). GS and
+    the scan of its output run in a per-domain {e slab} of four int
+    arrays, reused across calls while its capacity is at most 2¹⁶
+    parties and dropped after use above that; a slab in use is taken
+    out of its slot, so a nested call gets a fresh one. A warm {!solve}
+    therefore allocates no O(k) block. *)
 
 type t
 
@@ -34,12 +42,13 @@ val k : t -> int
 val family : t -> family
 val seed : t -> int
 
-(** Preference probes, staged: [left_order t l] derives left party
-    [l]'s permutation once and returns an O(1) rank→candidate probe
-    (partially apply it when scanning a row). [left_rank t l] is the
-    inverse, candidate→rank; [right_*] mirror these for the right side
-    (whose candidates are left indices). All raise [Invalid_argument]
-    out of range. *)
+(** Preference probes: [left_order t l rank] is the candidate left
+    party [l] ranks at [rank]; [left_rank t l r] is the inverse,
+    candidate→rank; [right_*] mirror these for the right side (whose
+    candidates are left indices). A fully applied probe allocates
+    nothing; [left_order t l] stages a closure. All raise
+    [Invalid_argument] when the party or its argument is outside
+    [\[0, k)]. *)
 
 val left_order : t -> int -> int -> int
 val left_rank : t -> int -> int -> int
@@ -47,8 +56,8 @@ val right_order : t -> int -> int -> int
 val right_rank : t -> int -> int -> int
 
 (** Left-proposing deferred acceptance on the implicit profile, with an
-    explicit free-proposer worklist and O(k) preallocated state.
-    Returns the left→right matching array and the same statistics as
+    explicit free-proposer worklist in the domain's slab. Returns a
+    fresh left→right matching array and the same statistics as
     {!Gale_shapley.run_with_stats}; on the materialized profile
     ({!to_profile}) the result is bit-identical to
     [Gale_shapley.run_with_stats ~proposers:Side.Left], which the tests
@@ -57,9 +66,30 @@ val gale_shapley : t -> int array * Gale_shapley.stats
 
 (** [verify_view t ~l2r] adapts the instance and a left→right matching
     array ([-1] = unmatched) to the {!Verify.view} scan, for
-    {!Verify.count_blocking_rows} and friends. Raises
-    [Invalid_argument] when [l2r] has the wrong length. *)
+    {!Verify.count_blocking_rows} and friends. The view memoises each
+    right party's rank of its partner in one O(k) array as scans probe
+    it (a concurrent scan of the same view only ever writes the value
+    already there). Raises [Invalid_argument] when [l2r] has the wrong
+    length. *)
 val verify_view : t -> l2r:int array -> Verify.view
+
+(** [fingerprint ~salt l2r] — [Rng.mix64_absorb] folded over [l2r],
+    starting from [Rng.mix64 salt]: the digest the daemon answers a GS
+    request with and the T-scale rows record. *)
+val fingerprint : salt:int64 -> int array -> int64
+
+type solved = {
+  stats : Gale_shapley.stats;
+  stable : bool;  (** no blocking pair (the early-exit scan) *)
+  fingerprint : int64;  (** [fingerprint ~salt] of the GS matching *)
+}
+
+(** [solve t ~salt] — {!gale_shapley}, the stability scan of its
+    output and its {!fingerprint}, in one pass over the domain's slab:
+    the scan reuses the partner ranks GS already probed, and a warm
+    call allocates no O(k) block. A served GS request is exactly
+    this. *)
+val solve : t -> salt:int64 -> solved
 
 (** Materialize as an explicit {!Profile.t} — O(k²), for small-k
     differential tests only. *)

@@ -10,14 +10,16 @@ let pp_blocking_pair ppf { left; right } = Format.fprintf ppf "(L%d, R%d)" left 
    so the hot verification scan never allocates an option. The
    preference accessors are functions rather than arrays so that both
    explicit [Profile.t] instances and implicit [Flat.t] ones share one
-   scan. *)
+   scan. A right party enters the scan only through the rank it gives
+   its partner, which an implicit instance memoises instead of probing
+   per candidate. *)
 type view = {
   k : int;
   left_order : int -> int -> int;  (** [left_order l rank] = candidate *)
   left_rank : int -> int -> int;  (** [left_rank l r] = rank of [r] at [l] *)
   right_rank : int -> int -> int;
   left_partner : int -> int;  (** -1 when unmatched *)
-  right_partner : int -> int;
+  right_partner_rank : int -> int;  (** [k] when unmatched *)
   consider_left : int -> bool;
   consider_right : int -> bool;
 }
@@ -33,7 +35,7 @@ let view_of_matching profile m =
     left_rank = (fun l r -> Prefs.rank lp.(l) r);
     right_rank = (fun r l -> Prefs.rank rp.(r) l);
     left_partner = (fun l -> Matching.partner_of_left m l);
-    right_partner = (fun r -> Matching.partner_of_right m r);
+    right_partner_rank = (fun r -> Prefs.rank rp.(r) (Matching.partner_of_right m r));
     consider_left = all;
     consider_right = all;
   }
@@ -45,15 +47,20 @@ let int_partner partner l =
 
 let view_partial profile ~left_partner ~right_partner ~consider_left
     ~consider_right =
+  let k = Profile.k profile in
   let lp = Profile.left profile in
   let rp = Profile.right profile in
   {
-    k = Profile.k profile;
+    k;
     left_order = (fun l rank -> Prefs.at lp.(l) rank);
     left_rank = (fun l r -> Prefs.rank lp.(l) r);
     right_rank = (fun r l -> Prefs.rank rp.(r) l);
     left_partner = int_partner left_partner;
-    right_partner = int_partner right_partner;
+    right_partner_rank =
+      (fun r ->
+        match right_partner r with
+        | None -> k
+        | Some l -> Prefs.rank rp.(r) l);
     consider_left;
     consider_right;
   }
@@ -64,9 +71,11 @@ let view_partial profile ~left_partner ~right_partner ~consider_left
    each left [l] only candidates [l] ranks strictly before its partner
    can block, so the row costs O(rank of partner) probes instead of
    O(k); on a proposer-optimal matching over random preferences that is
-   O(log k) on average. A candidate [r] blocks iff [r] is unmatched or
-   ranks [l] strictly before its partner — when [r] is [l]'s own partner
-   the strict comparison fails, so no self-pair is counted. *)
+   O(log k) on average. A candidate [r] blocks iff it ranks [l] strictly
+   before its partner (an unmatched [r] ranks its "partner" at [k], after
+   everyone) — when [r] is [l]'s own partner the strict comparison
+   fails, so no self-pair is counted. Every probe is fully applied, so
+   the scan allocates nothing. *)
 let count_blocking_rows ?(cap = max_int) v ~lo ~hi =
   let lo = max lo 0 and hi = min hi v.k in
   let count = ref 0 in
@@ -76,16 +85,11 @@ let count_blocking_rows ?(cap = max_int) v ~lo ~hi =
     if v.consider_left li then begin
       let p = v.left_partner li in
       let limit = if p < 0 then v.k else v.left_rank li p in
-      (* Hoisted per row: for implicit profiles the partial application
-         derives the row's permutation once instead of per probe. *)
-      let order_li = v.left_order li in
       let rank = ref 0 in
       while !count <= cap && !rank < limit do
-        let r = order_li !rank in
-        (if v.consider_right r then begin
-           let q = v.right_partner r in
-           if q < 0 || v.right_rank r li < v.right_rank r q then incr count
-         end);
+        let r = v.left_order li !rank in
+        if v.consider_right r && v.right_rank r li < v.right_partner_rank r then
+          incr count;
         incr rank
       done
     end;

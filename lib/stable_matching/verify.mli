@@ -48,8 +48,11 @@ val is_eps_stable : eps:float -> Profile.t -> Matching.t -> bool
 
     A {!view} abstracts the inputs of the fast scan: preference
     accessors as functions (so explicit [Profile.t] and implicit
-    [Flat.t] instances share the scan) and partner maps as ints with
-    [-1] meaning unmatched. *)
+    [Flat.t] instances share the scan), the left partner map as ints
+    with [-1] meaning unmatched, and each right party's rank of its
+    partner — the one thing the scan needs of the right side's matching,
+    so an implicit instance can memoise it instead of probing it per
+    candidate. *)
 
 type view = {
   k : int;
@@ -57,7 +60,9 @@ type view = {
   left_rank : int -> int -> int;  (** [left_rank l r] = rank of [r] at [l] *)
   right_rank : int -> int -> int;
   left_partner : int -> int;  (** -1 when unmatched *)
-  right_partner : int -> int;
+  right_partner_rank : int -> int;
+      (** [right_partner_rank r] = rank [r] gives its partner; [k] when
+          unmatched (every candidate ranks ahead of being alone) *)
   consider_left : int -> bool;
   consider_right : int -> bool;
 }

@@ -134,6 +134,79 @@ let test_lifecycle_transitions () =
   Alcotest.(check int) "timed out" 1 (Instances.count t Instances.Timed_out);
   Alcotest.(check int) "total admitted" 2 (Instances.total t)
 
+let test_instance_table_bounded () =
+  let s = server ~queue_capacity:4 () in
+  let n = 1_000 in
+  for i = 0 to n - 1 do
+    (match Server.submit s ~tick:i (gs_spec i) with
+    | Frame.Accepted _ -> ()
+    | r -> Alcotest.failf "request %d: %a" i Frame.pp_response r);
+    match Server.tick s ~tick:i with
+    | [ Frame.Done { req_id; outcome = Frame.Matched _; _ } ] when req_id = i -> ()
+    | _ -> Alcotest.failf "request %d: expected one Matched Done" i
+  done;
+  let t = Server.instances s in
+  for i = 0 to n - 1 do
+    if Instances.find t i <> None then Alcotest.failf "finished %d still in the table" i
+  done;
+  let states =
+    Instances.[ Submitted; Running; Matched; Failed; Timed_out ]
+  in
+  Alcotest.(check int) "counts sum to total" (Instances.total t)
+    (List.fold_left (fun acc st -> acc + Instances.count t st) 0 states);
+  Alcotest.(check int) "every request counted" n (Instances.total t);
+  Alcotest.(check int) "all matched" n (Instances.count t Instances.Matched);
+  (* Only a duplicate live id is refused: a finished one is new again. *)
+  match Server.submit s ~tick:n (gs_spec 0) with
+  | Frame.Accepted { req_id = 0 } -> ()
+  | r -> Alcotest.failf "finished req_id resubmitted: %a" Frame.pp_response r
+
+(* (family, k, (rounds, fingerprint)) of the GS request at seed 1, as
+   computed by the permutation-per-probe implementation. *)
+let pinned_gs_answers =
+  SM.Flat.
+    [
+      Uniform, 64, (43, 0x490e4239ca70916dL);
+      Uniform, 1000, (2480, 0xaf1cdf2112b648cbL);
+      Uniform, 4096, (5375, 0x57f2ca2f3caf4c11L);
+      Common_acceptors, 64, (54, 0x721946bf63ea4b31L);
+      Common_acceptors, 1000, (772, 0xd820768d5723412cL);
+      Common_acceptors, 4096, (1722, 0xdb947121fcfe3305L);
+    ]
+
+let execute = Server.execute ~chaos:false ~chaos_seed:0 ~max_rounds:None
+
+let test_gs_answers_pinned () =
+  List.iter
+    (fun (family, k, (rounds, fingerprint)) ->
+      let spec = { Frame.req_id = 0; workload = Frame.Gs { k; seed = 1; family } } in
+      let name = Printf.sprintf "%s k=%d" (SM.Flat.family_to_string family) k in
+      match execute spec with
+      | Frame.Matched m, false ->
+        Alcotest.(check int) (name ^ " rounds") rounds m.rounds;
+        Alcotest.(check int64) (name ^ " fingerprint") fingerprint m.fingerprint
+      | _ -> Alcotest.failf "%s: expected a Matched answer" name)
+    pinned_gs_answers
+
+(* On OCaml 5.1 an array above 256 words goes straight to the major heap,
+   so [major_words - promoted_words] counts every O(k) block a call
+   makes. *)
+let test_warm_gs_request_allocates_no_block () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun family ->
+        let spec =
+          { Frame.req_id = 0; workload = Frame.Gs { k = 4096; seed = 9; family } }
+        in
+        let first = execute spec in
+        let _, promoted0, major0 = Gc.counters () in
+        let second = execute spec in
+        let _, promoted1, major1 = Gc.counters () in
+        Alcotest.(check bool) "same answer" true (first = second);
+        Alcotest.(check (float 0.)) "no direct major allocation" 0.
+          (major1 -. major0 -. (promoted1 -. promoted0)))
+      [ SM.Flat.Uniform; SM.Flat.Common_acceptors ]
+
 (* --- determinism --------------------------------------------------------- *)
 
 let bench_params ~jobs ~chaos =
@@ -502,6 +575,11 @@ let () =
           Alcotest.test_case "backpressure and typed rejects" `Quick
             test_backpressure_reject;
           Alcotest.test_case "instance lifecycle" `Quick test_lifecycle_transitions;
+          Alcotest.test_case "instance table holds live requests only" `Quick
+            test_instance_table_bounded;
+          Alcotest.test_case "GS answers pinned" `Quick test_gs_answers_pinned;
+          Alcotest.test_case "warm GS request allocates no O(k) block" `Quick
+            test_warm_gs_request_allocates_no_block;
         ] );
       ( "determinism",
         [

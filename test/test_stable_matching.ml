@@ -456,6 +456,151 @@ let test_flat_deterministic () =
           (SM.Flat.make ~family:SM.Flat.Uniform ~seed:77 ~k:500)
           ~l2r:l2r_a))
 
+(* Literals computed by the permutation-per-probe implementation this
+   one replaced: probes, matchings and counts must stay bit-identical.
+   Rows are (family, k, party, x, (left_order, left_rank, right_order,
+   right_rank) of party at x), all at seed 0x5EED. *)
+let flat_pinned_probes =
+  SM.Flat.
+    [
+      Uniform, 1, 0, 0, (0, 0, 0, 0);
+      Uniform, 2, 0, 0, (0, 0, 0, 0);
+      Uniform, 2, 1, 1, (0, 0, 1, 1);
+      Uniform, 3, 1, 0, (1, 1, 0, 0);
+      Uniform, 3, 2, 1, (2, 0, 1, 1);
+      Uniform, 64, 21, 0, (13, 57, 39, 54);
+      Uniform, 64, 63, 32, (61, 20, 7, 54);
+      Uniform, 1000, 333, 0, (996, 888, 614, 932);
+      Uniform, 1000, 999, 500, (290, 953, 71, 122);
+      Uniform, 4096, 1365, 0, (2051, 1085, 3985, 1658);
+      Uniform, 4096, 4095, 2048, (2447, 76, 555, 1709);
+      Common_acceptors, 1, 0, 0, (0, 0, 0, 0);
+      Common_acceptors, 2, 0, 0, (0, 0, 0, 0);
+      Common_acceptors, 2, 1, 1, (0, 0, 1, 1);
+      Common_acceptors, 3, 1, 0, (1, 1, 0, 0);
+      Common_acceptors, 3, 2, 1, (2, 0, 2, 2);
+      Common_acceptors, 64, 21, 0, (13, 57, 52, 11);
+      Common_acceptors, 64, 63, 32, (61, 20, 9, 57);
+      Common_acceptors, 1000, 333, 0, (996, 888, 576, 29);
+      Common_acceptors, 1000, 999, 500, (290, 953, 200, 948);
+      Common_acceptors, 4096, 1365, 0, (2051, 1085, 1579, 345);
+      Common_acceptors, 4096, 4095, 2048, (2447, 76, 2429, 4012);
+    ]
+
+let test_flat_pinned_probes () =
+  List.iter
+    (fun (family, k, who, x, expected) ->
+      let f = SM.Flat.make ~family ~seed:0x5EED ~k in
+      let got =
+        ( SM.Flat.left_order f who x,
+          SM.Flat.left_rank f who x,
+          SM.Flat.right_order f who x,
+          SM.Flat.right_rank f who x )
+      in
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (Printf.sprintf "%s k=%d party %d at %d"
+           (SM.Flat.family_to_string family) k who x)
+        (let a, b, c, d = expected in (a, b), (c, d))
+        (let a, b, c, d = got in (a, b), (c, d)))
+    flat_pinned_probes
+
+(* (family, k, (proposals, rounds)) of GS at seed 1. *)
+let flat_pinned_gs =
+  SM.Flat.
+    [
+      Uniform, 64, (255, 43);
+      Uniform, 1000, (9078, 2480);
+      Uniform, 4096, (36596, 5375);
+      Common_acceptors, 64, (304, 54);
+      Common_acceptors, 1000, (6310, 772);
+      Common_acceptors, 4096, (28722, 1722);
+    ]
+
+let test_flat_pinned_gs () =
+  List.iter
+    (fun (family, k, (proposals, rounds)) ->
+      let f = SM.Flat.make ~family ~seed:1 ~k in
+      let _, stats = SM.Flat.gale_shapley f in
+      let name = Printf.sprintf "%s k=%d" (SM.Flat.family_to_string family) k in
+      Alcotest.(check int) (name ^ " proposals") proposals stats.proposals;
+      Alcotest.(check int) (name ^ " rounds") rounds stats.rounds)
+    flat_pinned_gs
+
+let test_flat_rejects_out_of_range () =
+  List.iter
+    (fun family ->
+      let f = SM.Flat.make ~family ~seed:3 ~k:10 in
+      List.iter
+        (fun (name, probe, who, x) ->
+          match probe f who x with
+          | v ->
+            Alcotest.failf "%s %s %d %d: expected Invalid_argument, got %d"
+              (SM.Flat.family_to_string family) name who x v
+          | exception Invalid_argument _ -> ())
+        [
+          "left_order", SM.Flat.left_order, 99, 0;
+          "left_order", SM.Flat.left_order, 0, 10;
+          "left_rank", SM.Flat.left_rank, -1, 2;
+          "left_rank", SM.Flat.left_rank, 2, -1;
+          "right_order", SM.Flat.right_order, 10, 0;
+          "right_order", SM.Flat.right_order, 0, 99;
+          "right_rank", SM.Flat.right_rank, -3, 2;
+          "right_rank", SM.Flat.right_rank, 2, 10;
+        ])
+    [ SM.Flat.Uniform; SM.Flat.Common_acceptors ]
+
+(* [solve] is [gale_shapley], the scan of [verify_view] and
+   [fingerprint] in one pass over a reused slab; sizes up and down (and
+   past the retain limit) must not leak state between calls. *)
+let test_flat_solve_matches_parts () =
+  let check family seed k =
+    let f = SM.Flat.make ~family ~seed ~k in
+    let l2r, stats = SM.Flat.gale_shapley f in
+    let s = SM.Flat.solve f ~salt:0x5E27EL in
+    let name = Printf.sprintf "%s k=%d" (SM.Flat.family_to_string family) k in
+    Alcotest.(check bool) (name ^ " stats") true (s.stats = stats);
+    Alcotest.(check bool) (name ^ " stable") true s.stable;
+    Alcotest.(check bool) (name ^ " scan agrees") false
+      (SM.Verify.exists_blocking (SM.Flat.verify_view f ~l2r));
+    Alcotest.(check int64) (name ^ " fingerprint")
+      (Array.fold_left Rng.mix64_absorb (Rng.mix64 0x5E27EL) l2r)
+      s.fingerprint;
+    Alcotest.(check int64) (name ^ " fingerprint fold")
+      s.fingerprint
+      (SM.Flat.fingerprint ~salt:0x5E27EL l2r)
+  in
+  List.iter
+    (fun (family, seed, k) -> check family seed k)
+    SM.Flat.
+      [
+        Uniform, 1, 100; Common_acceptors, 2, 37; Uniform, 3, 1;
+        Uniform, 4, 513; Common_acceptors, 5, 100; Uniform, 6, 70_000;
+        Uniform, 7, 64;
+      ]
+
+let test_flat_probes_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let f = SM.Flat.make ~family:SM.Flat.Common_acceptors ~seed:11 ~k:4096 in
+    let words n =
+      let acc = ref 0 in
+      let w0 = Gc.minor_words () in
+      for i = 0 to n - 1 do
+        let a = i land 4095 and b = (i * 7) land 4095 in
+        acc :=
+          !acc + SM.Flat.left_order f a b + SM.Flat.left_rank f b a
+          + SM.Flat.right_order f a b + SM.Flat.right_rank f b a
+      done;
+      let w = Gc.minor_words () -. w0 in
+      ignore (Sys.opaque_identity !acc);
+      w
+    in
+    let small = words 10_000 and large = words 100_000 in
+    Alcotest.(check (float 0.)) "10x the probes, same words" small large;
+    Alcotest.(check bool)
+      (Printf.sprintf "constant overhead (%.0f words)" large)
+      true (large <= 16.)
+  end
+
 (* --- Lattice ------------------------------------------------------------ *)
 
 let test_lattice_meet_join_stable () =
@@ -753,6 +898,14 @@ let () =
             test_flat_verify_view_matches_explicit;
           Alcotest.test_case "deterministic in the seed" `Quick
             test_flat_deterministic;
+          Alcotest.test_case "pinned probe values" `Quick test_flat_pinned_probes;
+          Alcotest.test_case "pinned GS stats" `Quick test_flat_pinned_gs;
+          Alcotest.test_case "probes reject out-of-range parties" `Quick
+            test_flat_rejects_out_of_range;
+          Alcotest.test_case "solve matches its parts" `Quick
+            test_flat_solve_matches_parts;
+          Alcotest.test_case "probes allocate nothing" `Quick
+            test_flat_probes_allocate_nothing;
         ] );
       ( "lattice",
         [

@@ -547,6 +547,32 @@ let test_scale_repeat_runs_identical () =
   in
   Alcotest.(check bool) "two runs identical" true (run () = run ())
 
+(* The deterministic fields of the two quick (k = 10³) rows, as the
+   permutation-per-probe implementation computed them: (proposals,
+   rounds, blocking_gs, stable, blocking_perturbed, eps_min,
+   fingerprint). *)
+let test_scale_quick_rows_pinned () =
+  let pinned =
+    [
+      6599, 1105, 0, true, 2529, 2.529e-03, 0xa4b6d8e7476f9c5fL;
+      6835, 582, 0, true, 8117, 8.117e-03, 0xd4dab0697b27b852L;
+    ]
+  in
+  List.iter2
+    (fun row (proposals, rounds, blocking_gs, stable, blocking_perturbed, eps_min, fp) ->
+      let r = H.Scale.run_row (H.Scale.prepare row) in
+      let name = H.Scale.label row in
+      Alcotest.(check int) (name ^ " proposals") proposals r.stats.proposals;
+      Alcotest.(check int) (name ^ " rounds") rounds r.stats.rounds;
+      Alcotest.(check int) (name ^ " blocking_gs") blocking_gs r.blocking_gs;
+      Alcotest.(check bool) (name ^ " stable") stable r.stable;
+      Alcotest.(check int) (name ^ " blocking_perturbed") blocking_perturbed
+        r.blocking_perturbed;
+      Alcotest.(check string) (name ^ " eps_min") (Printf.sprintf "%.3e" eps_min)
+        (Printf.sprintf "%.3e" r.eps_min);
+      Alcotest.(check int64) (name ^ " fingerprint") fp r.fingerprint)
+    (H.Scale.rows H.Scale.Quick) pinned
+
 let test_scale_json_schema () =
   let results =
     List.map
@@ -659,5 +685,6 @@ let () =
             test_scale_repeat_runs_identical;
           Alcotest.test_case "JSON schema matches bench_compare scanner" `Quick
             test_scale_json_schema;
+          Alcotest.test_case "quick rows pinned" `Quick test_scale_quick_rows_pinned;
         ] );
     ]
