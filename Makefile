@@ -49,11 +49,14 @@ plane-quick:
 
 # Serving smoke: 100 instances through the daemon core over the
 # in-process ring transport (the real wire path: encode, admit,
-# schedule, execute, respond). Exits non-zero unless every instance
-# matches; writes nothing (BENCH_serve.json comes from `bsm load`
-# directly). Finishes in ~3 s.
+# schedule, execute, respond), after a live-check that runs distributed
+# GS at k = 40 (80 parties) through the engine sequentially and with
+# each round's parties on a 2-lane pool and requires bit-identical
+# results. Exits non-zero unless both pass; writes nothing
+# (BENCH_serve.json comes from `bsm load` directly). Finishes in under
+# a second.
 serve-quick:
-	dune exec bin/main.exe -- load --instances 100 --jobs 2 --out /dev/null
+	dune exec bin/main.exe -- load --instances 100 --jobs 2 --live-check 40 --out /dev/null
 
 # Fast tier-1 exercise of the domain pool: one small parallel sweep,
 # asserted bit-identical to its sequential run.

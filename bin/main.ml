@@ -50,6 +50,17 @@ let auth_conv =
   let print ppf a = Format.pp_print_string ppf (Core.Setting.auth_to_string a) in
   Arg.conv (parse, print)
 
+(* An integer flag with a lower bound: a smaller value is a usage error
+   naming the flag (exit 124), not an exception deep in the run. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | Some _ | None ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let k_arg = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Parties per side.")
 
 let topology_arg =
@@ -928,8 +939,8 @@ let serve_cmd =
     Term.(const run $ socket_arg $ jobs $ queue $ batch $ max_k $ max_requests $ chaos)
 
 let load_cmd =
-  let run instances seed jobs queue batch k_min k_max mean_gap chaos wall out
-      live_check connect =
+  let run (instances, live_check) seed jobs queue batch k_min k_max mean_gap chaos
+      wall out connect =
     let params =
       {
         Serve.Serve_bench.instances;
@@ -952,7 +963,7 @@ let load_cmd =
       | Error msg ->
         Printf.printf "live-check: DIVERGED: %s\n" msg;
         exit 1));
-    if instances < 1 then exit 0 (* live-check-only invocation *);
+    if instances = 0 then exit 0 (* live-check-only invocation *);
     match connect with
     | Some path ->
       (* Drive a remote daemon with the same deterministic schedule,
@@ -1009,12 +1020,15 @@ let load_cmd =
       end
   in
   let instances =
-    Arg.(value & opt int 1000 & info [ "instances" ] ~doc:"Instances to submit.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 1000
+      & info [ "instances" ] ~doc:"Instances to submit (0 only with --live-check).")
   in
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 1)) None
       & info [ "j"; "jobs" ] ~doc:"Pool lanes (default: BSM_JOBS or the core count).")
   in
   let queue =
@@ -1054,12 +1068,24 @@ let load_cmd =
   in
   let live_check =
     Arg.(
-      value & opt int 0
+      value
+      & opt (int_at_least 0) 0
       & info [ "live-check" ]
           ~doc:
-            "First run distributed GS at this k through the live ring \
-             transport and the engine and require bit-identical results \
-             (0 = skip).")
+            "First run distributed GS at this k through the engine twice, \
+             once sequentially and once with each round's parties resumed \
+             on a 2-lane pool, and require bit-identical parties, metrics \
+             and traces (0 = skip).")
+  in
+  (* A load of no instances runs nothing, so it is only a live-check. *)
+  let instances_and_check =
+    let check instances live_check =
+      if instances = 0 && live_check = 0 then
+        `Error
+          (true, "option '--instances': 0 runs nothing unless --live-check is given")
+      else `Ok (instances, live_check)
+    in
+    Term.(ret (const check $ instances $ live_check))
   in
   let connect =
     Arg.(
@@ -1074,8 +1100,8 @@ let load_cmd =
          "Open-loop load bench for the serve layer: deterministic arrival \
           schedule, ring (or socket) transport, BENCH_serve.json output.")
     Term.(
-      const run $ instances $ seed_arg $ jobs $ queue $ batch $ k_min $ k_max
-      $ mean_gap $ chaos $ wall $ out $ live_check $ connect)
+      const run $ instances_and_check $ seed_arg $ jobs $ queue $ batch $ k_min
+      $ k_max $ mean_gap $ chaos $ wall $ out $ connect)
 
 let () =
   (* Socket writes to a vanished peer must surface as EPIPE errors the

@@ -52,10 +52,6 @@ type env = {
   register_cell : state_cell -> unit;
 }
 
-let broadcast env targets msg =
-  let send_unless_self p = if not (Party_id.equal p env.self) then env.send p msg in
-  List.iter send_unless_self targets
-
 let broadcast_w env c targets v =
   env.send_multi_w c
     (List.filter (fun p -> not (Party_id.equal p env.self)) targets)
@@ -103,27 +99,6 @@ let no_faults = fault_model (fun ~round:_ ~src:_ ~dst:_ -> false)
    arbitrary but well-formed — state. *)
 let max_scramble_attempts = 8
 
-(* The one scramble sweep, shared verbatim by the in-process engine and
-   the Live per-party-domain executor so seq == par stays bit-identical:
-   per registered cell (in registration order), ask the hook; on a hit,
-   retry with fresh bytes until a mutation decodes or the attempt budget
-   runs out. [on_scrambled] fires once per cell whose state was actually
-   replaced. *)
-let scramble_cells ~scramble ~round ~party scells ~on_scrambled =
-  List.iteri
-    (fun ci c ->
-      let payload = c.cell_encode () in
-      let rec go attempt =
-        if attempt < max_scramble_attempts then
-          match scramble ~round ~party ~cell:ci ~attempt payload with
-          | None -> ()
-          | Some (bytes, label) ->
-            if c.cell_set bytes then on_scrambled ~bytes ~label
-            else go (attempt + 1)
-      in
-      go 0)
-    scells
-
 type event = {
   event_round : int;
   event_src : Party_id.t;
@@ -132,21 +107,6 @@ type event = {
   event_fate : [ `Delivered | `No_channel | `Omitted | `Corrupted | `Scrambled ];
   event_label : string option;
 }
-
-let pp_event ppf e =
-  let fate =
-    match e.event_fate with
-    | `Delivered -> "delivered"
-    | `No_channel -> "no-channel"
-    | `Omitted -> "omitted"
-    | `Corrupted -> "corrupted"
-    | `Scrambled -> "scrambled"
-  in
-  Format.fprintf ppf "r%d %a -> %a (%dB, %s%s)" e.event_round Party_id.pp e.event_src
-    Party_id.pp e.event_dst e.event_bytes fate
-    (match e.event_label with
-    | None -> ""
-    | Some l -> ": " ^ l)
 
 type config = {
   k : int;
@@ -334,11 +294,14 @@ type fiber_state =
    [out_offs.(i) .. out_offs.(i) + out_lens.(i)). Spans may be shared:
    a multicast ([send_multi_w]) encodes its value once and records the
    same span under every target, and [send] of the {e same} string it
-   just appended ([last_data], physical equality — the
-   [Engine.broadcast] pattern) reuses the existing span instead of
-   appending again. Delivery freezes the arena into one immutable base
-   string and hands out [(offset, len)] views of it; the encoder's
-   storage is then reset and reused next round. *)
+   just appended ([last_data], physical equality — one string sent to
+   many targets, as [Net.send_all] and [Session] do) reuses the existing
+   span instead of appending again. Each entry is one sent message; the
+   delivery sweep, not the send, counts it in [messages_sent] and
+   [bytes_sent], so a running fiber writes only its own cell. Delivery
+   freezes the arena into one immutable base string and hands out
+   [(offset, len)] views of it; the encoder's storage is then reset and
+   reused next round. *)
 type outbox = {
   arena : Wire.Enc.t;
   mutable out_dsts : Party_id.t array;
@@ -416,7 +379,7 @@ let inbox_push ib ~src_dense ~base ~off ~len =
   ib.in_len.(ib.in_count) <- len;
   ib.in_count <- ib.in_count + 1
 
-let run cfg ~programs =
+let run ?pool cfg ~programs =
   let k = cfg.k in
   let roster = Party_id.all ~k in
   let roster_arr = Array.of_list roster in
@@ -519,14 +482,12 @@ let run cfg ~programs =
             | Send (dst, data) ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  incr messages_sent;
                   let len = String.length data in
-                  bytes_sent := !bytes_sent + len;
                   let ob = cell.outbox in
-                  (* [Engine.broadcast] sends one string to many targets
-                     back to back: physical equality with the last
-                     appended string means the bytes are already in the
-                     arena — share the span. *)
+                  (* One string sent to many targets back to back:
+                     physical equality with the last appended string
+                     means the bytes are already in the arena — share
+                     the span. *)
                   if data == ob.last_data && len > 0 then
                     outbox_record ob dst ~off:ob.last_off ~len
                   else begin
@@ -544,9 +505,7 @@ let run cfg ~programs =
                   let start = Wire.Enc.length arena in
                   match c.Wire.write arena v with
                   | () ->
-                    incr messages_sent;
                     let len = Wire.Enc.length arena - start in
-                    bytes_sent := !bytes_sent + len;
                     outbox_record cell.outbox dst ~off:start ~len;
                     continue cont ()
                   | exception exn ->
@@ -568,10 +527,7 @@ let run cfg ~programs =
                     if dsts = [] then Wire.Enc.truncate arena start
                     else
                       List.iter
-                        (fun dst ->
-                          incr messages_sent;
-                          bytes_sent := !bytes_sent + len;
-                          outbox_record cell.outbox dst ~off:start ~len)
+                        (fun dst -> outbox_record cell.outbox dst ~off:start ~len)
                         dsts;
                     continue cont ()
                   | exception exn ->
@@ -580,9 +536,7 @@ let run cfg ~programs =
             | Send_slice (dst, s) ->
               Some
                 (fun (cont : (a, _) continuation) ->
-                  incr messages_sent;
                   let len = Wire.Slice.length s in
-                  bytes_sent := !bytes_sent + len;
                   let off = Wire.Enc.length cell.outbox.arena in
                   Wire.Enc.append_sub cell.outbox.arena s.Wire.Slice.base
                     ~off:s.Wire.Slice.off ~len:s.Wire.Slice.len;
@@ -629,10 +583,26 @@ let run cfg ~programs =
     }
   in
 
+  (* With a pool of two or more lanes, each round's fiber slices (the
+     starts, then each round's resumes) run as one [Pool.map] batch. A
+     slice writes only its own cell, so the slices of a round commute;
+     delivery, scrambling, the counters and the trace stay on this
+     domain, between batches. *)
+  let lanes =
+    match pool with
+    | Some p when Pool.jobs p > 1 -> Some p
+    | Some _ | None -> None
+  in
+  let start cell program = drive cell (fun () -> program (env_of cell.id)) in
+
   (* Round 0: start every fiber. *)
-  iter_cells (fun cell ->
-      let program = programs cell.id in
-      drive cell (fun () -> program (env_of cell.id)));
+  (match lanes with
+  | None -> iter_cells (fun cell -> start cell (programs cell.id))
+  | Some p ->
+    (* Only the fibers run on the lanes: [programs] is consulted here, in
+       roster order. *)
+    let started = List.map (fun cell -> cell, programs cell.id) (Array.to_list cells) in
+    ignore (Pool.map p (fun (cell, program) -> start cell program) started));
 
   (* Deliver this round's traffic: freeze each sender's arena into one
      immutable base string and fan its [(offset, len)] spans out to the
@@ -646,9 +616,11 @@ let run cfg ~programs =
           let src = cell.id in
           let src_dense = Party_id.to_dense ~k src in
           let base = Wire.Enc.to_string ob.arena in
+          messages_sent := !messages_sent + ob.out_len;
           for i = 0 to ob.out_len - 1 do
             let off = ob.out_offs.(i) in
             let len = ob.out_lens.(i) in
+            bytes_sent := !bytes_sent + len;
             let dst = ob.out_dsts.(i) in
             let dst_index = Party_id.index dst in
             if dst_index < 0 then
@@ -746,14 +718,12 @@ let run cfg ~programs =
     end
   in
 
-  let some_waiting () =
-    Array.exists
-      (fun c ->
-        match c.state with
-        | Waiting _ -> true
-        | Finished | Failed _ -> false)
-      cells
+  let is_waiting c =
+    match c.state with
+    | Waiting _ -> true
+    | Finished | Failed _ -> false
   in
+  let some_waiting () = Array.exists is_waiting cells in
 
   (* State scrambling runs between rounds — after the previous round's
      delivery sweep, before any fiber resumes — against parties still in
@@ -761,38 +731,51 @@ let run cfg ~programs =
      wakes up with". Gated on physical inequality like [track_prev]:
      scramble-free runs never touch the registries. *)
   let track_scramble = cfg.faults.scramble != no_scramble in
+  let scramble cell ci c =
+    let payload = c.cell_encode () in
+    let rec go attempt =
+      if attempt < max_scramble_attempts then
+        match
+          cfg.faults.scramble ~round:!round ~party:cell.id ~cell:ci ~attempt payload
+        with
+        | None -> ()
+        | Some (bytes, label) ->
+          if c.cell_set bytes then begin
+            incr cells_scrambled;
+            if !first_scramble_round = None then first_scramble_round := Some !round;
+            count_label label;
+            record ~label:(Some label) cell.id cell.id (String.length bytes) `Scrambled
+          end
+          else go (attempt + 1)
+    in
+    go 0
+  in
   let scramble_round () =
     if track_scramble then
       iter_cells (fun cell ->
-          match cell.state with
-          | Waiting _ ->
-            scramble_cells ~scramble:cfg.faults.scramble ~round:!round
-              ~party:cell.id (List.rev cell.scells)
-              ~on_scrambled:(fun ~bytes ~label ->
-                incr cells_scrambled;
-                if !first_scramble_round = None then
-                  first_scramble_round := Some !round;
-                count_label label;
-                record ~label:(Some label) cell.id cell.id (String.length bytes)
-                  `Scrambled)
-          | Finished | Failed _ -> ())
+          if is_waiting cell then List.iteri (scramble cell) (List.rev cell.scells))
+  in
+
+  let resume cell =
+    match cell.state with
+    | Waiting cont ->
+      let inbox = collect_inbox cell in
+      (* Resuming re-enters the deep handler installed by [drive], which
+         updates [cell.state] on park / return / raise; pre-set Finished
+         for the plain-return path before any effect fires. *)
+      cell.state <- Finished;
+      Effect.Deep.continue cont inbox
+    | Finished | Failed _ -> ()
   in
 
   while some_waiting () && !round < cfg.max_rounds do
     deliver ();
     incr round;
     scramble_round ();
-    iter_cells
-      (fun cell ->
-        match cell.state with
-        | Waiting cont ->
-          let inbox = collect_inbox cell in
-          (* Resuming re-enters the deep handler installed by [drive], which
-             updates [cell.state] on park / return / raise; pre-set Finished
-             for the plain-return path before any effect fires. *)
-          cell.state <- Finished;
-          Effect.Deep.continue cont inbox
-        | Finished | Failed _ -> ())
+    match lanes with
+    | None -> iter_cells resume
+    | Some p ->
+      ignore (Pool.map p resume (List.filter is_waiting (Array.to_list cells)))
   done;
   (* Flush messages sent in the final round so accounting covers them even
      though no fiber is left to read them. [round] was last incremented

@@ -18,13 +18,16 @@
     deterministic.
 
     Concurrency: [run] touches no global mutable state — every counter,
-    fiber, inbox and trace lives in the call's own frame, and effect
-    handlers are per-domain — so independent runs may execute on
-    different domains simultaneously (this is what {!Pool} and the
-    harness sweep layer rely on). The only module-level value is the
-    [Logs] source, which is created once at load time; the default nop
-    reporter makes concurrent [log] calls safe, but a custom reporter
-    must itself be domain-safe when sweeps run in parallel. *)
+    fiber, inbox and trace lives in the call's own frame — so
+    independent runs may execute on different domains simultaneously
+    (this is what {!Pool} and the harness sweep layer rely on). One run
+    can also use several domains: [run ~pool] resumes each round's
+    fibers as one pool batch, so a party may continue on a different
+    domain from the one it last ran on (see {!run} for the contract).
+    The only module-level value is the [Logs] source, which is created
+    once at load time; the default nop reporter makes concurrent [log]
+    calls safe, but a custom reporter must itself be domain-safe when
+    runs or their fibers execute in parallel. *)
 
 open Bsm_prelude
 
@@ -114,13 +117,10 @@ type env = {
           session). *)
 }
 
-(** [broadcast env targets msg] sends [msg] to every party in [targets]
-    (not to [env.self] even if listed). *)
-val broadcast : env -> Party_id.t list -> payload -> unit
-
-(** [broadcast_w env codec targets v] is {!broadcast} through
-    {!type-env.send_w}: one in-place arena encode per target, no
-    intermediate string. *)
+(** [broadcast_w env codec targets v] sends [v] to every party in
+    [targets] except [env.self], through {!type-env.send_multi_w}: one
+    in-place arena encode shared by every target, no intermediate
+    string. *)
 val broadcast_w : env -> 'a Bsm_wire.Wire.t -> Party_id.t list -> 'a -> unit
 
 (** A party's program. Returning terminates the party; a party that never
@@ -241,26 +241,6 @@ val no_faults : fault_model
     {!type-fault_model.scramble}. *)
 val max_scramble_attempts : int
 
-(** [scramble_cells ~scramble ~round ~party cells ~on_scrambled] is the
-    one scramble sweep, exported so the {!Bsm_serve} Live executor runs
-    literally the same loop as the engine (seq == par bit-identity):
-    for each cell in order, consult [scramble] and retry until a mutation
-    decodes or the attempt budget runs out; [on_scrambled] fires once per
-    cell actually replaced, with the winning bytes and component label. *)
-val scramble_cells :
-  scramble:
-    (round:int ->
-    party:Party_id.t ->
-    cell:int ->
-    attempt:int ->
-    payload ->
-    (payload * string) option) ->
-  round:int ->
-  party:Party_id.t ->
-  state_cell list ->
-  on_scrambled:(bytes:payload -> label:string -> unit) ->
-  unit
-
 (** One message-level event, for execution traces. *)
 type event = {
   event_round : int;
@@ -276,8 +256,6 @@ type event = {
       (** fault-model attribution; only ever [Some] on [`Omitted],
           [`Corrupted] and [`Scrambled] *)
 }
-
-val pp_event : Format.formatter -> event -> unit
 
 type config = {
   k : int;  (** parties per side; [n = 2k] *)
@@ -314,7 +292,7 @@ type party_result = {
 
 type metrics = {
   rounds_used : int;
-  messages_sent : int;  (** send calls *)
+  messages_sent : int;  (** messages queued, one per destination of a send *)
   messages_delivered : int;
   messages_dropped_topology : int;  (** sent along non-existent channels *)
   messages_dropped_fault : int;  (** omitted by the fault model *)
@@ -364,9 +342,23 @@ type result = {
           the last round ends) appear with [event_round = rounds_used]. *)
 }
 
-(** [run cfg ~programs] executes one synchronous protocol. [programs] is
-    consulted once per roster party. *)
-val run : config -> programs:(Party_id.t -> program) -> result
+(** [run ?pool cfg ~programs] executes one synchronous protocol.
+    [programs] is consulted once per roster party, on the calling
+    domain.
+
+    Without [pool], or with a one-lane pool, every fiber runs on the
+    calling domain in roster order. With a pool of two or more lanes,
+    the fiber starts of round 0, and then each round's resumes, run as
+    one {!Pool.map} batch; delivery, the fault hooks, state scrambles,
+    the metrics and the trace stay on the calling domain, between
+    batches. A running fiber writes only its own party's outbox, inbox,
+    output and state registry, so the result — parties, metrics and
+    trace — is the one [run cfg ~programs] returns, provided the
+    programs of one run share no mutable state (immutable inputs such as
+    a profile or a PKI may be shared). Do not call [run ~pool] from
+    inside a task of any pool: {!Pool.map} raises [Invalid_argument]
+    there. *)
+val run : ?pool:Pool.t -> config -> programs:(Party_id.t -> program) -> result
 
 (** [find_result res p] looks up one party's result. Raises
     [Invalid_argument] naming the party and the roster size when [p] is

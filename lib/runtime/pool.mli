@@ -5,7 +5,11 @@
     executions ([Engine.run] is pure given its inputs: it touches no
     global mutable state, and each run owns its fibers, counters and
     trace). This pool spreads such runs across OCaml 5 domains while
-    keeping the results {e bit-identical} to the sequential path:
+    keeping the results {e bit-identical} to the sequential path. One
+    execution can use it too: [Engine.run ~pool] runs each round's
+    party fibers as one {!map} batch (one task per fiber start or
+    resume), with delivery kept on the submitting domain between
+    batches.
 
     - {!map} returns results in input order, whatever order the tasks
       actually ran or finished in — every element has its own

@@ -25,12 +25,6 @@ type state =
   | Failed
   | Timed_out
 
-val state_to_string : state -> string
-
-(** [final_of_outcome o] — the terminal state a {!Frame.outcome} lands
-    in. *)
-val final_of_outcome : Frame.outcome -> state
-
 type record = {
   spec : Frame.spec;
   arrival_tick : int;

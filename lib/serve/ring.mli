@@ -1,8 +1,7 @@
 (** Bounded single-producer / single-consumer ring buffer.
 
     The serve layer's in-process transport: the load generator feeds the
-    daemon through one ring and reads responses off another, and the
-    {!Live} executor gives every ordered channel its own ring. Exactly
+    daemon through one ring and reads responses off another. Exactly
     one domain may push and one may pop (they can be the same domain —
     the in-process client is), which is what makes the lock-free fast
     path sound: the producer owns [tail], the consumer owns [head], and

@@ -326,23 +326,23 @@ let live_check ~k ~seed =
   let programs p =
     Core.Distributed_gs.program ~input:(SM.Profile.prefs profile p) ~self:p
   in
-  let max_rounds = Core.Distributed_gs.rounds_bound ~k + 2 in
-  let link = Engine.Of_topology Topology.Bipartite in
-  let cfg = Engine.config ~k ~max_rounds ~link () in
-  let engine = (Engine.run cfg ~programs).Engine.parties in
-  let live = Live.run ~max_rounds ~k ~link ~programs () in
-  if List.length engine <> List.length live then Error "roster size mismatch"
-  else
-    let divergence =
-      List.find_map
-        (fun ((e : Engine.party_result), (l : Engine.party_result)) ->
-          if not (Party_id.equal e.Engine.id l.Engine.id) then
-            Some (Format.asprintf "roster order differs at %a" Party_id.pp e.Engine.id)
-          else if e.Engine.status <> l.Engine.status then
-            Some (Format.asprintf "%a: status differs" Party_id.pp e.Engine.id)
-          else if e.Engine.out <> l.Engine.out then
-            Some (Format.asprintf "%a: output differs" Party_id.pp e.Engine.id)
-          else None)
-        (List.combine engine live)
-    in
-    match divergence with Some msg -> Error msg | None -> Ok k
+  let cfg =
+    Engine.config ~k
+      ~max_rounds:(Core.Distributed_gs.rounds_bound ~k + 2)
+      ~trace_limit:1_000_000 ~link:(Engine.Of_topology Topology.Bipartite) ()
+  in
+  let engine = Engine.run cfg ~programs in
+  let live = Pool.with_pool ~jobs:2 (fun pool -> Engine.run ~pool cfg ~programs) in
+  let party_diff =
+    List.find_opt
+      (fun ((e : Engine.party_result), l) -> e <> l)
+      (List.combine engine.Engine.parties live.Engine.parties)
+  in
+  match party_diff with
+  | Some (e, _) ->
+    Error
+      (Format.asprintf "%a: status, output or finish round differs" Party_id.pp
+         e.Engine.id)
+  | None when engine.Engine.metrics <> live.Engine.metrics -> Error "metrics differ"
+  | None when engine.Engine.trace <> live.Engine.trace -> Error "traces differ"
+  | None -> Ok k

@@ -61,9 +61,6 @@ val spec_of : params:params -> int -> Frame.spec
 
 val run : params -> results
 
-(** Instances per wall second — the headline throughput number. *)
-val instances_per_sec : results -> float
-
 (** [to_json ?wall results] — the [BENCH_serve] report, deterministic
     by default; [~wall:true] appends the environment-dependent wall
     block. *)
@@ -72,9 +69,10 @@ val to_json : ?wall:bool -> results -> Bsm_prelude.Json.t
 val pp_results : Format.formatter -> results -> unit
 
 (** [live_check ~k ~seed] — run fault-free distributed Gale–Shapley
-    once through {!Live} (one domain per party, ring channels) and once
-    through the engine, and compare every party's output bytes and
-    status. [Ok matching_size] on agreement, [Error] describing the
-    first divergence. The seq==live determinism gate [bsm load
-    --live-check] and the tests call. *)
+    twice through {!Bsm_runtime.Engine.run}, traced: once on the calling
+    domain and once with each round's parties resumed on a fresh 2-lane
+    {!Bsm_runtime.Pool}, and compare the whole results (every party's
+    status, output and finish round, the metrics, the trace). [Ok k] on
+    agreement, [Error] naming the first divergence. The live == engine
+    gate that [bsm load --live-check] and the tests call. *)
 val live_check : k:int -> seed:int -> (int, string) result

@@ -1,7 +1,7 @@
 (* Tests for the serve layer: SPSC ring ordering under real concurrency,
    admission/backpressure, instance-table lifecycle, seq==par (and
-   run-to-run) determinism of the open-loop load bench, live-transport
-   bit-identity against the engine (faults included), the socket
+   run-to-run) determinism of the open-loop load bench, bit-identity of
+   pooled engine runs against the sequential loop (every fault kind), the socket
    transport end to end, and the Pool.shutdown regression for
    long-running serve loops. *)
 
@@ -252,90 +252,206 @@ let test_chaos_on_live_within_budget () =
   Alcotest.(check int) "no oracle violations" 0 r.violations;
   Alcotest.(check int) "all matched under within-budget chaos" 40 r.matched
 
-(* --- live transport vs engine -------------------------------------------- *)
+(* --- live: pooled resumes vs the sequential loop ------------------------- *)
+
+(* The five feasibility mechanisms, each pinned to a setting whose plan
+   selects it. *)
+let mechanism_settings ~k =
+  let third = (k - 1) / 3 and half = (k - 1) / 2 in
+  let make topology auth ~tl ~tr =
+    Core.Setting.make_exn ~k ~topology ~auth ~t_left:tl ~t_right:tr
+  in
+  let unauth = Core.Setting.Unauthenticated and auth = Core.Setting.Authenticated in
+  [
+    "phase king", make Topology.Fully_connected unauth ~tl:third ~tr:k;
+    "Dolev-Strong", make Topology.Fully_connected auth ~tl:k ~tr:k;
+    "Pi_bSM", make Topology.Bipartite auth ~tl:third ~tr:k;
+    "majority proxy", make Topology.One_sided unauth ~tl:0 ~tr:half;
+    "signature proxy", make Topology.One_sided auth ~tl:third ~tr:(k - 1);
+  ]
+
+(* One schedule per fault kind, aimed at R0, each compiled with a seed of
+   its own name. *)
+let fault_kinds kinds =
+  List.map (fun (name, s) -> name, Schedule.compile ~seed:(Hashtbl.hash name) s) kinds
+
+let r0 = Party_id.right 0
+
+(* Omissions and in-flight corruption. *)
+let message_faults =
+  let corrupt kind = Schedule.corrupt ~rate:0.3 ~kind r0 in
+  fault_kinds
+    [
+      "send omission", Schedule.send_omission ~rate:0.4 r0;
+      "receive omission", Schedule.receive_omission ~rate:0.4 r0;
+      "crash", Schedule.crash r0 ~at_round:1;
+      "bit flip", corrupt Bsm_chaos.Mutation.Bit_flip;
+      ( "replay + truncate",
+        Schedule.all
+          [
+            Schedule.corrupt ~rate:0.25 ~kind:Bsm_chaos.Mutation.Replay r0;
+            Schedule.corrupt ~rate:0.25 ~kind:Bsm_chaos.Mutation.Truncate r0;
+          ] );
+      "forge sender", corrupt Bsm_chaos.Mutation.Forge_sender;
+    ]
+
+let state_faults =
+  fault_kinds
+    [
+      "corrupt state 1.0", Schedule.corrupt_state ~rate:1.0 r0 ~at_round:1;
+      "corrupt state 0.6", Schedule.corrupt_state ~rate:0.6 r0 ~at_round:2;
+    ]
+
+(* One case: the whole traced result of the sequential loop and of the
+   pool batches must agree, and the pool must have run exactly one task
+   per fiber start or resume. Returns the sequential result. *)
+let check_pooled pool name ~k ~link ~max_rounds ~faults programs =
+  let cfg = Engine.config ~k ~link ~max_rounds ~faults ~trace_limit:1_000_000 () in
+  let seq = Engine.run cfg ~programs in
+  let resumes = Atomic.make 0 in
+  let counted p env =
+    programs p
+      {
+        env with
+        Engine.next_round =
+          (fun () ->
+            let inbox = env.Engine.next_round () in
+            Atomic.incr resumes;
+            inbox);
+      }
+  in
+  let before = (Pool.stats pool).Pool.tasks in
+  let par = Engine.run ~pool cfg ~programs:counted in
+  Alcotest.(check int)
+    (name ^ ": one task per start or resume")
+    ((2 * k) + Atomic.get resumes)
+    ((Pool.stats pool).Pool.tasks - before);
+  let same what field =
+    Alcotest.(check bool) (name ^ ": " ^ what) true (field seq = field par)
+  in
+  same "parties" (fun r -> r.Engine.parties);
+  same "metrics" (fun r -> r.Engine.metrics);
+  same "trace" (fun r -> r.Engine.trace);
+  seq
+
+let gs_program profile p =
+  Core.Distributed_gs.program ~input:(SM.Profile.prefs profile p) ~self:p
+
+let table_profile k = SM.Profile.random (Rng.make (17 * k)) k
+let bipartite = Engine.Of_topology Topology.Bipartite
+
+(* Every mechanism at k = 4 and distributed GS at k = 2, 3 under each
+   schedule of [kinds]; returns the metrics of every case. *)
+let check_table pool kinds =
+  List.concat_map
+    (fun (kind, faults) ->
+      List.map
+        (fun (mechanism, setting) ->
+          let k = setting.Core.Setting.k in
+          let plan = Core.Select.plan_exn setting in
+          let pki = Bsm_crypto.Crypto.Pki.setup ~k ~seed:k in
+          let input p = SM.Profile.prefs (table_profile k) p in
+          check_pooled pool (mechanism ^ ", " ^ kind) ~k
+            ~link:(Engine.Of_topology setting.Core.Setting.topology)
+            ~max_rounds:2000 ~faults
+            (fun p -> plan.Core.Select.program ~pki ~input:(input p) ~self:p))
+        (mechanism_settings ~k:4)
+      @ List.map
+          (fun k ->
+            check_pooled pool (Printf.sprintf "GS k=%d, %s" k kind) ~k ~link:bipartite
+              ~max_rounds:(Core.Distributed_gs.rounds_bound ~k + 2)
+              ~faults
+              (gs_program (table_profile k)))
+          [ 2; 3 ])
+    kinds
+  |> List.map (fun r -> r.Engine.metrics)
+
+(* The cases must reach the fate the schedules aim at. *)
+let check_seen metrics what f =
+  Alcotest.(check bool) (what ^ " seen") true (List.exists (fun m -> f m > 0) metrics)
 
 let test_live_equals_engine () =
-  match Serve.Serve_bench.live_check ~k:3 ~seed:11 with
+  (match Serve.Serve_bench.live_check ~k:3 ~seed:11 with
   | Ok _ -> ()
-  | Error msg -> Alcotest.failf "live diverged from engine: %s" msg
+  | Error msg -> Alcotest.failf "live check diverged: %s" msg);
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  ignore (check_table pool [ "honest", Engine.no_faults ]);
+  let gs2 = gs_program (table_profile 2) in
+  (* A program that raises mid-run crashes with the same text on a lane. *)
+  let raising p env =
+    if Party_id.equal p (Party_id.left 1) then begin
+      ignore (env.Engine.next_round ());
+      env.Engine.send (Party_id.right 0) "last words";
+      failwith "boom in round 1"
+    end
+    else gs2 p env
+  in
+  let r =
+    check_pooled pool "raises mid-run" ~k:2 ~link:bipartite ~max_rounds:20
+      ~faults:Engine.no_faults raising
+  in
+  Alcotest.(check bool) "crashed" true
+    ((Engine.find_result r (Party_id.left 1)).Engine.status
+    = Engine.Crashed (Printexc.to_string (Failure "boom in round 1")));
+  (* A program that outlives the round budget is still waiting at the cap. *)
+  let forever p env =
+    if Party_id.equal p (Party_id.right 1) then
+      while true do
+        env.Engine.send (Party_id.left 0) "tick";
+        ignore (env.Engine.next_round ())
+      done
+    else gs2 p env
+  in
+  let r =
+    check_pooled pool "outlives max_rounds" ~k:2 ~link:bipartite ~max_rounds:7
+      ~faults:Engine.no_faults forever
+  in
+  Alcotest.(check bool) "out of rounds" true
+    ((Engine.find_result r (Party_id.right 1)).Engine.status = Engine.Out_of_rounds)
 
 let test_live_equals_engine_under_faults () =
-  (* Same programs, same compiled fault schedule — omissions and
-     in-flight corruption — through both executors; statuses and
-     outputs must agree bit-for-bit. *)
-  let k = 2 in
-  let profile = SM.Profile.random (Rng.make 3) k in
-  let programs p =
-    Core.Distributed_gs.program ~input:(SM.Profile.prefs profile p) ~self:p
-  in
-  let schedule =
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let metrics = check_table pool message_faults in
+  (* Send omission at R0 plus a bit flip at L1 limited to rounds 1..3. *)
+  let windowed =
     Schedule.all
       [
-        Schedule.send_omission ~rate:0.3 (Party_id.right 0);
+        Schedule.send_omission ~rate:0.3 r0;
         Schedule.during ~from_round:1 ~until_round:3
           (Schedule.corrupt ~rate:0.5 ~kind:Bsm_chaos.Mutation.Bit_flip
              (Party_id.left 1));
       ]
   in
-  let faults = Schedule.compile ~seed:9 schedule in
-  let max_rounds = 40 in
-  let link = Engine.Of_topology Topology.Bipartite in
-  let engine =
-    (Engine.run (Engine.config ~k ~max_rounds ~faults ~link ()) ~programs)
-      .Engine.parties
+  let r =
+    check_pooled pool "GS k=2, omission + windowed bit flip" ~k:2 ~link:bipartite
+      ~max_rounds:40
+      ~faults:(Schedule.compile ~seed:9 windowed)
+      (gs_program (SM.Profile.random (Rng.make 3) 2))
   in
-  let live = Serve.Live.run ~max_rounds ~faults ~k ~link ~programs () in
-  List.iter2
-    (fun (e : Engine.party_result) (l : Engine.party_result) ->
-      Alcotest.(check bool)
-        (Format.asprintf "id %a" Party_id.pp e.Engine.id)
-        true
-        (Party_id.equal e.Engine.id l.Engine.id);
-      Alcotest.(check bool)
-        (Format.asprintf "status %a" Party_id.pp e.Engine.id)
-        true (e.Engine.status = l.Engine.status);
-      Alcotest.(check (option string))
-        (Format.asprintf "output %a" Party_id.pp e.Engine.id)
-        e.Engine.out l.Engine.out)
-    engine live
+  let metrics = r.Engine.metrics :: metrics in
+  check_seen metrics "omissions" (fun m -> m.Engine.messages_dropped_fault);
+  check_seen metrics "corruptions" (fun m -> m.Engine.messages_corrupted)
 
 let test_live_equals_engine_under_state_corruption () =
-  (* Same programs, same compiled corrupt-state schedule through both
-     executors: workers must register the same cells in the same order
-     and the between-rounds scramble must draw the same hashes, so
-     statuses, outputs and finish rounds agree bit-for-bit. *)
-  let k = 2 in
-  let profile = SM.Profile.random (Rng.make 5) k in
-  let programs p =
-    Core.Distributed_gs.program ~input:(SM.Profile.prefs profile p) ~self:p
-  in
-  let schedule =
+  Pool.with_pool ~jobs:2 @@ fun pool ->
+  let metrics = check_table pool state_faults in
+  (* Two parties scrambled from different rounds: the fibers must register
+     the same cells in the same order on the lanes as on the calling
+     domain, so the scramble draws the same hashes. *)
+  let two_parties =
     Schedule.all
       [
-        Schedule.corrupt_state ~rate:1.0 (Party_id.right 0) ~at_round:1;
+        Schedule.corrupt_state ~rate:1.0 r0 ~at_round:1;
         Schedule.corrupt_state ~rate:0.7 (Party_id.left 0) ~at_round:2;
       ]
   in
-  let faults = Schedule.compile ~seed:4 schedule in
-  let max_rounds = 60 in
-  let link = Engine.Of_topology Topology.Bipartite in
-  let engine =
-    (Engine.run (Engine.config ~k ~max_rounds ~faults ~link ()) ~programs)
-      .Engine.parties
+  let r =
+    check_pooled pool "GS k=2, corrupt state at R0 and L0" ~k:2 ~link:bipartite
+      ~max_rounds:60
+      ~faults:(Schedule.compile ~seed:4 two_parties)
+      (gs_program (SM.Profile.random (Rng.make 5) 2))
   in
-  let live = Serve.Live.run ~max_rounds ~faults ~k ~link ~programs () in
-  List.iter2
-    (fun (e : Engine.party_result) (l : Engine.party_result) ->
-      Alcotest.(check bool)
-        (Format.asprintf "status %a" Party_id.pp e.Engine.id)
-        true (e.Engine.status = l.Engine.status);
-      Alcotest.(check (option string))
-        (Format.asprintf "output %a" Party_id.pp e.Engine.id)
-        e.Engine.out l.Engine.out;
-      Alcotest.(check (option int))
-        (Format.asprintf "finish round %a" Party_id.pp e.Engine.id)
-        e.Engine.finished_round l.Engine.finished_round)
-    engine live
+  check_seen (r.Engine.metrics :: metrics) "scrambles" (fun m -> m.Engine.cells_scrambled)
 
 (* --- socket transport ---------------------------------------------------- *)
 
