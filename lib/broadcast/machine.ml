@@ -33,7 +33,7 @@ let silent ~rounds out =
 
 module Senders = Hashtbl.Make (Party_id)
 
-let first_per_sender inbox =
+let first_per_sender_table inbox =
   let seen = Senders.create 16 in
   List.filter
     (fun (src, _) ->
@@ -43,3 +43,27 @@ let first_per_sender inbox =
         true
       end)
     inbox
+
+(* Inboxes arrive sorted by sender (engine and nets deliver sender by
+   sender), so the first message of each sender is the first of its run:
+   drop the rest of each run, and return a duplicate-free inbox as it is.
+   An unsorted list, which a caller may pass, goes through the table. *)
+let first_per_sender inbox =
+  let rec scan dups = function
+    | (a, _) :: ((b, _) :: _ as rest) ->
+      let c = Party_id.compare a b in
+      if c < 0 then scan dups rest else if c = 0 then scan true rest else -1
+    | [] | [ _ ] -> if dups then 1 else 0
+  in
+  match scan false inbox with
+  | 0 -> inbox
+  | 1 ->
+    let rec keep acc = function
+      | ((a, _) as x) :: rest -> keep (x :: acc) (skip a rest)
+      | [] -> List.rev acc
+    and skip a = function
+      | (b, _) :: rest when Party_id.equal a b -> skip a rest
+      | rest -> rest
+    in
+    keep [] inbox
+  | _ -> first_per_sender_table inbox

@@ -5,33 +5,53 @@ let tagged = Wire.pair Wire.string Wire.string
 
 let wrap tag payload = Wire.encode tagged (tag, payload)
 
-let unwrap payload =
-  match Wire.decode tagged payload with
-  | Ok pair -> Some pair
-  | Error _ -> None
+(* Routing reads a wrapped message in place. [wrap]'s bytes are
+   varint(tag length), the tag, varint(payload length), the payload, and
+   nothing after; a view of the tag's bytes is looked up in a table of
+   the session's tags built once, so a message costs one scan, no tag
+   string and, when a machine takes it, the copy of its payload.
+   Malformed framing or an unknown tag drops the message, as decoding
+   with [tagged] and finding no machine did. *)
+module Tags = Hashtbl.Make (Wire.Slice)
 
-let rounds_needed machines =
-  List.fold_left (fun acc (_, m) -> max acc m.Machine.rounds) 0 machines
+(* [route tags pos msg] is the index of the machine [msg] is tagged for,
+   with [!pos] left at its payload, or -1. *)
+let route tags pos msg =
+  let limit = String.length msg in
+  pos := 0;
+  let tag_len = Wire.Dec.peek_uint msg pos ~limit in
+  if tag_len < 0 || tag_len > limit - !pos then -1
+  else begin
+    let tag_off = !pos in
+    pos := tag_off + tag_len;
+    let len = Wire.Dec.peek_uint msg pos ~limit in
+    if len < 0 || len <> limit - !pos then -1
+    else
+      match Tags.find tags (Wire.Slice.make msg ~off:tag_off ~len:tag_len) with
+      | i -> i
+      | exception Not_found -> -1
+  end
 
 let run_parallel (net : Net.t) machines =
   let tags = List.map fst machines in
   if List.length (List.sort_uniq String.compare tags) <> List.length tags then
     invalid_arg "Session.run_parallel: duplicate tags";
-  let total_rounds = rounds_needed machines in
+  let total_rounds = List.fold_left (fun acc (_, m) -> max acc m.Machine.rounds) 0 machines in
   (* Machines fan one payload string out to many destinations ([to_all]
-     shares it), so wrap once per run of physically-equal payloads
-     rather than once per destination. *)
+     shares it), so each run of physically-equal payloads is wrapped once
+     and handed to the net as one fan-out. *)
   let send_tagged tag outbox =
-    let rec go last wrapped = function
-      | [] -> ()
-      | (dst, payload) :: rest ->
-        let wrapped = if payload == last then wrapped else wrap tag payload in
-        net.send dst wrapped;
-        go payload wrapped rest
+    let rec go payload dsts = function
+      | (dst, p) :: rest when p == payload -> go payload (dst :: dsts) rest
+      | rest -> (
+        net.send_many (List.rev dsts) (wrap tag payload);
+        match rest with
+        | [] -> ()
+        | (dst, p) :: rest -> go p [ dst ] rest)
     in
     match outbox with
     | [] -> ()
-    | (_, first) :: _ -> go first (wrap tag first) outbox
+    | (dst, p) :: rest -> go p [ dst ] rest
   in
   (* Expose every machine's round-local state to the state-corruption
      plane before any round runs, in machine-list order, so cell indices
@@ -42,34 +62,26 @@ let run_parallel (net : Net.t) machines =
   List.iter
     (fun (tag, m) -> send_tagged tag m.Machine.initial)
     machines;
-  (* One inbox cell per machine, found by tag: routing a message costs a
-     single lookup, and traffic tagged for no machine is dropped on the
-     spot. *)
-  let inboxes = Hashtbl.create 16 in
-  let routes =
-    List.map
-      (fun (tag, m) ->
-        let cell = ref [] in
-        Hashtbl.replace inboxes tag cell;
-        tag, m, cell)
-      machines
-  in
+  let router = Tags.create 16 in
+  List.iteri (fun i tag -> Tags.replace router (Wire.Slice.of_string tag) i) tags;
+  let pos = ref 0 in
+  let routes = Array.of_list machines in
+  let inboxes = Array.make (Array.length routes) [] in
   for round = 1 to total_rounds do
     let inbox = net.sync () in
     (* Route each message to its machine's inbox, preserving order. *)
     List.iter
-      (fun (src, payload) ->
-        match unwrap payload with
-        | Some (tag, inner) -> (
-          match Hashtbl.find_opt inboxes tag with
-          | Some cell -> cell := (src, inner) :: !cell
-          | None -> ())
-        | None -> ())
+      (fun (src, msg) ->
+        match route router pos msg with
+        | -1 -> ()
+        | i ->
+          let off = !pos in
+          inboxes.(i) <- (src, String.sub msg off (String.length msg - off)) :: inboxes.(i))
       inbox;
-    List.iter
-      (fun (tag, m, cell) ->
-        let mine = List.rev !cell in
-        cell := [];
+    Array.iteri
+      (fun i (tag, m) ->
+        let mine = List.rev inboxes.(i) in
+        inboxes.(i) <- [];
         if round <= m.Machine.rounds then
           send_tagged tag (m.Machine.step ~round ~inbox:mine))
       routes

@@ -17,12 +17,6 @@
 val run_parallel :
   Bsm_runtime.Net.t -> (string * 'out Machine.t) list -> (string * 'out) list
 
-(** [wrap tag payload] / [unwrap payload] expose the tagging codec, so
-    byzantine strategies in tests can forge session traffic. *)
+(** [wrap tag payload] exposes the tagging codec, so byzantine strategies
+    in tests can forge session traffic. *)
 val wrap : string -> string -> string
-
-val unwrap : string -> (string * string) option
-
-(** Number of virtual rounds [run_parallel] will consume for the given
-    machines: max over their [rounds]. *)
-val rounds_needed : (string * 'out Machine.t) list -> int

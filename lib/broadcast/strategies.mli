@@ -14,7 +14,12 @@ module Engine := Bsm_runtime.Engine
 val silent : Engine.program
 
 (** Behaves exactly like [honest] until the start of round [round], then
-    stops sending and producing output (a crash fault). *)
+    stops sending through [env.send] and producing output (a crash
+    fault). Only [send] and [output] are wrapped: messages [honest] sends
+    with [send_w], [send_multi_w] or [send_slice] still go out after
+    [round]. That is how the virtual channels of [Bsm_core.Channels] and
+    Π_bSM's own messages are sent, so for the protocols that use them
+    this crash does not stop the traffic. *)
 val crash_at : round:int -> honest:Engine.program -> Engine.program
 
 (** Sends random byte strings to random targets every round, [burst]
@@ -23,8 +28,11 @@ val crash_at : round:int -> honest:Engine.program -> Engine.program
 val noise :
   seed:int -> rounds:int -> burst:int -> targets:Party_id.t list -> Engine.program
 
-(** Runs [honest] but with every outgoing payload replaced by a fresh
-    random byte string of the same length (shape-preserving garbling). *)
+(** Runs [honest] but with every payload it sends through [env.send]
+    replaced by a fresh random byte string of the same length
+    (shape-preserving garbling). Only [send] is wrapped: payloads sent
+    with [send_w], [send_multi_w] or [send_slice] — the virtual channels
+    of [Bsm_core.Channels] and Π_bSM's own messages — go out unchanged. *)
 val garble : seed:int -> honest:Engine.program -> Engine.program
 
 (** [equivocate_value ~codec ~per_dest] sends, in round 0 only, a

@@ -71,52 +71,92 @@ let signing_bytes p = Wire.encode payload_codec { p with signature = None }
 
 (* --- forwarding duty ---------------------------------------------------- *)
 
+let direct_tag = '\000'
 let request_tag = '\001'
 let forward_tag = '\002'
 
 (* [src], [dst], [vround] and [id] sit at a fixed position right after
    the variant tag, so relays and receivers can read them without paying
    for the body (the expensive field: a preference list, a broadcast
-   round's worth of votes). The read walks the same varints the
-   [payload_codec] prefix does, in the same order, but lands them in one
-   flat record instead of building party ids and tuples. [None] on
-   anything that doesn't parse that far — the caller treats it like a
-   malformed frame. *)
+   round's worth of votes). [read] scans the same varints the
+   [payload_codec] prefix decodes, in the same order, straight out of the
+   slice into a reusable record: no decoder, no exception, no
+   allocation. Each copy of a relayed message costs this byte scan, not
+   a parse. *)
 module Header = struct
   type t = {
-    src_side : Side.t;
-    src_index : int;
-    dst_side : Side.t;
-    dst_index : int;
-    vround : int;
-    id : int;
+    mutable src_side : Side.t;
+    mutable src_index : int;
+    mutable dst_side : Side.t;
+    mutable dst_index : int;
+    mutable vround : int;
+    mutable id : int;
+    pos : int ref;
   }
 
-  (* [Wire.side]'s decoding: a uint that must be 0 or 1. *)
-  let side d =
-    match Wire.Dec.uint d with
-    | 0 -> Side.Left
-    | 1 -> Side.Right
-    | _ -> raise_notrace (Wire.Malformed "relay header: invalid side")
+  let create () =
+    {
+      src_side = Side.Left;
+      src_index = 0;
+      dst_side = Side.Left;
+      dst_index = 0;
+      vround = 0;
+      id = 0;
+      pos = ref 0;
+    }
 
-  let read (s : Wire.Slice.t) =
-    let d = Wire.Dec.of_slice s in
-    match
-      let (_ : int) = Wire.Dec.tag d in
-      let src_side = side d in
-      let src_index = Wire.Dec.uint d in
-      let dst_side = side d in
-      let dst_index = Wire.Dec.uint d in
-      let vround = Wire.Dec.uint d in
-      let id = Wire.Dec.uint d in
-      { src_side; src_index; dst_side; dst_index; vround; id }
-    with
-    | h -> Some h
-    | exception Wire.Malformed _ -> None
+  (* [Wire.side]'s decoding: a uint that must be 0 or 1; -1 otherwise. *)
+  let side_code base h ~limit =
+    match Wire.Dec.peek_uint base h.pos ~limit with
+    | (0 | 1) as c -> c
+    | _ -> -1
+
+  let side_of_code c = if c = 0 then Side.Left else Side.Right
+
+  let read h (s : Wire.Slice.t) =
+    let base = s.base and limit = s.off + s.len in
+    h.pos := s.off + 1;
+    s.len > 0
+    &&
+    let src_side = side_code base h ~limit in
+    src_side >= 0
+    &&
+    let src_index = Wire.Dec.peek_uint base h.pos ~limit in
+    src_index >= 0
+    &&
+    let dst_side = side_code base h ~limit in
+    dst_side >= 0
+    &&
+    let dst_index = Wire.Dec.peek_uint base h.pos ~limit in
+    dst_index >= 0
+    &&
+    let vround = Wire.Dec.peek_uint base h.pos ~limit in
+    vround >= 0
+    &&
+    let id = Wire.Dec.peek_uint base h.pos ~limit in
+    id >= 0
+    && begin
+      h.src_side <- side_of_code src_side;
+      h.src_index <- src_index;
+      h.dst_side <- side_of_code dst_side;
+      h.dst_index <- dst_index;
+      h.vround <- vround;
+      h.id <- id;
+      true
+    end
 
   let is_party side index p =
     Side.equal side (Party_id.side p) && index = Party_id.index p
 end
+
+(* A [Direct] frame is the tag byte, a varint length and exactly that many
+   body bytes: [relay_codec]'s decoding of it, read in place. [None]
+   exactly where that decoding fails. [s] must hold at least the tag. *)
+let direct_body pos (s : Wire.Slice.t) =
+  let limit = s.off + s.len in
+  pos := s.off + 1;
+  let len = Wire.Dec.peek_uint s.base pos ~limit in
+  if len >= 0 && len = limit - !pos then Some (String.sub s.base !pos len) else None
 
 (* A [Forward] differs from the [Request] it answers only in the leading
    variant tag, so a forwarder can reuse the received bytes wholesale —
@@ -142,50 +182,99 @@ let forward_slice_codec : Wire.Slice.t Wire.t =
    frame whose body is garbage is forwarded like any other and dies at
    the receiver's decode, exactly as a byzantine relay could arrange
    anyway. *)
-let forward_payload (env : Engine.env) ~topology ~from ~(data : Wire.Slice.t) =
-  match Header.read data with
-  | Some h when Header.is_party h.src_side h.src_index from ->
+let forward_payload (env : Engine.env) h ~topology ~from ~(data : Wire.Slice.t) =
+  if Header.read h data && Header.is_party h.src_side h.src_index from then begin
     let dst = Party_id.make h.dst_side h.dst_index in
     if Topology.connected topology env.self dst && not (Party_id.equal dst env.self)
     then env.send_w forward_slice_codec dst data
-  | Some _ | None -> ()
+  end
 
-let forward_duty (env : Engine.env) ~topology (e : Engine.envelope) =
-  (* Only Request frames matter here, and most traffic is Direct — check
-     the leading tag byte before paying for any parsing. *)
-  if Wire.Slice.length e.data > 0 && Wire.Slice.get e.data 0 = request_tag then
-    forward_payload env ~topology ~from:e.src ~data:e.data
+let forward_duty (env : Engine.env) ~topology =
+  let h = Header.create () in
+  fun (e : Engine.envelope) ->
+    (* Only Request frames matter here, and most traffic is Direct — check
+       the leading tag byte before paying for any parsing. *)
+    if Wire.Slice.length e.data > 0 && Wire.Slice.get e.data 0 = request_tag then
+      forward_payload env h ~topology ~from:e.src ~data:e.data
 
 (* --- replay suppression ----------------------------------------------------- *)
 
-(* The relay ids already delivered, per claimed source: one int-keyed
-   table per roster party, found by dense index, so a lookup hashes one
-   int instead of a [(party, id)] pair. A source outside the roster can
+(* The relay ids already delivered, per claimed source. Ids are
+   per-sender counters from 0, so a roster sender's ids live mostly in a
+   growable byte map (one byte per id, found by the sender's dense
+   index): a lookup is a bounds check and a byte read. The map only
+   grows to reach an id near its end — below twice its length, or below
+   [min_span] — and never past [dense_ids]; any other id goes to the
+   sender's int-keyed table, so a lone far id (forged, scrambled, or
+   from a very long run) costs one table entry, not a map that reaches
+   it. Ids below the map's length are always in the map: growing it
+   moves the table ids it now covers. A source outside the roster can
    only come from a forged frame; those few go to [stray], keyed by the
    whole [(side, index, id)], so they are deduplicated exactly like
    genuine ones. *)
 module Delivered = struct
   module Ids = Hashtbl.Make (Int)
 
+  let min_span = 1024
+  let dense_ids = 1 lsl 16
+
+  type sender = {
+    mutable seen : Bytes.t;
+    large : unit Ids.t;
+  }
+
   type t = {
     k : int;
-    roster : unit Ids.t array;
+    roster : sender array;
     stray : (Side.t * int * int, unit) Hashtbl.t;
   }
 
   let create ~k =
-    { k; roster = Array.init (2 * k) (fun _ -> Ids.create 8); stray = Hashtbl.create 1 }
+    {
+      k;
+      roster = Array.init (2 * k) (fun _ -> { seen = Bytes.empty; large = Ids.create 1 });
+      stray = Hashtbl.create 1;
+    }
 
-  let roster_ids t side index = t.roster.((Side.to_int side * t.k) + index)
+  let sender t side index = t.roster.((Side.to_int side * t.k) + index)
 
   let mem t side index id =
-    if index < t.k then Ids.mem (roster_ids t side index) id
+    if index < t.k then begin
+      let s = sender t side index in
+      if id < Bytes.length s.seen then Bytes.get s.seen id <> '\000'
+      else Ids.mem s.large id
+    end
     else Hashtbl.mem t.stray (side, index, id)
 
+  let grow s id =
+    let n = Bytes.length s.seen in
+    let seen = Bytes.make (min dense_ids (max (id + 1) (2 * n))) '\000' in
+    Bytes.blit s.seen 0 seen 0 n;
+    Ids.filter_map_inplace
+      (fun id () ->
+        if id < Bytes.length seen then begin
+          Bytes.set seen id '\001';
+          None
+        end
+        else Some ())
+      s.large;
+    s.seen <- seen
+
   let add t side index id =
-    if index < t.k then Ids.replace (roster_ids t side index) id ()
+    if index < t.k then begin
+      let s = sender t side index in
+      let n = Bytes.length s.seen in
+      if id >= n && id < min dense_ids (max min_span (2 * n)) then grow s id;
+      if id < Bytes.length s.seen then Bytes.set s.seen id '\001'
+      else Ids.replace s.large id ()
+    end
     else Hashtbl.replace t.stray (side, index, id) ()
 end
+
+(* Majority mode receives every relayed message once per forwarder, and
+   honest copies are byte-identical: bucket the copies by their raw
+   bytes, so each distinct byte string is decoded once. *)
+module Copies = Hashtbl.Make (Wire.Slice)
 
 (* --- the virtual net ----------------------------------------------------- *)
 
@@ -200,6 +289,8 @@ let virtual_net (env : Engine.env) ~topology ~auth =
      mode; majority mode is replay-proof by the honest-majority argument
      but deduplicates identically for cheap idempotence. *)
   let delivered = Delivered.create ~k in
+  let h = Header.create () in
+  let cursor = ref 0 in
   (* The channel layer's own round-local state is corruptible too: a
      scrambled [vround] desynchronizes this party's virtual clock, a
      scrambled [next_id] collides or skips message ids — failure modes a
@@ -207,35 +298,121 @@ let virtual_net (env : Engine.env) ~topology ~auth =
      arbitrary-initial-state start can. *)
   env.register_state Wire.uint vround;
   env.register_state Wire.uint next_id;
-  let send dst body =
-    if Party_id.equal dst self then ()
-    else if Topology.connected topology self dst then
-      env.send_w relay_codec dst (Direct body)
-    else begin
-      let p =
-        { src = self; dst; vround = !vround; id = !next_id; body; signature = None }
-      in
-      incr next_id;
-      let p =
-        match auth with
-        | Majority -> p
-        | Signed { signer; _ } ->
-          { p with signature = Some (Crypto.Signer.sign signer (signing_bytes p)) }
-      in
-      (* One arena encode (and one signature already paid above) shared
-         by every relay: the request bytes are identical per target. *)
-      env.send_multi_w relay_codec opposite (Request p)
-    end
+  let reachable dst = Topology.connected topology self dst in
+  let request dst body =
+    let p =
+      { src = self; dst; vround = !vround; id = !next_id; body; signature = None }
+    in
+    incr next_id;
+    let p =
+      match auth with
+      | Majority -> p
+      | Signed { signer; _ } ->
+        { p with signature = Some (Crypto.Signer.sign signer (signing_bytes p)) }
+    in
+    (* One arena encode (and one signature already paid above) shared
+       by every relay: the request bytes are identical per target. *)
+    env.send_multi_w relay_codec opposite (Request p)
   in
-  let signed = match auth with Signed _ -> true | Majority -> false in
+  (* A message to [self] is dropped, one to a directly reachable party
+     goes as a [Direct] frame and any other as a relay request. Each
+     maximal run of reachable destinations shares one [Direct] encode
+     and one arena span. [send_multi_w] bypasses wrappers of [env.send],
+     so byzantine programs send exactly what they did. *)
+  let send_many dsts body =
+    let direct run =
+      if run <> [] then env.send_multi_w relay_codec run (Direct body)
+    in
+    (* [run] holds the current run of reachable destinations, reversed. *)
+    let rec go run = function
+      | [] -> direct (List.rev run)
+      | dst :: rest ->
+        if Party_id.equal dst self then go run rest
+        else if reachable dst then go (dst :: run) rest
+        else begin
+          direct (List.rev run);
+          request dst body;
+          go [] rest
+        end
+    in
+    (* [reachable] excludes [self], so this is the common all-direct case. *)
+    if List.for_all reachable dsts then direct dsts else go [] dsts
+  in
+  let send dst body = send_many [ dst ] body in
+  let fresh p =
+    Party_id.equal p.dst self && p.vround = !vround
+    && not (Delivered.mem delivered (Party_id.side p.src) (Party_id.index p.src) p.id)
+  in
+  let deliver p =
+    Delivered.add delivered (Party_id.side p.src) (Party_id.index p.src) p.id;
+    p.src, p.body
+  in
+  let relayed forwards =
+    match auth, forwards with
+    | _, [] -> []
+    | Signed { verifier; _ }, _ ->
+      (* Stale and duplicate copies are told apart by the header alone;
+         only the first fresh copy per (src, id) pays for a body decode
+         and a signature check. *)
+      List.filter_map
+        (fun (_, frame) ->
+          if
+            Header.read h frame
+            && Header.is_party h.dst_side h.dst_index self
+            && h.vround = !vround
+            && not (Delivered.mem delivered h.src_side h.src_index h.id)
+          then
+            match Wire.decode_slice relay_codec frame with
+            | Ok (Forward ({ signature = Some signature; _ } as p))
+              when fresh p
+                   && Crypto.Verifier.verify verifier ~signer:p.src
+                        ~msg:(signing_bytes p) signature ->
+              Some (deliver p)
+            | Ok _ | Error _ -> None
+          else None)
+        forwards
+    | Majority, _ ->
+      (* Group identical payloads; accept those vouched for by a strict
+         majority of distinct forwarders on the opposite side. Copies are
+         bucketed by raw bytes first, in first-seen order, and each
+         bucket is decoded and canonicalised once; buckets whose
+         canonical encodings agree then merge, which yields exactly the
+         groups of grouping every copy by its canonical encoding. *)
+      let buckets = Copies.create 16 in
+      let order =
+        List.fold_left
+          (fun order (src, frame) ->
+            match Copies.find_opt buckets frame with
+            | Some forwarders ->
+              forwarders := src :: !forwarders;
+              order
+            | None ->
+              let forwarders = ref [ src ] in
+              Copies.add buckets frame forwarders;
+              (frame, forwarders) :: order)
+          [] forwards
+      in
+      List.rev order
+      |> List.filter_map (fun (frame, forwarders) ->
+             match Wire.decode_slice relay_codec frame with
+             | Ok (Forward p) -> Some (Wire.encode payload_codec p, (p, !forwarders))
+             | Ok (Direct _ | Request _) | Error _ -> None)
+      |> Util.group_by ~key:fst
+      |> List.filter_map (fun (_, copies) ->
+             let p = fst (snd (List.hd copies)) in
+             let forwarders =
+               List.sort_uniq Party_id.compare
+                 (List.concat_map (fun (_, (_, fs)) -> fs) copies)
+               |> List.filter (fun f ->
+                      Side.equal (Party_id.side f) (Side.opposite (Party_id.side p.src)))
+             in
+             if fresh p && 2 * List.length forwarders > k then Some (deliver p)
+             else None)
+  in
   let sync () =
     let direct = ref [] in
+    (* Forward frames stay raw spans until [relayed] judges them. *)
     let forwards = ref [] in
-    (* Signed mode defers Forward decoding: frames are kept as raw spans
-       and only the first fresh copy per (src, id) pays for a body
-       decode below. Majority mode must decode every copy anyway (the
-       vote groups payloads), so it keeps the eager path. *)
-    let fwd_frames = ref [] in
     for _ = 1 to stride do
       let inbox = env.next_round () in
       List.iter
@@ -245,61 +422,16 @@ let virtual_net (env : Engine.env) ~topology ~auth =
             else '\255'
           in
           if tag = request_tag then
-            (* Relay duty never needs the body — header peek only. *)
-            forward_payload env ~topology ~from:e.src ~data:e.data
-          else if signed && tag = forward_tag then
-            fwd_frames := e.data :: !fwd_frames
-          else
-            match Wire.decode_slice relay_codec e.data with
-            | Ok (Direct body) -> direct := (e.src, body) :: !direct
-            | Ok (Request _) -> ()
-            | Ok (Forward p) -> forwards := (e.src, p) :: !forwards
-            | Error _ -> ())
+            (* Relay duty never needs the body — header scan only. *)
+            forward_payload env h ~topology ~from:e.src ~data:e.data
+          else if tag = forward_tag then forwards := (e.src, e.data) :: !forwards
+          else if tag = direct_tag then
+            match direct_body cursor e.data with
+            | Some body -> direct := (e.src, body) :: !direct
+            | None -> ())
         inbox
     done;
-    let fresh p =
-      Party_id.equal p.dst self && p.vround = !vround
-      && not (Delivered.mem delivered (Party_id.side p.src) (Party_id.index p.src) p.id)
-    in
-    let deliver p =
-      Delivered.add delivered (Party_id.side p.src) (Party_id.index p.src) p.id;
-      p.src, p.body
-    in
-    let relayed =
-      match auth with
-      | Signed { verifier; _ } ->
-        List.filter_map
-          (fun frame ->
-            match Header.read frame with
-            | Some h
-              when Header.is_party h.dst_side h.dst_index self && h.vround = !vround
-                   && not (Delivered.mem delivered h.src_side h.src_index h.id) -> begin
-              match Wire.decode_slice relay_codec frame with
-              | Ok (Forward ({ signature = Some signature; _ } as p))
-                when fresh p
-                     && Crypto.Verifier.verify verifier ~signer:p.src
-                          ~msg:(signing_bytes p) signature ->
-                Some (deliver p)
-              | Ok _ | Error _ -> None
-            end
-            | Some _ | None -> None)
-          !fwd_frames
-      | Majority ->
-        (* Group identical payloads; accept those vouched for by a strict
-           majority of distinct forwarders on the opposite side. *)
-        let key (_, p) = Wire.encode payload_codec p in
-        Util.group_by ~key !forwards
-        |> List.filter_map (fun (_, items) ->
-               let p = snd (List.hd items) in
-               let forwarders =
-                 List.sort_uniq Party_id.compare (List.map fst items)
-                 |> List.filter (fun f ->
-                        Side.equal (Party_id.side f)
-                          (Side.opposite (Party_id.side p.src)))
-               in
-               if fresh p && 2 * List.length forwarders > k then Some (deliver p)
-               else None)
-    in
+    let relayed = relayed !forwards in
     incr vround;
     let all = List.rev_append !direct relayed in
     (* On a fully-connected net the inbox already arrives in sender order
@@ -312,4 +444,4 @@ let virtual_net (env : Engine.env) ~topology ~auth =
     in
     if sorted all then all else List.stable_sort by_sender all
   in
-  { Net.self; stride; send; sync; register_state = env.register_cell }
+  { Net.self; stride; send; send_many; sync; register_state = env.register_cell }

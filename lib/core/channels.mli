@@ -49,7 +49,9 @@ val virtual_net :
 (** [forward_duty env ~topology envelope] — the forwarding role in
     isolation: if [envelope] is a relay request from its true source whose
     destination [env.self] can reach, forward it. Used by parties (the [R]
-    side of Π_bSM) that relay without running machines themselves. *)
+    side of Π_bSM) that relay without running machines themselves. Apply
+    it to [env] and [topology] once and reuse the result: the partial
+    application owns the header reader every call shares. *)
 val forward_duty :
   Engine.env -> topology:Bsm_topology.Topology.t -> Engine.envelope -> unit
 
@@ -77,23 +79,29 @@ val relay_codec : relay Bsm_wire.Wire.t
 
 (** The fixed-position header of a [Request] or [Forward] frame — the
     [(src, dst, vround, id)] prefix of its payload, right after the
-    variant tag — read without touching the body. Relays use it to decide
-    whether to forward, and signed receivers to skip stale or duplicate
-    copies before any body decode or signature check. *)
+    variant tag — read in place without touching the body. Relays use it
+    to decide whether to forward, and signed receivers to skip stale or
+    duplicate copies before any body decode or signature check. *)
 module Header : sig
+  (** A reusable reader: {!read} overwrites the fields. [pos] is the
+      scan cursor. *)
   type t = {
-    src_side : Bsm_prelude.Side.t;
-    src_index : int;
-    dst_side : Bsm_prelude.Side.t;
-    dst_index : int;
-    vround : int;
-    id : int;
+    mutable src_side : Bsm_prelude.Side.t;
+    mutable src_index : int;
+    mutable dst_side : Bsm_prelude.Side.t;
+    mutable dst_index : int;
+    mutable vround : int;
+    mutable id : int;
+    pos : int ref;
   }
 
-  (** [read frame] is [Some] exactly when {!relay_codec}'s decoder gets
-      through the tag byte (any value), both party ids and both uints of
-      [frame] without raising [Malformed], with the same field values;
-      the body is neither read nor checked. Indices are not checked
-      against any roster: a forged frame may name a party outside it. *)
-  val read : Bsm_wire.Wire.Slice.t -> t option
+  val create : unit -> t
+
+  (** [read h frame] is [true] exactly when {!relay_codec}'s decoder
+      gets through the tag byte (any value), both party ids and both
+      uints of [frame] without raising [Malformed]; it then leaves the
+      decoded values in [h]'s fields. The body is neither read nor
+      checked, and nothing is allocated. Indices are not checked against
+      any roster: a forged frame may name a party outside it. *)
+  val read : t -> Bsm_wire.Wire.Slice.t -> bool
 end

@@ -147,6 +147,7 @@ let relay_program (setting : Setting.t) ~computing_side ~input (env : Engine.env
      C at engine round 1 + 2·V and arrive at 2 + 2·V. *)
   let last_round = engine_rounds setting ~computing_side in
   let suggestions = ref [] in
+  let forward = Channels.forward_duty env ~topology:setting.topology in
   (* The relay's only round-local state: the Suggest votes gathered so
      far. Registered so state-corruption schedules reach the O side. *)
   env.register_state
@@ -156,7 +157,7 @@ let relay_program (setting : Setting.t) ~computing_side ~input (env : Engine.env
     let inbox = env.next_round () in
     List.iter
       (fun (e : Engine.envelope) ->
-        Channels.forward_duty env ~topology:setting.topology e;
+        forward e;
         (* Suggest frames start with tag 4; everything else on this inbox
            is relay traffic (tags 0-2) or Prefs (3) — skip those without
            decoding. *)

@@ -10,54 +10,77 @@ module Signature = struct
   let byte_length = 16
 end
 
-(* A signature binds (secret, signer id, message). Including the id in the
-   digest input means two parties with (impossibly) colliding secrets still
-   produce distinct signatures. *)
-let compute ~secret ~signer ~msg =
-  Digest.string (secret ^ "\x00" ^ Party_id.to_string signer ^ "\x00" ^ msg)
+(* A signature binds (secret, signer id, message): it is the MD5 digest of
+   [secret ^ "\000" ^ id ^ "\000" ^ msg]. Including the id in the digest
+   input means two parties with (impossibly) colliding secrets still
+   produce distinct signatures. The part before [msg] depends only on the
+   signer, so it is built once per party; each signature writes it and
+   the message into one per-domain buffer and digests the buffer in
+   place, building no intermediate string. *)
+let prefix ~secret ~signer = secret ^ "\000" ^ Party_id.to_string signer ^ "\000"
+
+let scratch_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
+
+(* Don't let one huge message pin a large buffer for the domain's
+   lifetime. *)
+let retain_limit = 1 lsl 16
+
+let digest_string prefix msg =
+  let scratch = Domain.DLS.get scratch_key in
+  let len = String.length prefix + String.length msg in
+  let raw = if Bytes.length !scratch >= len then !scratch else Bytes.create len in
+  if len <= retain_limit then scratch := raw;
+  Bytes.blit_string prefix 0 raw 0 (String.length prefix);
+  Bytes.blit_string msg 0 raw (String.length prefix) (String.length msg);
+  Digest.subbytes raw 0 len
 
 module Signer = struct
   type t = {
     id : Party_id.t;
-    secret : string;
+    prefix : string;
   }
 
   let id t = t.id
-  let sign t msg = compute ~secret:t.secret ~signer:t.id ~msg
+  let sign t msg = digest_string t.prefix msg
 end
 
 module Verifier = struct
-  type t = { check : Party_id.t -> string -> Signature.t -> bool }
+  (* The signer's digest prefix; [None] for a party outside the setup. *)
+  type t = { prefix_of : Party_id.t -> string option }
 
-  let verify t ~signer ~msg signature = t.check signer msg signature
+  let verify t ~signer ~msg signature =
+    match t.prefix_of signer with
+    | Some prefix -> Signature.equal signature (digest_string prefix msg)
+    | None -> false
 end
 
 module Pki = struct
   type t = {
     k : int;
-    secrets : string array; (* dense-indexed *)
+    prefixes : string array; (* dense-indexed digest prefixes *)
   }
 
   let setup ~k ~seed =
     let rng = Rng.make (seed lxor 0x51674) in
     let secret _ = String.init 16 (fun _ -> Char.chr (Rng.int rng 256)) in
-    { k; secrets = Array.init (2 * k) secret }
+    let secrets = Array.init (2 * k) secret in
+    {
+      k;
+      prefixes =
+        Array.mapi (fun i secret -> prefix ~secret ~signer:(Party_id.of_dense ~k i)) secrets;
+    }
 
-  let secret t p =
-    let i = Party_id.to_dense ~k:t.k p in
-    if i < 0 || i >= Array.length t.secrets then
-      invalid_arg "Pki.signer: party outside setup";
-    t.secrets.(i)
+  let prefix_of t p =
+    let i = Party_id.index p in
+    if i >= t.k then None
+    else Some t.prefixes.(Party_id.to_dense ~k:t.k p)
 
-  let signer t p = { Signer.id = p; secret = secret t p }
+  let signer t p =
+    match prefix_of t p with
+    | Some prefix -> { Signer.id = p; prefix }
+    | None -> invalid_arg "Pki.signer: party outside setup"
 
-  let verifier t =
-    let check signer msg signature =
-      match secret t signer with
-      | s -> Signature.equal signature (compute ~secret:s ~signer ~msg)
-      | exception Invalid_argument _ -> false
-    in
-    { Verifier.check }
+  let verifier t = { Verifier.prefix_of = prefix_of t }
 end
 
 module Signed = struct

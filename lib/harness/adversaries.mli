@@ -15,7 +15,9 @@ val silent : Engine.program
 (** Random bytes to random parties every round. *)
 val noise : seed:int -> Engine.program
 
-(** Follows the protocol honestly until [round], then goes dark. *)
+(** Follows the protocol honestly until [round], then goes dark through
+    {!Bsm_broadcast.Strategies.crash_at}, which stops only [env.send] and
+    [output]: the channel layer's sends continue. *)
 val crash :
   setting:Bsm_core.Setting.t ->
   seed:int ->
@@ -36,7 +38,9 @@ val lying :
   Engine.program
 
 (** Equivocates at the input-dissemination stage: runs the honest protocol
-    but with [garble]d outgoing bytes after [from_round]. *)
+    but with [garble]d outgoing bytes after [from_round]. Like
+    {!Bsm_broadcast.Strategies.garble}, it wraps only [env.send]; what the
+    protocol sends with the other send functions is not garbled. *)
 val garble_after :
   setting:Bsm_core.Setting.t ->
   seed:int ->

@@ -105,10 +105,16 @@ let inter_words a b =
   let n = min (Array.length a) (Array.length b) in
   trim (Array.init n (fun i -> a.(i) land b.(i)))
 
+(* A side of at most one word — every index below 62, the case of every
+   protocol run — is diffed with at most one allocation. *)
 let diff_words a b =
   let lb = Array.length b in
-  trim
-    (Array.mapi (fun i w -> if i < lb then w land lnot b.(i) else w) a)
+  match Array.length a with
+  | 0 -> a
+  | 1 ->
+    let w = if lb = 0 then a.(0) else a.(0) land lnot b.(0) in
+    if w = a.(0) then a else if w = 0 then [||] else [| w |]
+  | _ -> trim (Array.mapi (fun i w -> if i < lb then w land lnot b.(i) else w) a)
 
 let subset_words a b =
   let la = Array.length a and lb = Array.length b in
@@ -149,7 +155,22 @@ let iter f t = fold (fun p () -> f p) t ()
 let elements t = List.rev (fold (fun p acc -> p :: acc) t [])
 let to_list = elements
 
-let of_list ps = List.fold_left (fun t p -> add p t) empty ps
+(* One pass over the list when every index fits one word: each side is
+   built with a single allocation instead of one copy per [add]. *)
+let of_list ps =
+  let side_word w = if w = 0 then [||] else [| w |] in
+  let rec words l r = function
+    | [] -> { left = side_word l; right = side_word r }
+    | p :: rest ->
+      let i = Party_id.index p in
+      if i >= bits_per_word then List.fold_left (fun t p -> add p t) empty ps
+      else begin
+        match Party_id.side p with
+        | Side.Left -> words (l lor (1 lsl i)) r rest
+        | Side.Right -> words l (r lor (1 lsl i)) rest
+      end
+  in
+  words 0 0 ps
 
 let filter f t = fold (fun p acc -> if f p then add p acc else acc) t empty
 

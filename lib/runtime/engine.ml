@@ -90,7 +90,8 @@ let fault_model ?(label = no_label) ?(corrupt = no_corrupt)
     ?(scramble = no_scramble) drop =
   { drop; drop_label = label; corrupt; scramble }
 
-let no_faults = fault_model (fun ~round:_ ~src:_ ~dst:_ -> false)
+let no_drop ~round:_ ~src:_ ~dst:_ = false
+let no_faults = fault_model no_drop
 
 (* How many mutation attempts the scramble hook gets per (round, party,
    cell) before the cell is left untouched. A firing component keeps
@@ -272,16 +273,11 @@ let trace_events t =
 
 (* --- Fiber machinery ------------------------------------------------- *)
 
-type _ Effect.t +=
-  | Send : Party_id.t * payload -> unit Effect.t
-  | Send_w : 'a Wire.t * Party_id.t * 'a -> unit Effect.t
-  | Send_slice : Party_id.t * Wire.Slice.t -> unit Effect.t
-  | Send_multi_w : 'a Wire.t * Party_id.t list * 'a -> unit Effect.t
-  | Next_round : envelope list Effect.t
-  | Get_round : int Effect.t
-  | Output : payload -> unit Effect.t
-  | Log_line : string -> unit Effect.t
-  | Register_state : state_cell -> unit Effect.t
+(* The only effect: a fiber parks on [next_round] until the round's
+   delivery sweep has filled its inbox. Every other capability in [env] is
+   a plain closure over the party's own cell, since a running fiber writes
+   only that cell. *)
+type _ Effect.t += Next_round : envelope list Effect.t
 
 type fiber_state =
   | Waiting of (envelope list, unit) Effect.Deep.continuation
@@ -295,7 +291,7 @@ type fiber_state =
    a multicast ([send_multi_w]) encodes its value once and records the
    same span under every target, and [send] of the {e same} string it
    just appended ([last_data], physical equality — one string sent to
-   many targets, as [Net.send_all] and [Session] do) reuses the existing
+   many targets, as [Net.direct]'s [send_many] does) reuses the existing
    span instead of appending again. Each entry is one sent message; the
    delivery sweep, not the send, counts it in [messages_sent] and
    [bytes_sent], so a running fiber writes only its own cell. Delivery
@@ -385,7 +381,7 @@ let run ?pool cfg ~programs =
   let roster_arr = Array.of_list roster in
   let connected =
     match cfg.link with
-    | Of_topology t -> Topology.connected t
+    | Of_topology t -> fun u v -> Topology.connected t u v
     | Custom f -> fun u v -> (not (Party_id.equal u v)) && f u v
   in
   let cells =
@@ -426,6 +422,11 @@ let run ?pool cfg ~programs =
     trace_record tlog ~round:!round ~src:event_src ~dst:event_dst ~bytes:event_bytes
       ~fate:event_fate ~label
   in
+  (* The delivery sweep's per-message hooks, gated like [no_corrupt]
+     below: a run with the default [drop] never calls it, and a run that
+     keeps no trace never calls [record] for a delivered message. *)
+  let tracing = tlog.t_limit > 0 in
+  let faulty_drop = cfg.faults.drop != no_drop in
   let messages_sent = ref 0 in
   let messages_delivered = ref 0 in
   let dropped_topology = ref 0 in
@@ -479,107 +480,77 @@ let run ?pool cfg ~programs =
         effc =
           (fun (type a) (eff : a Effect.t) ->
             match eff with
-            | Send (dst, data) ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  let len = String.length data in
-                  let ob = cell.outbox in
-                  (* One string sent to many targets back to back:
-                     physical equality with the last appended string
-                     means the bytes are already in the arena — share
-                     the span. *)
-                  if data == ob.last_data && len > 0 then
-                    outbox_record ob dst ~off:ob.last_off ~len
-                  else begin
-                    let off = Wire.Enc.length ob.arena in
-                    Wire.Enc.append ob.arena data;
-                    ob.last_data <- data;
-                    ob.last_off <- off;
-                    outbox_record ob dst ~off ~len
-                  end;
-                  continue cont ())
-            | Send_w (c, dst, v) ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  let arena = cell.outbox.arena in
-                  let start = Wire.Enc.length arena in
-                  match c.Wire.write arena v with
-                  | () ->
-                    let len = Wire.Enc.length arena - start in
-                    outbox_record cell.outbox dst ~off:start ~len;
-                    continue cont ()
-                  | exception exn ->
-                    (* A codec that raises mid-write must not leave half a
-                       frame in the shared arena. *)
-                    Wire.Enc.truncate arena start;
-                    discontinue cont exn)
-            | Send_multi_w (c, dsts, v) ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  (* One in-place encode, one span, many targets: the
-                     relay/broadcast fan-out pattern without re-walking
-                     the codec or duplicating the bytes per recipient. *)
-                  let arena = cell.outbox.arena in
-                  let start = Wire.Enc.length arena in
-                  match c.Wire.write arena v with
-                  | () ->
-                    let len = Wire.Enc.length arena - start in
-                    if dsts = [] then Wire.Enc.truncate arena start
-                    else
-                      List.iter
-                        (fun dst -> outbox_record cell.outbox dst ~off:start ~len)
-                        dsts;
-                    continue cont ()
-                  | exception exn ->
-                    Wire.Enc.truncate arena start;
-                    discontinue cont exn)
-            | Send_slice (dst, s) ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  let len = Wire.Slice.length s in
-                  let off = Wire.Enc.length cell.outbox.arena in
-                  Wire.Enc.append_sub cell.outbox.arena s.Wire.Slice.base
-                    ~off:s.Wire.Slice.off ~len:s.Wire.Slice.len;
-                  outbox_record cell.outbox dst ~off ~len;
-                  continue cont ())
             | Next_round ->
               Some
                 (fun (cont : (a, _) continuation) ->
                   cell.state <- Waiting cont)
-            | Get_round -> Some (fun cont -> continue cont !round)
-            | Output p ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  cell.out <- Some p;
-                  continue cont ())
-            | Log_line s ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  Log.debug (fun m -> m "r%d %a: %s" !round Party_id.pp cell.id s);
-                  continue cont ())
-            | Register_state sc ->
-              Some
-                (fun (cont : (a, _) continuation) ->
-                  cell.scells <- sc :: cell.scells;
-                  continue cont ())
             | _ -> None);
       }
   in
 
-  let env_of id =
+  (* The capabilities write straight into [cell]: no effect, no handler
+     round trip per message. *)
+  let env_of cell =
+    let ob = cell.outbox in
+    let arena = ob.arena in
+    (* An in-place encode into the arena: a codec that raises mid-write
+       must not leave half a frame in the shared arena. *)
+    let write (c : _ Wire.t) v =
+      let start = Wire.Enc.length arena in
+      (match c.Wire.write arena v with
+      | () -> ()
+      | exception exn ->
+        Wire.Enc.truncate arena start;
+        raise exn);
+      start
+    in
+    let send dst data =
+      let len = String.length data in
+      (* One string sent to many targets back to back: physical equality
+         with the last appended string means the bytes are already in the
+         arena — share the span. *)
+      if data == ob.last_data && len > 0 then outbox_record ob dst ~off:ob.last_off ~len
+      else begin
+        let off = Wire.Enc.length arena in
+        Wire.Enc.append arena data;
+        ob.last_data <- data;
+        ob.last_off <- off;
+        outbox_record ob dst ~off ~len
+      end
+    in
+    let send_w c dst v =
+      let start = write c v in
+      outbox_record ob dst ~off:start ~len:(Wire.Enc.length arena - start)
+    in
+    (* One in-place encode, one span, many targets: the relay/broadcast
+       fan-out pattern without re-walking the codec or duplicating the
+       bytes per recipient. *)
+    let send_multi_w c dsts v =
+      let start = write c v in
+      let len = Wire.Enc.length arena - start in
+      if dsts = [] then Wire.Enc.truncate arena start
+      else List.iter (fun dst -> outbox_record ob dst ~off:start ~len) dsts
+    in
+    let send_slice dst (s : Wire.Slice.t) =
+      let off = Wire.Enc.length arena in
+      Wire.Enc.append_sub arena s.base ~off:s.off ~len:s.len;
+      outbox_record ob dst ~off ~len:s.len
+    in
+    let register_cell sc = cell.scells <- sc :: cell.scells in
     {
-      self = id;
+      self = cell.id;
       k;
-      round = (fun () -> Effect.perform Get_round);
-      send = (fun dst data -> Effect.perform (Send (dst, data)));
-      send_w = (fun c dst v -> Effect.perform (Send_w (c, dst, v)));
-      send_slice = (fun dst s -> Effect.perform (Send_slice (dst, s)));
-      send_multi_w = (fun c dsts v -> Effect.perform (Send_multi_w (c, dsts, v)));
+      round = (fun () -> !round);
+      send;
+      send_w;
+      send_slice;
+      send_multi_w;
       next_round = (fun () -> Effect.perform Next_round);
-      output = (fun p -> Effect.perform (Output p));
-      log = (fun s -> Effect.perform (Log_line s));
-      register_state = (fun c r -> Effect.perform (Register_state (state_cell c r)));
-      register_cell = (fun sc -> Effect.perform (Register_state sc));
+      output = (fun p -> cell.out <- Some p);
+      log =
+        (fun s -> Log.debug (fun m -> m "r%d %a: %s" !round Party_id.pp cell.id s));
+      register_state = (fun c r -> register_cell (state_cell c r));
+      register_cell;
     }
   in
 
@@ -593,7 +564,7 @@ let run ?pool cfg ~programs =
     | Some p when Pool.jobs p > 1 -> Some p
     | Some _ | None -> None
   in
-  let start cell program = drive cell (fun () -> program (env_of cell.id)) in
+  let start cell program = drive cell (fun () -> program (env_of cell)) in
 
   (* Round 0: start every fiber. *)
   (match lanes with
@@ -636,7 +607,7 @@ let run ?pool cfg ~programs =
                   m "r%d: dropped %a -> %a (no channel)" !round Party_id.pp src
                     Party_id.pp dst)
             end
-            else if cfg.faults.drop ~round:!round ~src ~dst then begin
+            else if faulty_drop && cfg.faults.drop ~round:!round ~src ~dst then begin
               incr dropped_fault;
               let label = cfg.faults.drop_label ~round:!round ~src ~dst in
               (match label with
@@ -661,7 +632,7 @@ let run ?pool cfg ~programs =
                 | None ->
                   incr messages_delivered;
                   bytes_delivered := !bytes_delivered + len;
-                  record src dst len `Delivered;
+                  if tracing then record src dst len `Delivered;
                   staged_prev := (link_idx, data) :: !staged_prev;
                   inbox_push target.inbox ~src_dense ~base ~off ~len
                 | Some (data', l) ->
@@ -677,7 +648,7 @@ let run ?pool cfg ~programs =
               else begin
                 incr messages_delivered;
                 bytes_delivered := !bytes_delivered + len;
-                record src dst len `Delivered;
+                if tracing then record src dst len `Delivered;
                 inbox_push target.inbox ~src_dense ~base ~off ~len
               end
             end

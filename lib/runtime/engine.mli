@@ -13,9 +13,12 @@
     Each party runs as a cooperative fiber built on OCaml 5 effects, so
     protocol code is written in direct style, mirroring the paper's
     pseudocode: [send] queues messages for the current round and
-    [next_round] ends the round, returning the new round's inbox. Byzantine
-    parties are simply fibers running arbitrary programs. Execution is
-    deterministic.
+    [next_round] ends the round, returning the new round's inbox. Parking
+    on [next_round] is the engine's only effect; [send] and every other
+    capability in {!type-env} is a plain closure that writes the party's
+    own outbox, output or state registry, so a message costs no handler
+    round trip. Byzantine parties are simply fibers running arbitrary
+    programs. Execution is deterministic.
 
     Concurrency: [run] touches no global mutable state — every counter,
     fiber, inbox and trace lives in the call's own frame — so
@@ -62,7 +65,12 @@ val state_cell : 'a Bsm_wire.Wire.t -> 'a ref -> state_cell
 
 (** The capabilities handed to a party's fiber. Attack constructions wrap
     these closures to build covering systems, so keep protocols programming
-    against [env] rather than against the engine directly. *)
+    against [env] rather than against the engine directly. The send
+    functions write the party's own outbox directly; only [next_round]
+    suspends the fiber. A wrapper of one send function does not see the
+    others: the byzantine wrappers of [Bsm_broadcast.Strategies] wrap only
+    [send], so moving a message from one send function to another changes
+    what such byzantine parties send. *)
 type env = {
   self : Party_id.t;
   k : int;
@@ -85,7 +93,8 @@ type env = {
   send_slice : Party_id.t -> Bsm_wire.Wire.Slice.t -> unit;
       (** forward bytes already in hand (typically a received envelope's
           [data]) without materializing a string: the view's bytes are
-          appended into the round arena. *)
+          appended into the round arena. Like [send], [send_w] and
+          [send_multi_w], a plain write into the outbox. *)
   send_multi_w : 'a. 'a Bsm_wire.Wire.t -> Party_id.t list -> 'a -> unit;
       (** [send_multi_w codec dsts v] encodes [v] {e once} into the round
           arena and queues the same span for every destination in [dsts],

@@ -4,6 +4,7 @@ type t = {
   self : Party_id.t;
   stride : int;
   send : Party_id.t -> string -> unit;
+  send_many : Party_id.t list -> string -> unit;
   sync : unit -> (Party_id.t * string) list;
   register_state : Engine.state_cell -> unit;
 }
@@ -13,6 +14,9 @@ let direct (env : Engine.env) =
     self = env.self;
     stride = 1;
     send = env.send;
+    (* One [env.send] per destination: the engine shares the arena span of
+       a string sent to many targets back to back. *)
+    send_many = (fun dsts msg -> List.iter (fun dst -> env.send dst msg) dsts);
     sync =
       (fun () ->
         List.map
@@ -20,6 +24,3 @@ let direct (env : Engine.env) =
           (env.next_round ()));
     register_state = env.register_cell;
   }
-
-let send_all t parties msg =
-  List.iter (fun p -> if not (Party_id.equal p t.self) then t.send p msg) parties

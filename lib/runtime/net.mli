@@ -15,6 +15,12 @@ type t = {
   stride : int;  (** engine rounds consumed per [sync] *)
   send : Party_id.t -> string -> unit;
       (** queue a virtual message for the current virtual round *)
+  send_many : Party_id.t list -> string -> unit;
+      (** [send_many dsts msg] is [List.iter (fun d -> send d msg) dsts]:
+          the same messages, bytes and order. A net may serve the whole
+          fan-out at once — the virtual net encodes one frame for each
+          run of destinations it reaches directly — so callers that send
+          one payload to many parties should use it. *)
   sync : unit -> (Party_id.t * string) list;
       (** advance one virtual round; returns messages sent to [self] in the
           previous virtual round, sorted by sender *)
@@ -27,6 +33,3 @@ type t = {
 
 (** Physical channels of the engine: one engine round per virtual round. *)
 val direct : Engine.env -> t
-
-(** [send_all t parties msg] sends to every listed party except [self]. *)
-val send_all : t -> Party_id.t list -> string -> unit

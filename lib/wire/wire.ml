@@ -82,11 +82,20 @@ module Slice = struct
     if t.off = 0 && t.len = String.length t.base then t.base
     else String.sub t.base t.off t.len
 
-  let equal a b =
-    a.len = b.len
-    &&
-    let rec go i = i >= a.len || (get a i = get b i && go (i + 1)) in
-    go 0
+  let rec equal_from a b i =
+    i >= a.len
+    || String.unsafe_get a.base (a.off + i) = String.unsafe_get b.base (b.off + i)
+       && equal_from a b (i + 1)
+
+  let equal a b = a.len = b.len && equal_from a b 0
+
+  (* FNV-1a over the view's bytes. *)
+  let hash t =
+    let h = ref 0x811c9dc5 in
+    for i = t.off to t.off + t.len - 1 do
+      h := (!h lxor Char.code (String.unsafe_get t.base i)) * 0x01000193
+    done;
+    !h land max_int
 end
 
 module Dec = struct
@@ -140,6 +149,37 @@ module Dec = struct
     let n = raw t in
     if n < 0 then malformed "varint overflow";
     n
+
+  (* [uint] without a decoder or an exception, for scanners that read a
+     frame's header fields in place: the same bound, overflow and sign
+     checks as [raw] and [uint], with [-1] standing for [Malformed]. A
+     top-level loop, so a call allocates no closure. *)
+  let rec peek_loop s pos limit p n shift acc =
+    if n >= max_varint_bytes || p >= limit then -1
+    else begin
+      let b = Char.code (String.unsafe_get s p) in
+      let bits = b land 0x7f in
+      if shift >= Sys.int_size && bits <> 0 then -1
+      else if shift < Sys.int_size && bits lsr (Sys.int_size - shift) <> 0 then -1
+      else begin
+        let acc = if shift >= Sys.int_size then acc else acc lor (bits lsl shift) in
+        if b land 0x80 <> 0 then peek_loop s pos limit (p + 1) (n + 1) (shift + 7) acc
+        else if acc < 0 then -1
+        else begin
+          pos := p + 1;
+          acc
+        end
+      end
+    end
+
+  let peek_uint s pos ~limit =
+    let p = !pos in
+    if p < limit && Char.code (String.unsafe_get s p) < 0x80 then begin
+      (* A one-byte varint: the value is the byte. *)
+      pos := p + 1;
+      Char.code (String.unsafe_get s p)
+    end
+    else peek_loop s pos limit p 0 0 0
 
   let int t =
     let n = raw t in

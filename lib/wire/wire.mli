@@ -83,6 +83,10 @@ module Slice : sig
 
   (** Content equality (ignores how the view is backed). *)
   val equal : t -> t -> bool
+
+  (** A hash of the view's bytes, so views equal by {!equal} hash alike:
+      [Hashtbl.Make (Slice)] keys a table by bytes read in place. *)
+  val hash : t -> int
 end
 
 (** Decoders are hardened against adversarial bytes: varints are bounded
@@ -105,6 +109,15 @@ module Dec : sig
   val remaining : t -> int
 
   val uint : t -> int
+
+  (** [peek_uint s pos ~limit] reads the varint {!uint} would read from
+      [s] at [!pos] with the input ending at [limit], without a decoder:
+      it returns the value and moves [pos] past it, or returns [-1]
+      (leaving [pos] alone) where {!uint} raises [Malformed]. It
+      allocates nothing, so a scanner can read a few header fields of a
+      frame in place. Requires [0 <= !pos] and [limit <= String.length s]. *)
+  val peek_uint : string -> int ref -> limit:int -> int
+
   val int : t -> int
   val bool : t -> bool
   val string : t -> string

@@ -882,6 +882,125 @@ let prop_phase_king_agreement_random =
       | [] -> false
       | (_, first) :: rest -> List.for_all (fun (_, o) -> o = first) rest)
 
+(* --- session routing and vote helpers ------------------------------------ *)
+
+(* The routing [Session] did before it read tags in place: decode the
+   whole message as a (tag, payload) pair and look the tag up. *)
+let reference_route tags msg =
+  match Wire.decode (Wire.pair Wire.string Wire.string) msg with
+  | Ok (tag, inner) when List.mem tag tags -> Some (tag, inner)
+  | Ok _ | Error _ -> None
+
+let test_session_routing_matches_reference () =
+  let rng = Rng.make 31 in
+  let wire_pair a b = Wire.encode (Wire.pair Wire.string Wire.string) (a, b) in
+  let known = [ "L1"; "L10"; "L"; "BB:L0"; "BA:R3"; "R1" ] in
+  let unknown = [ "L100"; "L1 "; "BB:L"; "NO-SUCH-TAG"; "l1" ] in
+  let messages =
+    let clean =
+      List.concat_map
+        (fun tag -> [ B.Session.wrap tag "payload"; B.Session.wrap tag "" ])
+        ("" :: known @ unknown)
+    in
+    let malformed =
+      [
+        ""; "\x00"; "\x02L1"; "\x02L1\x05abc"; "\x02L1\x01pq"; "\x82\x00L1\x01p";
+        "\x02L1\x81\x00p"; "\x05L1"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+        wire_pair "L1" "x" ^ "\x00"; "\x01L\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00";
+      ]
+    in
+    let cut =
+      List.concat_map (fun m -> List.init (String.length m) (fun n -> String.sub m 0 n)) clean
+    in
+    let random =
+      List.init 200 (fun _ -> String.init (Rng.int rng 10) (fun _ -> Char.chr (Rng.int rng 256)))
+    in
+    clean @ malformed @ cut @ random
+  in
+  let roster = Party_id.all ~k:3 in
+  let inbox = List.map (fun m -> Rng.choose rng roster, m) messages in
+  (* Once with the empty tag among the machines, once without. *)
+  List.iter
+    (fun tags ->
+      let got = List.map (fun tag -> tag, ref []) tags in
+      let machine tag =
+        {
+          B.Machine.initial = [];
+          rounds = 1;
+          step =
+            (fun ~round:_ ~inbox ->
+              List.assoc tag got := inbox;
+              []);
+          finish = ignore;
+          cells = [];
+        }
+      in
+      let synced = ref false in
+      let net =
+        {
+          Net.self = Party_id.left 0;
+          stride = 1;
+          send = (fun _ _ -> ());
+          send_many = (fun _ _ -> ());
+          sync =
+            (fun () ->
+              if !synced then []
+              else begin
+                synced := true;
+                inbox
+              end);
+          register_state = ignore;
+        }
+      in
+      ignore (B.Session.run_parallel net (List.map (fun tag -> tag, machine tag) tags));
+      List.iter
+        (fun tag ->
+          let expected =
+            List.filter_map
+              (fun (src, m) ->
+                match reference_route tags m with
+                | Some (tag', inner) when String.equal tag tag' -> Some (src, inner)
+                | Some _ | None -> None)
+              inbox
+          in
+          Alcotest.(check (list (pair string string)))
+            (Printf.sprintf "inbox of %S" tag)
+            (List.map (fun (p, m) -> Party_id.to_string p, m) expected)
+            (List.map (fun (p, m) -> Party_id.to_string p, m) !(List.assoc tag got)))
+        tags)
+    [ known; "" :: known ]
+
+(* The table-based [first_per_sender] the sorted-run scan replaced,
+   kept as the oracle it must agree with on every inbox, sorted or not. *)
+let reference_first_per_sender inbox =
+  let seen = Hashtbl.create 16 in
+  List.filter
+    (fun (src, _) ->
+      if Hashtbl.mem seen src then false
+      else begin
+        Hashtbl.add seen src ();
+        true
+      end)
+    inbox
+
+let test_first_per_sender_matches_reference () =
+  let rng = Rng.make 8 in
+  let roster = Party_id.all ~k:4 @ [ Party_id.left 70; Party_id.right 200 ] in
+  for trial = 1 to 400 do
+    let inbox = List.init (Rng.int rng 14) (fun i -> Rng.choose rng roster, i) in
+    let inbox =
+      match trial mod 3 with
+      | 0 -> inbox
+      | 1 -> List.stable_sort (fun (a, _) (b, _) -> Party_id.compare a b) inbox
+      | _ ->
+        List.sort_uniq (fun (a, _) (b, _) -> Party_id.compare a b) inbox
+    in
+    Alcotest.(check (list (pair string int)))
+      (Printf.sprintf "trial %d" trial)
+      (List.map (fun (p, i) -> Party_id.to_string p, i) (reference_first_per_sender inbox))
+      (List.map (fun (p, i) -> Party_id.to_string p, i) (B.Machine.first_per_sender inbox))
+  done
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -898,6 +1017,13 @@ let () =
           Alcotest.test_case "king sequence honest" `Quick test_king_sequence_not_corruptible;
           Alcotest.test_case "king sequence picks cheap side" `Quick
             test_king_sequence_picks_cheap_side;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "routing matches the reference" `Quick
+            test_session_routing_matches_reference;
+          Alcotest.test_case "first per sender matches the table" `Quick
+            test_first_per_sender_matches_reference;
         ] );
       ( "phase-king",
         [

@@ -255,10 +255,10 @@ let test_signed_proxy_drops_late_forward () =
 
 (* --- relay header read ------------------------------------------------------ *)
 
-(* The relay-header read [Channels.Header.read] replaced: walk the
-   payload codec's own [party_id] and [uint] decoders over the tag,
-   both party ids, the virtual round and the id, catching [Malformed].
-   Kept as the reference the int read must agree with, bit for bit. *)
+(* The reference for the in-place header scan [Channels.Header.read]:
+   walk the payload codec's own [party_id] and [uint] decoders over the
+   tag, both party ids, the virtual round and the id, catching
+   [Malformed]. The scan must agree with it bit for bit. *)
 let reference_peek_header (s : Wire.Slice.t) =
   try
     let d = Wire.Dec.of_slice s in
@@ -270,14 +270,14 @@ let reference_peek_header (s : Wire.Slice.t) =
     Some (src, dst, vround, id)
   with Wire.Malformed _ -> None
 
-let header_as_parties = function
-  | None -> None
-  | Some { Core.Channels.Header.src_side; src_index; dst_side; dst_index; vround; id } ->
+let header_as_parties (h : Core.Channels.Header.t) view =
+  if Core.Channels.Header.read h view then
     Some
-      ( Party_id.make src_side src_index,
-        Party_id.make dst_side dst_index,
-        vround,
-        id )
+      ( Party_id.make h.src_side h.src_index,
+        Party_id.make h.dst_side h.dst_index,
+        h.vround,
+        h.id )
+  else None
 
 (* Clean relay frames of every shape, with in-roster, out-of-roster and
    huge party indices and ids, plus every mutation the chaos layer and
@@ -335,6 +335,8 @@ let relay_frames rng =
 let test_header_read_matches_reference () =
   let rng = Rng.make 4242 in
   let frames = relay_frames rng in
+  (* One reader for the whole corpus, reused as a relay reuses it. *)
+  let h = Core.Channels.Header.create () in
   List.iteri
     (fun i frame ->
       (* Once as a whole string, once as a view with live bytes on both
@@ -350,7 +352,7 @@ let test_header_read_matches_reference () =
       List.iter
         (fun view ->
           let expected = reference_peek_header view in
-          let got = header_as_parties (Core.Channels.Header.read view) in
+          let got = header_as_parties h view in
           if expected <> got then
             Alcotest.failf "frame %d (%s): int header read disagrees with the codec" i
               (Wire.to_hex frame))
@@ -359,6 +361,41 @@ let test_header_read_matches_reference () =
   Alcotest.(check bool) "both accept and reject outcomes exercised" true
     (List.exists (fun f -> reference_peek_header (Wire.Slice.of_string f) = None) frames
     && List.exists (fun f -> reference_peek_header (Wire.Slice.of_string f) <> None) frames)
+
+let test_direct_frames_match_codec () =
+  (* Every frame of the corpus arrives on a direct channel, as a span of
+     the sender's round arena, at a party syncing a virtual net: it must
+     receive exactly the bodies [relay_codec] decodes as [Direct], in
+     order. With k = 2 no forged [Forward] can win the majority vote. *)
+  let rng = Rng.make 4243 in
+  let frames = relay_frames rng in
+  let from = Party_id.left 0 and target = Party_id.left 1 in
+  let got = ref [] in
+  let programs p (env : Engine.env) =
+    if Party_id.equal p from then begin
+      List.iter (env.Engine.send target) frames;
+      ignore (env.Engine.next_round ())
+    end
+    else if Party_id.equal p target then begin
+      let net =
+        Core.Channels.virtual_net env ~topology:Topology.Fully_connected
+          ~auth:Core.Channels.Majority
+      in
+      got := net.Bsm_runtime.Net.sync ()
+    end
+  in
+  let cfg = Engine.config ~k:2 ~link:(Engine.Of_topology Topology.Fully_connected) () in
+  ignore (Engine.run cfg ~programs:(fun p env -> programs p env));
+  let expected =
+    List.filter_map
+      (fun f ->
+        match Wire.decode Core.Channels.relay_codec f with
+        | Ok (Core.Channels.Direct body) -> Some body
+        | Ok (Core.Channels.Request _ | Core.Channels.Forward _) | Error _ -> None)
+      frames
+  in
+  Alcotest.(check bool) "some frames are direct" true (List.length expected > 10);
+  Alcotest.(check (list string)) "direct bodies" expected (List.map snd !got)
 
 (* Today's forwarding rule over the reference header read: a [Request]
    whose claimed source is the neighbour it came from, towards a party
@@ -493,6 +530,8 @@ let test_majority_dedups_forged_sources () =
     [
       forward ~vround ~src:(Party_id.left 1000) ~id:7 ~body:"stray";
       forward ~vround ~src:(Party_id.left 2) ~id:max_int ~body:"huge";
+      forward ~vround ~src:(Party_id.left 2) ~id:65535 ~body:"last-dense";
+      forward ~vround ~src:(Party_id.left 2) ~id:65536 ~body:"first-sparse";
     ]
   in
   let byzantine (env : Engine.env) =
@@ -522,7 +561,10 @@ let test_majority_dedups_forged_sources () =
   let show inbox = List.map (fun (src, body) -> Party_id.to_string src, body) inbox in
   Alcotest.(check (list (list (pair string string))))
     "each crafted message once, then suppressed"
-    [ [ "L2", "huge"; "L1000", "stray" ]; [] ]
+    [
+      [ "L2", "first-sparse"; "L2", "last-dense"; "L2", "huge"; "L1000", "stray" ];
+      [];
+    ]
     (List.map show !inboxes)
 
 let prop_channels_reliable_links =
@@ -1232,6 +1274,85 @@ let test_channels_duplicate_forwards_delivered_once () =
   ignore (Engine.run cfg ~programs:(fun p env -> programs p env));
   Alcotest.(check int) "exactly one delivery" 1 (List.length !received)
 
+(* A byzantine L0 signs its own requests to L1, [schedule] giving the
+   fresh ids of each virtual round; every round it also replays all
+   earlier ids under the new round stamp, and sends each frame twice to
+   both relays. The honest relays forward every copy. Returns L1's inbox
+   per virtual round and the bytes the run allocated. *)
+let run_signed_ids schedule =
+  let k = 2 and topology = Topology.Bipartite in
+  let pki = Crypto.Pki.setup ~k ~seed:5 in
+  let src = Party_id.left 0 and target = Party_id.left 1 in
+  let signer = Crypto.Pki.signer pki src in
+  let request ~vround ~id =
+    let p = { Core.Channels.src; dst = target; vround; id; body = string_of_int id; signature = None } in
+    (* The signature covers the payload codec's bytes: the request frame
+       minus its variant tag. *)
+    let unsigned = Wire.encode Core.Channels.relay_codec (Core.Channels.Request p) in
+    let msg = String.sub unsigned 1 (String.length unsigned - 1) in
+    Wire.encode Core.Channels.relay_codec
+      (Core.Channels.Request { p with signature = Some (Crypto.Signer.sign signer msg) })
+  in
+  let vrounds = List.length schedule in
+  let byzantine (env : Engine.env) =
+    List.iteri
+      (fun vround _ ->
+        List.iter
+          (fun id ->
+            let f = request ~vround ~id in
+            List.iter (fun r -> env.Engine.send r f; env.Engine.send r f) (Party_id.side_members Side.Right ~k))
+          (List.concat (List.filteri (fun i _ -> i <= vround) schedule));
+        ignore (env.Engine.next_round ());
+        ignore (env.Engine.next_round ()))
+      schedule
+  in
+  let relay (env : Engine.env) =
+    let forward = Core.Channels.forward_duty env ~topology in
+    for _ = 1 to 2 * vrounds do
+      List.iter forward (env.Engine.next_round ())
+    done
+  in
+  let inboxes = ref [] in
+  let programs p (env : Engine.env) =
+    if Party_id.equal p src then byzantine env
+    else if Side.equal (Party_id.side p) Side.Right then relay env
+    else begin
+      let net = Core.Channels.virtual_net env ~topology ~auth:(signed_auth pki p) in
+      inboxes := List.init vrounds (fun _ -> net.Bsm_runtime.Net.sync ())
+    end
+  in
+  let cfg = Engine.config ~k ~link:(Engine.Of_topology topology) () in
+  let before = Gc.allocated_bytes () in
+  ignore (Engine.run cfg ~programs:(fun p env -> programs p env));
+  let allocated = Gc.allocated_bytes () -. before in
+  let ids inbox = List.sort compare (List.map (fun (_, body) -> int_of_string body) inbox) in
+  List.map ids !inboxes, allocated
+
+let test_signed_replay_across_id_map () =
+  (* Ids on both sides of the replay map's dense bound (65536) and at
+     max_int; 1500 lands in the sender's table while the map is short
+     and moves into the map when 1400 grows it. Each id is accepted
+     exactly once, in its own round, and every replay is suppressed. *)
+  let schedule = [ [ 0; 1500; 65535; 65536; 65537; max_int ]; [ 900 ]; [ 1400 ]; [] ] in
+  let inboxes, _ = run_signed_ids schedule in
+  Alcotest.(check (list (list int)))
+    "each id once, then suppressed"
+    (List.map (List.sort compare) schedule)
+    inboxes
+
+let test_far_id_allocates_no_map () =
+  (* One accepted id of 65535 must cost a table entry, not a byte map
+     reaching it: the run allocates about what the same run with id 0
+     does, far less than the 64 KiB such a map would take. *)
+  let near, near_bytes = run_signed_ids [ [ 0 ] ] in
+  let far, far_bytes = run_signed_ids [ [ 65535 ] ] in
+  Alcotest.(check (list (list int))) "id 0 accepted" [ [ 0 ] ] near;
+  Alcotest.(check (list (list int))) "id 65535 accepted" [ [ 65535 ] ] far;
+  Alcotest.(check bool)
+    (Printf.sprintf "far id allocates %.0f bytes more than id 0" (far_bytes -. near_bytes))
+    true
+    (far_bytes -. near_bytes < 16_384.)
+
 (* --- sSM ------------------------------------------------------------------ *)
 
 let test_ssm_mutual_favorites_matched () =
@@ -1285,6 +1406,8 @@ let () =
           Alcotest.test_case "signed proxy drops late forward" `Quick
             test_signed_proxy_drops_late_forward;
           QCheck_alcotest.to_alcotest prop_channels_reliable_links;
+          Alcotest.test_case "direct frames match the codec" `Quick
+            test_direct_frames_match_codec;
           Alcotest.test_case "header read matches the codec" `Quick
             test_header_read_matches_reference;
           Alcotest.test_case "forward duty matches the reference" `Quick
@@ -1350,6 +1473,10 @@ let () =
           Alcotest.test_case "engine determinism" `Quick test_engine_determinism;
           Alcotest.test_case "session ignores forged tags" `Quick
             test_session_ignores_forged_tags;
+          Alcotest.test_case "signed replay across the id map bound" `Quick
+            test_signed_replay_across_id_map;
+          Alcotest.test_case "far id allocates no dense map" `Quick
+            test_far_id_allocates_no_map;
           Alcotest.test_case "duplicate forwards delivered once" `Quick
             test_channels_duplicate_forwards_delivered_once;
         ] );

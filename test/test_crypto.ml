@@ -89,6 +89,35 @@ let test_signature_byte_length () =
   Alcotest.(check int) "16-byte digest" (Crypto.Signature.byte_length + 1)
     (String.length encoded)
 
+(* Signatures are digests of [secret ^ "\000" ^ id ^ "\000" ^ msg]; these
+   values were computed with that expression built by string
+   concatenation. Signing from the per-domain buffer, by string or by
+   codec, must reproduce them byte for byte, including past the buffer's
+   initial and retained sizes and for a party index outside the
+   interned range. *)
+let test_signatures_pinned () =
+  let hex s = Format.asprintf "%a" Crypto.Signature.pp s in
+  let pki = Crypto.Pki.setup ~k:3 ~seed:11 in
+  let signer p = Crypto.Pki.signer pki p in
+  let l0 = signer (Party_id.left 0) and r1 = signer (Party_id.right 1) in
+  let r2 = signer (Party_id.right 2) in
+  let check label expected signature = Alcotest.(check string) label expected (hex signature) in
+  check "L0 hello" "06f6bdc2882b578bb612b4dd279f161a" (Crypto.Signer.sign l0 "hello");
+  check "R2 empty" "86ab12d41b2ea639bec4c6c62d0f5ce4" (Crypto.Signer.sign r2 "");
+  check "R2 1000 bytes" "1e6f136b0c6fd10e137cd3d44820cc1d"
+    (Crypto.Signer.sign r2 (String.make 1000 'z'));
+  check "R1 70000 bytes" "0442dfc80e47c7e782962761c0e1b22c"
+    (Crypto.Signer.sign r1 (String.make 70000 'y'));
+  check "L0 signed list" "b81ecda981bb93098484f7f9cec0fa1c"
+    (Crypto.Signed.make l0 (Wire.list Wire.uint) [ 1; 2; 300 ]).Crypto.Signed.signature;
+  let big = Crypto.Signed.make r1 Wire.string (String.make 70000 'q') in
+  check "R1 signed 70000 bytes" "4d4e4c3f19668d432b800b86f266b643" big.Crypto.Signed.signature;
+  Alcotest.(check bool) "big signed value verifies" true
+    (Crypto.Signed.valid (Crypto.Pki.verifier pki) Wire.string big);
+  let wide = Crypto.Pki.setup ~k:200 ~seed:3 in
+  check "L150 abc" "e3a8df009e79f7b01158bf2b4c3c334c"
+    (Crypto.Signer.sign (Crypto.Pki.signer wide (Party_id.left 150)) "abc")
+
 let () =
   Alcotest.run "crypto"
     [
@@ -100,6 +129,7 @@ let () =
           Alcotest.test_case "unknown signer" `Quick test_unknown_signer_rejected;
           Alcotest.test_case "cross-PKI rejected" `Quick test_cross_pki_rejected;
           Alcotest.test_case "deterministic" `Quick test_deterministic_signing;
+          Alcotest.test_case "digests pinned" `Quick test_signatures_pinned;
           Alcotest.test_case "setup deterministic in seed" `Quick
             test_setup_deterministic_in_seed;
           Alcotest.test_case "signer outside setup" `Quick

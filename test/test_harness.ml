@@ -110,6 +110,124 @@ let test_random_coalition_respects_budget () =
     Alcotest.(check int) "no duplicates" 5 (Party_set.cardinal members)
   done
 
+(* --- pinned per-run counts ------------------------------------------------- *)
+
+(* The five feasibility mechanisms, each in the setting whose plan selects
+   it (the same settings the proto-mix benchmark cycles through), at
+   k in {4, 6, 8} with the majority proxy at k <= 6, honest and under a
+   random maximal coalition. Every engine count and every honest decision
+   is pinned to a literal: a change that alters what any party sends —
+   honest or byzantine, through any send function — fails here, not only
+   in a run-vs-run comparison. *)
+let mechanism_setting name ~k =
+  let third = (k - 1) / 3 and half = (k - 1) / 2 in
+  let make topology auth ~tl ~tr =
+    Core.Setting.make_exn ~k ~topology ~auth ~t_left:tl ~t_right:tr
+  in
+  match name with
+  | `Phase_king ->
+    make Topology.Fully_connected Core.Setting.Unauthenticated ~tl:third ~tr:k
+  | `Dolev_strong -> make Topology.Fully_connected Core.Setting.Authenticated ~tl:k ~tr:k
+  | `Pi_bsm -> make Topology.Bipartite Core.Setting.Authenticated ~tl:third ~tr:k
+  | `Majority_proxy ->
+    make Topology.One_sided Core.Setting.Unauthenticated ~tl:0 ~tr:half
+  | `Signature_proxy ->
+    make Topology.One_sided Core.Setting.Authenticated ~tl:third ~tr:(k - 1)
+
+(* One character per roster party, L0..Lk-1 then R0..Rk-1: the partner's
+   index, '-' for "nobody", '?' for no output, 'x' for a byzantine party
+   (which has no decision). *)
+let decisions_string ~k (o : Core.Problem.outcome) =
+  String.concat ""
+    (List.map
+       (fun p ->
+         match List.assoc_opt p o.Core.Problem.decisions with
+         | None -> "x"
+         | Some Core.Problem.No_output -> "?"
+         | Some Core.Problem.Nobody -> "-"
+         | Some (Core.Problem.Matched q) -> string_of_int (Party_id.index q))
+       (Party_id.all ~k))
+
+(* (k, adversary, (rounds_used, messages_sent, messages_delivered,
+   bytes_delivered, decisions)). Seeds are a function of (k, mechanism
+   index), so the rows are reproducible from this table alone. *)
+let check_pinned ~index name rows () =
+  List.iter
+    (fun (k, adversary, expected) ->
+      let seed = (100 * k) + (10 * index) in
+      let case =
+        H.Sweep.case ~profile_seed:(seed + 1) ~scenario_seed:(seed + 2) ~adversary
+          (mechanism_setting name ~k)
+      in
+      let r = H.Scenario.run (H.Sweep.scenario_of_case case) in
+      let m = r.H.Scenario.metrics in
+      let label =
+        Printf.sprintf "k=%d %s" k
+          (match adversary with
+          | H.Sweep.Honest -> "honest"
+          | H.Sweep.Random_coalition | H.Sweep.Scripted _ -> "coalition")
+      in
+      Alcotest.(check (pair (pair int int) (pair (pair int int) string)))
+        label expected
+        ( (m.Engine.rounds_used, m.Engine.messages_sent),
+          ( (m.Engine.messages_delivered, m.Engine.bytes_delivered),
+            decisions_string ~k r.H.Scenario.outcome ) ))
+    rows
+
+let pin (rounds, sent, delivered, bytes, decisions) =
+  (rounds, sent), ((delivered, bytes), decisions)
+
+let honest = H.Sweep.Honest
+let coalition = H.Sweep.Random_coalition
+
+let pinned_phase_king =
+  [
+    4, honest, pin (8, 2408, 2408, 31304, "21032103");
+    4, coalition, pin (60, 2262, 2262, 37987, "2x13xxxx");
+    6, honest, pin (8, 8316, 8316, 124740, "420513241503");
+    6, coalition, pin (60, 7285, 7285, 117783, "x20543xxxxxx");
+    8, honest, pin (11, 27840, 27840, 473280, "2563471076034125");
+    8, coalition, pin (60, 22418, 22418, 402264, "27530xx1xxxxxxxx");
+  ]
+
+let pinned_dolev_strong =
+  [
+    4, honest, pin (9, 448, 448, 21784, "13022031");
+    4, coalition, pin (60, 1375, 1375, 45538, "xxxxxxxx");
+    6, honest, pin (13, 1584, 1584, 81444, "250341250341");
+    6, coalition, pin (60, 1345, 1345, 60013, "xxxxxxxxxxxx");
+    8, honest, pin (17, 3840, 3840, 206640, "7615032442657310");
+    8, coalition, pin (60, 2102, 2102, 81909, "xxxxxxxxxxxxxxxx");
+  ]
+
+let pinned_pi_bsm =
+  [
+    4, honest, pin (18, 4352, 4352, 173280, "20131203");
+    4, coalition, pin (60, 3379, 2807, 106968, "10x3xxxx");
+    6, honest, pin (18, 23472, 23472, 997452, "042531052413");
+    6, coalition, pin (60, 19064, 18661, 788033, "42x531xxxxxx");
+    8, honest, pin (24, 106752, 106752, 4782656, "5036147214725036");
+    8, coalition, pin (60, 69669, 69458, 3108172, "56x314x2xxxxxxxx");
+  ]
+
+let pinned_majority_proxy =
+  [
+    4, honest, pin (10, 3724, 3724, 66556, "23103201");
+    4, coalition, pin (10, 3724, 3724, 66556, "2310x201");
+    6, honest, pin (10, 17886, 17886, 371394, "321504421053");
+    6, coalition, pin (10, 17886, 17886, 371394, "3215044x10x3");
+  ]
+
+let pinned_signature_proxy =
+  [
+    4, honest, pin (10, 1120, 1120, 72892, "21303102");
+    4, coalition, pin (10, 1120, 1120, 72892, "2x303xxx");
+    6, honest, pin (14, 5544, 5544, 388734, "125430501432");
+    6, coalition, pin (60, 3371, 3159, 209955, "1x4352xx5xxx");
+    8, honest, pin (20, 17280, 17280, 1273944, "5437602157621043");
+    8, coalition, pin (60, 10591, 10394, 714324, "2x3x5641xxx2xxxx");
+  ]
+
 (* --- report rendering ------------------------------------------------------ *)
 
 let test_report_rendering () =
@@ -167,6 +285,18 @@ let () =
             test_garble_after_keeps_early_rounds;
           Alcotest.test_case "random coalition budget" `Quick
             test_random_coalition_respects_budget;
+        ] );
+      ( "pinned counts",
+        [
+          Alcotest.test_case "phase king" `Quick
+            (check_pinned ~index:0 `Phase_king pinned_phase_king);
+          Alcotest.test_case "Dolev-Strong" `Quick
+            (check_pinned ~index:1 `Dolev_strong pinned_dolev_strong);
+          Alcotest.test_case "Pi_bSM" `Quick (check_pinned ~index:2 `Pi_bsm pinned_pi_bsm);
+          Alcotest.test_case "majority proxy" `Quick
+            (check_pinned ~index:3 `Majority_proxy pinned_majority_proxy);
+          Alcotest.test_case "signature proxy" `Quick
+            (check_pinned ~index:4 `Signature_proxy pinned_signature_proxy);
         ] );
       ( "reports",
         [

@@ -249,6 +249,33 @@ let test_group_by_matches_reference () =
       Alcotest.string
   done
 
+(* [Party_set.of_list] and [diff] build a one-word side with a single
+   allocation; the fold of [add] that [of_list] was is the oracle, and a
+   [Set.Make] model the reference for [diff]. Equality is structural, so
+   normalization (no trailing zero word) is checked too. *)
+let test_party_set_one_word_paths () =
+  let rng = Rng.make 0x5E7 in
+  let fold_of_list ps = List.fold_left (fun t p -> Party_set.add p t) Party_set.empty ps in
+  let random_list () =
+    let wide = Rng.int rng 4 = 0 in
+    List.init (Rng.int rng 12) (fun _ ->
+        let side = if Rng.bool rng then Side.Left else Side.Right in
+        let index = if wide && Rng.int rng 3 = 0 then 62 + Rng.int rng 70 else Rng.int rng 62 in
+        Party_id.make side index)
+  in
+  for trial = 1 to 500 do
+    let a = random_list () and b = random_list () in
+    let label what = Printf.sprintf "%s, trial %d" what trial in
+    Alcotest.(check bool) (label "of_list = fold of add") true
+      (Party_set.of_list a = fold_of_list a);
+    let diff = Party_set.diff (Party_set.of_list a) (Party_set.of_list b) in
+    let model = Ref_set.diff (Ref_set.of_list a) (Ref_set.of_list b) in
+    Alcotest.(check (list party_id)) (label "diff elements") (Ref_set.elements model)
+      (Party_set.elements diff);
+    Alcotest.(check bool) (label "diff normalized") true
+      (diff = fold_of_list (Ref_set.elements model))
+  done
+
 let test_is_permutation () =
   Alcotest.(check bool) "valid" true (Util.is_permutation [ 2; 0; 1 ] ~n:3);
   Alcotest.(check bool) "duplicate" false (Util.is_permutation [ 0; 0; 1 ] ~n:3);
@@ -601,6 +628,8 @@ let () =
           Alcotest.test_case "power set order pinned" `Quick
             test_power_set_order_pinned;
           Alcotest.test_case "bit-packed vs model" `Quick test_party_set_vs_model;
+          Alcotest.test_case "one-word of_list and diff" `Quick
+            test_party_set_one_word_paths;
           Alcotest.test_case "word boundaries" `Quick
             test_party_set_word_boundary_full;
         ] );

@@ -546,6 +546,40 @@ let test_metrics_accounting () =
   Alcotest.(check int) "bytes" 10 res.metrics.bytes_sent;
   Alcotest.(check int) "delivered bytes" 10 res.metrics.bytes_delivered
 
+let test_raising_codec_rolls_back () =
+  (* A codec that writes half a frame and raises, through [send_w] and
+     [send_multi_w]: the exception reaches the fiber, nothing of the
+     half frame is sent, and the frames around it arrive intact. *)
+  let half_then_raise =
+    {
+      Wire.write =
+        (fun e () ->
+          Wire.Enc.string e "half a frame";
+          raise (Wire.Malformed "unencodable"));
+      read = (fun _ -> ());
+    }
+  in
+  let dst = Party_id.right 0 in
+  let raised = ref 0 in
+  let got = ref [] in
+  let programs id (env : Engine.env) =
+    if Party_id.equal id (Party_id.left 0) then begin
+      env.Engine.send_w Wire.string dst "before";
+      (try env.Engine.send_w half_then_raise dst () with Wire.Malformed _ -> incr raised);
+      (try env.Engine.send_multi_w half_then_raise [ dst; Party_id.right 1 ] ()
+       with Wire.Malformed _ -> incr raised);
+      env.Engine.send_multi_w Wire.string [ dst ] "after"
+    end
+    else if Party_id.equal id dst then got := List.map data_str (env.Engine.next_round ())
+  in
+  let res = run ~k:2 programs in
+  Alcotest.(check int) "both raises reached the fiber" 2 !raised;
+  Alcotest.(check (list string)) "only the whole frames"
+    [ Wire.encode Wire.string "before"; Wire.encode Wire.string "after" ]
+    !got;
+  Alcotest.(check int) "two messages sent" 2 res.metrics.messages_sent;
+  Alcotest.(check int) "their bytes" 13 res.metrics.bytes_sent
+
 let test_trace_records_fates () =
   (* One delivered, one dropped-by-topology, one omitted message; the
      trace must record all three with their fates, in order. *)
@@ -1073,6 +1107,7 @@ let () =
           Alcotest.test_case "negative-index destination rejected" `Quick
             test_negative_index_dst_rejected;
           Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
+          Alcotest.test_case "raising codec rolls back" `Quick test_raising_codec_rolls_back;
           Alcotest.test_case "nested engines" `Quick test_nested_engines;
           Alcotest.test_case "find_result out of roster" `Quick
             test_find_result_out_of_roster;

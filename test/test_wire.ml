@@ -186,6 +186,56 @@ let test_hex_rejects_junk () =
   rejects "zz";
   rejects "0A Z"
 
+(* [Dec.peek_uint] against [Dec.uint] on the same bytes: every clean
+   varint, every truncation, overlong and overflowing forms, and random
+   bytes, at a random offset inside a padded string with a random limit.
+   Agreement means the same value and the same end position, or [-1]
+   exactly where [uint] raises. *)
+let test_peek_uint_matches_uint () =
+  let rng = Rng.make 77 in
+  let encoded n =
+    let e = Wire.Enc.create () in
+    Wire.Enc.uint e n;
+    Wire.Enc.to_string e
+  in
+  let clean =
+    List.map encoded
+      [ 0; 1; 127; 128; 300; 16383; 16384; 1 lsl 35; max_int - 1; max_int ]
+  in
+  let odd =
+    [ "\x80\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00";
+      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"; "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00";
+      "\xff\xff\xff\xff\xff\xff\xff\xff\x40"; "" ]
+  in
+  let random = List.init 400 (fun _ -> String.init (Rng.int rng 12) (fun _ -> Char.chr (Rng.int rng 256))) in
+  let cases =
+    List.concat_map
+      (fun f -> f :: List.init (String.length f) (fun n -> String.sub f 0 n))
+      (clean @ odd)
+    @ random
+  in
+  List.iter
+    (fun bytes ->
+      let pad = String.make (Rng.int rng 3) '\x81' in
+      let s = pad ^ bytes ^ "\x05" in
+      let off = String.length pad in
+      let limit = off + String.length bytes in
+      let expected =
+        let d = Wire.Dec.of_slice (Wire.Slice.make s ~off ~len:(String.length bytes)) in
+        match Wire.Dec.uint d with
+        | v -> Some (v, limit - Wire.Dec.remaining d)
+        | exception Wire.Malformed _ -> None
+      in
+      let pos = ref off in
+      let got =
+        match Wire.Dec.peek_uint s pos ~limit with
+        | -1 -> None
+        | v -> Some (v, !pos)
+      in
+      if expected <> got then
+        Alcotest.failf "peek_uint disagrees with uint on %s" (Wire.to_hex bytes))
+    cases
+
 (* --- random fuzzing ---------------------------------------------------------- *)
 
 let nested_codec =
@@ -256,6 +306,7 @@ let () =
             test_overlong_varint_rejected;
           Alcotest.test_case "overflowing varint rejected" `Quick
             test_overflowing_varint_rejected;
+          Alcotest.test_case "peek_uint matches uint" `Quick test_peek_uint_matches_uint;
           Alcotest.test_case "10-byte boundary still decodes" `Quick
             test_noncanonical_varint_roundtrip_boundary;
           Alcotest.test_case "forged string length rejected" `Quick
