@@ -16,8 +16,7 @@
 
    Every table is a sweep of independent protocol executions, so each is
    run twice: sequentially, then in parallel across the persistent
-   work-stealing domain pool (`Bsm_harness.Sweep` over
-   `Bsm_runtime.Pool`). The two result sets must be identical — the
+   domain pool (`Bsm_harness.Sweep` over `Bsm_runtime.Pool`). The two result sets must be identical — the
    harness fails loudly if they diverge — and the wall-clocks are
    recorded in BENCH_sweeps.json so the perf trajectory is tracked
    across PRs. The parallel pass is *fused*: all tables' cells (chaos

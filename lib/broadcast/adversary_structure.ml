@@ -56,7 +56,6 @@ let covers_with t participants ~sets_count =
     | _ :: _ -> choose sets_count Party_set.empty)
 
 let q3 t ~participants = not (covers_with t participants ~sets_count:3)
-let q2 t ~participants = not (covers_with t participants ~sets_count:2)
 
 let king_sequence t ~participants =
   match t with

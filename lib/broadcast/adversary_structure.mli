@@ -39,11 +39,6 @@ val admissible : t -> Party_set.t -> bool
     [Explicit] case checks all triples of maximal sets. *)
 val q3 : t -> participants:Party_id.t list -> bool
 
-(** [q2 t ~participants] — no two corruptible sets cover [participants]
-    (used by sanity checks for broadcast-with-honest-majority style
-    arguments). *)
-val q2 : t -> participants:Party_id.t list -> bool
-
 (** [king_sequence t ~participants] is a short prefix-deterministic list of
     participants that is {e not} possibly corrupt — hence contains an
     honest king. For [Threshold t] this is [t+1] parties; for [Two_sided]

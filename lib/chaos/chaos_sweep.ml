@@ -26,14 +26,10 @@ type outcome = {
   oracle : Oracle.report;
 }
 
-let run_cell ?max_rounds c =
-  {
-    cell = c;
-    oracle = Oracle.run ?max_rounds ~seed:c.chaos_seed ~schedule:c.schedule c.case;
-  }
+let run_cell c =
+  { cell = c; oracle = Oracle.run ~seed:c.chaos_seed ~schedule:c.schedule c.case }
 
-let run_cells ?pool ?max_rounds cells =
-  Sweep.map ?pool (run_cell ?max_rounds) cells
+let run_cells ?pool cells = Sweep.map ?pool run_cell cells
 
 type summary = {
   cells : int;

@@ -33,11 +33,11 @@ type outcome = {
 
 (** [run_cell c] — one cell through {!Oracle.run}; pure given the
     cell's seeds, so it is safe as a sweep or fused-batch task. *)
-val run_cell : ?max_rounds:int -> cell -> outcome
+val run_cell : cell -> outcome
 
 (** [run_cells ?pool cells] — every cell through {!run_cell}, in input
     order; parallel across the pool's domains when [pool] is given. *)
-val run_cells : ?pool:Pool.t -> ?max_rounds:int -> cell list -> outcome list
+val run_cells : ?pool:Pool.t -> cell list -> outcome list
 
 type summary = {
   cells : int;

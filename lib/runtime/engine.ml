@@ -153,124 +153,6 @@ type result = {
   trace : event list;
 }
 
-(* --- Binary trace log ------------------------------------------------- *)
-
-(* Traces spill to fixed-width binary records instead of an in-memory
-   event array: one [Bytes.t] grown geometrically (capped at
-   [trace_limit] records) holds the whole log, so tracing costs zero
-   per-event heap allocations. Layout, little-endian:
-
-     round   : 4 bytes (int32)
-     src     : 8 bytes (int64, [index lsl 1 lor side_bit])
-     dst     : 8 bytes (same packing; dst may lie outside the roster)
-     bytes   : 4 bytes (int32)
-     fate    : 1 byte  (0 delivered, 1 no-channel, 2 omitted, 3 corrupted,
-                        4 scrambled)
-     label   : 2 bytes (intern-table id + 1; 0 = no label)
-
-   Labels are interned once per distinct string (fault schedules use a
-   handful of component names), so the u16 is not a practical limit.
-   The log keeps the {e first} [trace_limit] events — identical
-   truncation semantics to the old flat buffer — and is decoded back to
-   [event list] only once, when the run returns. *)
-
-let trace_rec_size = 27
-
-type trace_log = {
-  t_limit : int;
-  mutable t_buf : Bytes.t;
-  mutable t_count : int;
-  mutable t_labels : (string * int) list; (* label -> id *)
-  mutable t_labels_rev : string list; (* reversed intern order *)
-  mutable t_nlabels : int;
-}
-
-let trace_log limit =
-  {
-    t_limit = max 0 limit;
-    t_buf = Bytes.empty;
-    t_count = 0;
-    t_labels = [];
-    t_labels_rev = [];
-    t_nlabels = 0;
-  }
-
-let trace_intern t l =
-  match List.assoc_opt l t.t_labels with
-  | Some i -> i
-  | None ->
-    let i = t.t_nlabels in
-    t.t_nlabels <- i + 1;
-    t.t_labels <- (l, i) :: t.t_labels;
-    t.t_labels_rev <- l :: t.t_labels_rev;
-    i
-
-let pack_pid p =
-  (Party_id.index p lsl 1)
-  lor (match Party_id.side p with Side.Left -> 0 | Side.Right -> 1)
-
-let unpack_pid v =
-  Party_id.make (if v land 1 = 0 then Side.Left else Side.Right) (v lsr 1)
-
-let fate_code = function
-  | `Delivered -> 0
-  | `No_channel -> 1
-  | `Omitted -> 2
-  | `Corrupted -> 3
-  | `Scrambled -> 4
-
-let fate_of_code = function
-  | 0 -> `Delivered
-  | 1 -> `No_channel
-  | 2 -> `Omitted
-  | 4 -> `Scrambled
-  | _ -> `Corrupted
-
-let trace_record t ~round ~src ~dst ~bytes ~fate ~label =
-  if t.t_count < t.t_limit then begin
-    let need = (t.t_count + 1) * trace_rec_size in
-    if Bytes.length t.t_buf < need then begin
-      let cap =
-        min (t.t_limit * trace_rec_size)
-          (max (2 * Bytes.length t.t_buf) (64 * trace_rec_size))
-      in
-      let cap = max cap need in
-      let b = Bytes.create cap in
-      Bytes.blit t.t_buf 0 b 0 (t.t_count * trace_rec_size);
-      t.t_buf <- b
-    end;
-    let b = t.t_buf and p = t.t_count * trace_rec_size in
-    Bytes.set_int32_le b p (Int32.of_int round);
-    Bytes.set_int64_le b (p + 4) (Int64.of_int (pack_pid src));
-    Bytes.set_int64_le b (p + 12) (Int64.of_int (pack_pid dst));
-    Bytes.set_int32_le b (p + 20) (Int32.of_int bytes);
-    Bytes.set_uint8 b (p + 24) (fate_code fate);
-    Bytes.set_uint16_le b (p + 25)
-      (match label with None -> 0 | Some l -> trace_intern t l + 1);
-    t.t_count <- t.t_count + 1
-  end
-
-let trace_round_at t i = Int32.to_int (Bytes.get_int32_le t.t_buf (i * trace_rec_size))
-
-let trace_events t =
-  let labels = Array.of_list (List.rev t.t_labels_rev) in
-  let b = t.t_buf in
-  List.init t.t_count (fun i ->
-      let p = i * trace_rec_size in
-      let label =
-        match Bytes.get_uint16_le b (p + 25) with
-        | 0 -> None
-        | li -> Some labels.(li - 1)
-      in
-      {
-        event_round = Int32.to_int (Bytes.get_int32_le b p);
-        event_src = unpack_pid (Int64.to_int (Bytes.get_int64_le b (p + 4)));
-        event_dst = unpack_pid (Int64.to_int (Bytes.get_int64_le b (p + 12)));
-        event_bytes = Int32.to_int (Bytes.get_int32_le b (p + 20));
-        event_fate = fate_of_code (Bytes.get_uint8 b (p + 24));
-        event_label = label;
-      })
-
 (* --- Fiber machinery ------------------------------------------------- *)
 
 (* The only effect: a fiber parks on [next_round] until the round's
@@ -417,15 +299,21 @@ let run ?pool cfg ~programs =
   let cell_of id = cells.(Party_id.to_dense ~k id) in
   let iter_cells f = Array.iter f cells in
   let round = ref 0 in
-  let tlog = trace_log cfg.trace_limit in
+  (* The first [trace_limit] events, newest first. *)
+  let trace = ref [] and traced = ref 0 in
   let record ?(label = None) event_src event_dst event_bytes event_fate =
-    trace_record tlog ~round:!round ~src:event_src ~dst:event_dst ~bytes:event_bytes
-      ~fate:event_fate ~label
+    if !traced < cfg.trace_limit then begin
+      incr traced;
+      let event_round = !round and event_label = label in
+      trace :=
+        { event_round; event_src; event_dst; event_bytes; event_fate; event_label }
+        :: !trace
+    end
   in
   (* The delivery sweep's per-message hooks, gated like [no_corrupt]
      below: a run with the default [drop] never calls it, and a run that
      keeps no trace never calls [record] for a delivered message. *)
-  let tracing = tlog.t_limit > 0 in
+  let tracing = cfg.trace_limit > 0 in
   let faulty_drop = cfg.faults.drop != no_drop in
   let messages_sent = ref 0 in
   let messages_delivered = ref 0 in
@@ -755,12 +643,11 @@ let run ?pool cfg ~programs =
      keeping trace rounds monotone up to [rounds_used]. *)
   deliver ();
   assert (
-    let ok = ref true in
-    for i = 0 to tlog.t_count - 1 do
-      let r = trace_round_at tlog i in
-      if r > !round || (i > 0 && r < trace_round_at tlog (i - 1)) then ok := false
-    done;
-    !ok);
+    let rec monotone bound = function
+      | [] -> true
+      | e :: older -> e.event_round <= bound && monotone e.event_round older
+    in
+    monotone !round !trace);
 
   let party_result cell =
     let status =
@@ -773,7 +660,7 @@ let run ?pool cfg ~programs =
   in
   {
     parties = List.map party_result (Array.to_list cells);
-    trace = trace_events tlog;
+    trace = List.rev !trace;
     metrics =
       {
         rounds_used = !round;

@@ -1,4 +1,5 @@
-let src = Logs.Src.create "bsm.pool" ~doc:"persistent work-stealing domain pool"
+let src =
+  Logs.Src.create "bsm.pool" ~doc:"persistent domain pool with per-lane task shares"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
@@ -36,70 +37,17 @@ let resolve_jobs ?jobs () =
   | Some n ->
     invalid_arg (Printf.sprintf "Pool.resolve_jobs: jobs=%d must be >= 1" n)
 
-(* --- Chase-Lev-style deque of task indices ------------------------------- *)
-
-(* One deque per lane, filled completely before the batch is published
-   (the publish happens under the pool mutex, giving the workers a
-   happens-before edge on [buf]) and never pushed to afterwards. The
-   owner pops at [bottom], thieves steal at [top]; with no concurrent
-   pushes the buffer needs no resizing or wraparound, and "top >= bottom"
-   is a {e permanent} emptiness verdict — a lane that observes every
-   deque empty can stop hunting, because no new work can appear
-   mid-batch. *)
-module Deque = struct
-  type t = {
-    buf : int array;
-    top : int Atomic.t;
-    bottom : int Atomic.t;
-  }
-
-  (* Lane [lane] owns indices lane, lane + lanes, lane + 2*lanes, ... —
-     stored descending so the owner's bottom-end pops run them in
-     ascending index order (thieves take the highest indices first). *)
-  let of_lane ~lane ~lanes ~n =
-    let size = if lane >= n then 0 else ((n - lane - 1) / lanes) + 1 in
-    let buf = Array.make (max size 1) (-1) in
-    for j = 0 to size - 1 do
-      buf.(size - 1 - j) <- lane + (j * lanes)
-    done;
-    { buf; top = Atomic.make 0; bottom = Atomic.make size }
-
-  let pop d =
-    let b = Atomic.get d.bottom - 1 in
-    Atomic.set d.bottom b;
-    let t = Atomic.get d.top in
-    if b > t then Some d.buf.(b)
-    else if b = t then begin
-      (* Last element: race the thieves for it via top. *)
-      let won = Atomic.compare_and_set d.top t (t + 1) in
-      Atomic.set d.bottom (t + 1);
-      if won then Some d.buf.(b) else None
-    end
-    else begin
-      Atomic.set d.bottom t;
-      None
-    end
-
-  type steal_result =
-    | Stolen of int
-    | Empty
-    | Retry  (** lost a CAS race; the deque may still hold work *)
-
-  let steal d =
-    let t = Atomic.get d.top in
-    let b = Atomic.get d.bottom in
-    if t >= b then Empty
-    else
-      let x = d.buf.(t) in
-      if Atomic.compare_and_set d.top t (t + 1) then Stolen x else Retry
-end
-
 (* --- pool ----------------------------------------------------------------- *)
 
+(* A batch is a fixed list of [n] tasks, published once and never grown.
+   Lane [l] of [lanes] owns the round-robin share l, l + lanes,
+   l + 2*lanes, ...; [claimed.(l)] counts the tasks of that share claimed
+   so far, so claiming the next one is one fetch-and-add. *)
 type batch = {
   epoch : int;
   run : int -> unit;  (** execute element [i]; never raises *)
-  deques : Deque.t array;
+  n : int;
+  claimed : int Atomic.t array;  (** per lane: tasks of its share claimed *)
   remaining : int Atomic.t;  (** elements not yet completed *)
 }
 
@@ -114,21 +62,14 @@ type t = {
   mutable workers : unit Domain.t array;  (** spawned lazily, then persistent *)
   tasks_total : int Atomic.t;
   steals_total : int Atomic.t;
-  batches_total : int Atomic.t;
 }
 
 type stats = {
   tasks : int;
   steals : int;
-  batches : int;
 }
 
-let stats t =
-  {
-    tasks = Atomic.get t.tasks_total;
-    steals = Atomic.get t.steals_total;
-    batches = Atomic.get t.batches_total;
-  }
+let stats t = { tasks = Atomic.get t.tasks_total; steals = Atomic.get t.steals_total }
 
 let create ?jobs () =
   let jobs = resolve_jobs ?jobs () in
@@ -143,7 +84,6 @@ let create ?jobs () =
     workers = [||];
     tasks_total = Atomic.make 0;
     steals_total = Atomic.make 0;
-    batches_total = Atomic.make 0;
   }
 
 let jobs t = t.jobs
@@ -162,61 +102,27 @@ let exec t b i =
     Mutex.unlock t.mutex
   end
 
-(* Drain the lane's own deque in index order, then steal single tasks
-   from randomized victims until one full sweep of all deques comes back
-   Empty with no Retry — conclusive, since batches never grow. *)
+(* Drain the lane's own share in index order, then the other lanes'
+   shares in lane order; a task claimed from another share is a steal.
+   One pass is conclusive: a claim count past the end of its share stays
+   past it. *)
 let run_lane t b ~lane =
-  let d = b.deques.(lane) in
-  let rec own () =
-    match Deque.pop d with
-    | Some i ->
-      exec t b i;
-      own ()
-    | None -> ()
+  let lanes = Array.length b.claimed in
+  let drain v =
+    let rec go () =
+      let i = v + (Atomic.fetch_and_add b.claimed.(v) 1 * lanes) in
+      if i < b.n then begin
+        if v <> lane then Atomic.incr t.steals_total;
+        exec t b i;
+        go ()
+      end
+    in
+    go ()
   in
-  own ();
-  let lanes = Array.length b.deques in
-  if lanes > 1 then begin
-    (* Victim order only affects scheduling, never results (slots are
-       index-addressed), so a throwaway LCG is enough — and it must not
-       be the global Random state. *)
-    let rng = ref ((b.epoch * 0x9e3779b9) lxor (lane * 0x85ebca6b) lxor 1) in
-    let next_victim () =
-      let x = !rng in
-      let x = x lxor (x lsr 12) in
-      let x = x lxor (x lsl 25) in
-      let x = x lxor (x lsr 27) in
-      rng := x;
-      ((x * 0x2545F4914F6CDD1D) lsr 33) mod lanes
-    in
-    let rec hunt () =
-      let stolen = ref None in
-      let contended = ref false in
-      let start = next_victim () in
-      let i = ref 0 in
-      while !stolen = None && !i < lanes do
-        let v = (start + !i) mod lanes in
-        if v <> lane then begin
-          match Deque.steal b.deques.(v) with
-          | Deque.Stolen x -> stolen := Some x
-          | Deque.Retry -> contended := true
-          | Deque.Empty -> ()
-        end;
-        incr i
-      done;
-      match !stolen with
-      | Some x ->
-        Atomic.incr t.steals_total;
-        exec t b x;
-        hunt ()
-      | None ->
-        if !contended then begin
-          Domain.cpu_relax ();
-          hunt ()
-        end
-    in
-    hunt ()
-  end
+  drain lane;
+  for v = 0 to lanes - 1 do
+    if v <> lane then drain v
+  done
 
 let worker_loop t ~lane =
   let rec loop last_epoch =
@@ -282,7 +188,6 @@ let map t f xs =
   | [] -> []
   | [ x ] ->
     Atomic.incr t.tasks_total;
-    Atomic.incr t.batches_total;
     [ f x ]
   | xs ->
     let items = Array.of_list xs in
@@ -301,7 +206,6 @@ let map t f xs =
       flag := false
     in
     Atomic.fetch_and_add t.tasks_total n |> ignore;
-    Atomic.incr t.batches_total;
     if t.jobs = 1 then
       (* The sequential path: inline, in input order, no domains. *)
       for i = 0 to n - 1 do
@@ -309,12 +213,10 @@ let map t f xs =
       done
     else begin
       ensure_workers t;
-      let deques =
-        Array.init t.jobs (fun lane -> Deque.of_lane ~lane ~lanes:t.jobs ~n)
-      in
+      let claimed = Array.init t.jobs (fun _ -> Atomic.make 0) in
       Mutex.lock t.mutex;
       t.epoch <- t.epoch + 1;
-      let b = { epoch = t.epoch; run; deques; remaining = Atomic.make n } in
+      let b = { epoch = t.epoch; run; n; claimed; remaining = Atomic.make n } in
       t.current <- Some b;
       Condition.broadcast t.work_available;
       Mutex.unlock t.mutex;
@@ -337,7 +239,7 @@ let map t f xs =
    [shutdown_global] or the [at_exit] hook — from a domain other than the
    one currently holding the pool in a [map]. Closing mid-batch would
    either strand the batch's unclaimed tasks (workers exit before
-   draining their deques) or tear domains out from under the submitter,
+   draining their shares) or tear domains out from under the submitter,
    so shutdown first waits for any in-flight batch to retire, then
    closes and joins. Idempotent: late callers wait for the same drain and
    find [closed] already set; only the first joins the domains. *)

@@ -1,5 +1,4 @@
-(** Persistent work-stealing domain pool for deterministic parallel
-    sweeps.
+(** Persistent domain pool for deterministic parallel sweeps.
 
     The benchmark and attack harnesses replay many independent protocol
     executions ([Engine.run] is pure given its inputs: it touches no
@@ -28,15 +27,18 @@
     Worker domains are spawned {e lazily} on the first parallel {!map}
     and then {e persist}: every later [map] on the same pool (and, for
     {!global}, every [map] for the rest of the process) reuses them —
-    no per-call domain spawns. Each of the [jobs] lanes (the submitting
-    domain is lane 0) owns a Chase–Lev-style deque; [map] deals the
-    element indices round-robin across the lanes, each lane drains its
-    own deque in ascending index order, and a lane that runs dry steals
-    single tasks from randomly-chosen victims. One element is one task —
-    there are no static chunks — so a sweep mixing 1 ms and 100 ms cells
-    (k = 2 protocol runs next to k = 160 pipelines) rebalances
-    automatically instead of serializing behind the chunk that got the
-    expensive cells. Lanes that find every deque empty block on a
+    no per-call domain spawns. A batch is fixed when [map] publishes it
+    and never grows. Each of the [jobs] lanes (the submitting domain is
+    lane 0) owns the round-robin share [l, l + jobs, l + 2 jobs, ...] of
+    the element indices, and one atomic counter per lane counts the
+    tasks of that share claimed so far. A lane claims its own share in
+    ascending index order, one fetch-and-add per task, then drains the
+    other lanes' shares in lane order; a task claimed from another
+    lane's share is a steal. One element is one task — there are no
+    static chunks — so a sweep mixing 1 ms and 100 ms cells (k = 2
+    protocol runs next to k = 160 pipelines) rebalances automatically
+    instead of serializing behind the lane that got the expensive
+    cells. Once a lane finds every share exhausted it blocks on a
     condition variable rather than spinning, so a straggler task does
     not have idle domains burning its CPU.
 
@@ -94,15 +96,13 @@ val jobs : t -> int
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 (** Cumulative scheduling counters since the pool was created. [tasks]
-    counts executed elements, [steals] successful steals (0 on the
-    [jobs = 1] path — nothing to steal), [batches] {!map} calls that ran
-    at least one element. The sweep harness reports deltas of these in
-    [BENCH_sweeps.json]; they describe scheduling only and never affect
-    results. *)
+    counts executed elements, [steals] the tasks a lane ran from another
+    lane's share (0 on the [jobs = 1] path — nothing to steal). The sweep
+    harness reports deltas of these in [BENCH_sweeps.json]; they describe
+    scheduling only and never affect results. *)
 type stats = {
   tasks : int;
   steals : int;
-  batches : int;
 }
 
 val stats : t -> stats

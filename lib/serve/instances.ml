@@ -33,23 +33,14 @@ type record = {
 }
 
 type t = {
-  tables : (int, record) Hashtbl.t array;
+  table : (int, record) Hashtbl.t;
   counts : int array; (* by state_index *)
   mutable total : int;
 }
 
-let create ~shards () =
-  if shards < 1 then invalid_arg "Instances.create: shards < 1";
-  {
-    tables = Array.init shards (fun _ -> Hashtbl.create 64);
-    counts = Array.make 5 0;
-    total = 0;
-  }
-
-let shards t = Array.length t.tables
-let table t req_id = t.tables.(abs req_id mod Array.length t.tables)
-let mem t req_id = Hashtbl.mem (table t req_id) req_id
-let find t req_id = Hashtbl.find_opt (table t req_id) req_id
+let create () = { table = Hashtbl.create 64; counts = Array.make 5 0; total = 0 }
+let mem t req_id = Hashtbl.mem t.table req_id
+let find t req_id = Hashtbl.find_opt t.table req_id
 
 let add t ~tick (spec : Frame.spec) =
   if mem t spec.req_id then
@@ -57,7 +48,7 @@ let add t ~tick (spec : Frame.spec) =
   let record =
     { spec; arrival_tick = tick; state = Submitted; outcome = None; done_tick = -1 }
   in
-  Hashtbl.replace (table t spec.req_id) spec.req_id record;
+  Hashtbl.replace t.table spec.req_id record;
   t.counts.(state_index Submitted) <- t.counts.(state_index Submitted) + 1;
   t.total <- t.total + 1;
   record
@@ -86,7 +77,7 @@ let finish t record ~tick outcome =
   transition t record (final_of_outcome outcome);
   record.outcome <- Some outcome;
   record.done_tick <- tick;
-  Hashtbl.remove (table t record.spec.req_id) record.spec.req_id
+  Hashtbl.remove t.table record.spec.req_id
 
 let count t state = t.counts.(state_index state)
 let pending t = count t Submitted + count t Running

@@ -1,11 +1,11 @@
 (** The daemon's instance table: every live (submitted or running)
-    request, sharded by request id, with an enforced lifecycle.
+    request, keyed by request id, with an enforced lifecycle.
 
     States move strictly forward:
     [Submitted → Running → Matched | Failed | Timed_out] — any other
     transition raises [Invalid_argument] (a scheduler bug, not a client
-    error). Shard count mirrors the pool's lanes, and per-state
-    counters make the admission/consistency checks O(1).
+    error). Per-state counters make the admission/consistency checks
+    O(1).
 
     {!finish} drops a record from the table, so memory tracks the live
     requests, not every request ever served. The per-state counters and
@@ -35,10 +35,7 @@ type record = {
 
 type t
 
-(** [create ~shards ()] — raises [Invalid_argument] when [shards < 1]. *)
-val create : shards:int -> unit -> t
-
-val shards : t -> int
+val create : unit -> t
 
 (** [add t ~tick spec] registers a [Submitted] record. Raises
     [Invalid_argument] on a duplicate live [req_id] (admission must

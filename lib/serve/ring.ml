@@ -1,26 +1,15 @@
-(* SPSC ring: the producer owns [tail], the consumer owns [head]; both
-   are monotonic ints (never wrapped — at 10^9 ops/s an OCaml int lasts
-   centuries), masked into the slot array. Publication protocol: write
-   the slot, then release-store the counter; the reader acquire-loads
-   the counter before touching the slot, so the plain array accesses are
-   ordered by the OCaml memory model's atomics guarantees.
-
-   Blocking is strictly a slow path. Sleepers announce themselves in
-   [waiters] (atomic) before re-checking the ring, and the opposite side
-   only touches the mutex when it observes [waiters > 0] after its
-   counter store — either order of the race leaves the sleeper seeing
-   the new element/slot on its re-check under the mutex, or the waker
-   seeing the sleeper and signalling. *)
+(* One mutex guards the queue and the closed flag: the serve path moves
+   a few elements per request of milliseconds, so a lock per operation
+   is noise. One condition serves both blocking sides: every move and
+   [close] broadcast on it, and each waiter re-checks its own
+   predicate. *)
 
 type 'a t = {
-  slots : 'a option array;
-  mask : int;
-  head : int Atomic.t; (* next index to pop; consumer-owned *)
-  tail : int Atomic.t; (* next index to push; producer-owned *)
-  closed : bool Atomic.t;
-  waiters : int Atomic.t; (* sleepers of either side *)
+  queue : 'a Queue.t;
+  capacity : int;
   mutex : Mutex.t;
-  wake : Condition.t;
+  changed : Condition.t;  (* an element moved, or the ring closed *)
+  mutable closed : bool;
 }
 
 let create ~capacity () =
@@ -28,107 +17,49 @@ let create ~capacity () =
   let cap = ref 2 in
   while !cap < capacity do cap := !cap * 2 done;
   {
-    slots = Array.make !cap None;
-    mask = !cap - 1;
-    head = Atomic.make 0;
-    tail = Atomic.make 0;
-    closed = Atomic.make false;
-    waiters = Atomic.make 0;
+    queue = Queue.create ();
+    capacity = !cap;
     mutex = Mutex.create ();
-    wake = Condition.create ();
+    changed = Condition.create ();
+    closed = false;
   }
 
-let capacity t = Array.length t.slots
-let length t = max 0 (Atomic.get t.tail - Atomic.get t.head)
-let closed t = Atomic.get t.closed
+let capacity t = t.capacity
+let length t = Mutex.protect t.mutex (fun () -> Queue.length t.queue)
+let closed t = Mutex.protect t.mutex (fun () -> t.closed)
 
-let signal t =
-  if Atomic.get t.waiters > 0 then begin
-    Mutex.lock t.mutex;
-    Condition.broadcast t.wake;
-    Mutex.unlock t.mutex
-  end
-
-(* Raw slot moves, no wake-up: what [await]'s predicates use (they run
-   with [t.mutex] already held, so they must not re-enter [signal]). *)
-let push_slot t x =
-  if Atomic.get t.closed then false
+(* The moves, with [t.mutex] held. *)
+let push_locked t x =
+  if t.closed || Queue.length t.queue >= t.capacity then false
   else begin
-    let tail = Atomic.get t.tail in
-    if tail - Atomic.get t.head >= Array.length t.slots then false
-    else begin
-      t.slots.(tail land t.mask) <- Some x;
-      Atomic.set t.tail (tail + 1);
-      true
-    end
-  end
-
-let pop_slot t =
-  let head = Atomic.get t.head in
-  if Atomic.get t.tail - head <= 0 then None
-  else begin
-    let slot = head land t.mask in
-    let v = t.slots.(slot) in
-    t.slots.(slot) <- None;
-    Atomic.set t.head (head + 1);
-    v
-  end
-
-let try_push t x =
-  if push_slot t x then begin
-    signal t;
+    Queue.push x t.queue;
+    Condition.broadcast t.changed;
     true
   end
-  else false
 
-let try_pop t =
-  match pop_slot t with
-  | Some _ as v ->
-    signal t;
-    v
-  | None -> None
+let pop_locked t =
+  let v = Queue.take_opt t.queue in
+  if Option.is_some v then Condition.broadcast t.changed;
+  v
 
-(* Park until [ready ()]; returns its last value. The atomic
-   increment of [waiters] happens before the re-check, so a concurrent
-   [signal] either sees us (and will take the mutex we sleep under) or
-   happened before our re-check (which then succeeds). On exit we
-   broadcast under the still-held mutex: a successful predicate moved a
-   slot, which may be exactly what the opposite side is sleeping on. *)
-let await t ready =
-  Mutex.lock t.mutex;
-  Atomic.incr t.waiters;
-  let rec go () =
-    match ready () with
-    | Some v ->
-      Atomic.decr t.waiters;
-      Condition.broadcast t.wake;
-      Mutex.unlock t.mutex;
-      v
-    | None ->
-      Condition.wait t.wake t.mutex;
-      go ()
-  in
-  go ()
+let try_push t x = Mutex.protect t.mutex (fun () -> push_locked t x)
+let try_pop t = Mutex.protect t.mutex (fun () -> pop_locked t)
 
 let push t x =
-  if try_push t x then true
-  else
-    await t (fun () ->
-        if Atomic.get t.closed then Some false
-        else if push_slot t x then Some true
-        else None)
+  Mutex.protect t.mutex (fun () ->
+      while (not t.closed) && Queue.length t.queue >= t.capacity do
+        Condition.wait t.changed t.mutex
+      done;
+      push_locked t x)
 
 let pop t =
-  match try_pop t with
-  | Some _ as v -> v
-  | None ->
-    await t (fun () ->
-        match pop_slot t with
-        | Some _ as v -> Some v
-        | None -> if Atomic.get t.closed then Some None else None)
+  Mutex.protect t.mutex (fun () ->
+      while Queue.is_empty t.queue && not t.closed do
+        Condition.wait t.changed t.mutex
+      done;
+      pop_locked t)
 
 let close t =
-  Atomic.set t.closed true;
-  Mutex.lock t.mutex;
-  Condition.broadcast t.wake;
-  Mutex.unlock t.mutex
+  Mutex.protect t.mutex (fun () ->
+      t.closed <- true;
+      Condition.broadcast t.changed)

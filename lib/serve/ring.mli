@@ -1,18 +1,15 @@
-(** Bounded single-producer / single-consumer ring buffer.
+(** Bounded blocking queue, safe across domains.
 
     The serve layer's in-process transport: the load generator feeds the
-    daemon through one ring and reads responses off another. Exactly
-    one domain may push and one may pop (they can be the same domain —
-    the in-process client is), which is what makes the lock-free fast
-    path sound: the producer owns [tail], the consumer owns [head], and
-    each publishes its moves with a release store the other side
-    acquires. Slots are cleared on pop so the ring never pins popped
-    values for the GC.
+    daemon through one ring and reads responses off another. One mutex
+    guards a [Queue.t], so any number of domains may push and pop.
+    Popped values leave the queue, so the ring never pins them for the
+    GC.
 
     [try_push]/[try_pop] never block — a full ring is the backpressure
     signal admission control turns into a typed reject. [push]/[pop]
-    park on a condition variable (no spinning; the container may well be
-    single-core) and are woken by the opposite side. *)
+    park on a condition variable (no spinning) and are woken by the
+    opposite side. *)
 
 type 'a t
 
@@ -20,11 +17,10 @@ type 'a t
     two (minimum 2). Raises [Invalid_argument] when [capacity < 1]. *)
 val create : capacity:int -> unit -> 'a t
 
-(** Slots the ring can hold (the rounded-up power of two). *)
+(** Elements the ring can hold (the rounded-up power of two). *)
 val capacity : 'a t -> int
 
-(** Elements currently queued. Exact from either endpoint's own domain;
-    a racing snapshot from anywhere else. *)
+(** Elements currently queued. *)
 val length : 'a t -> int
 
 (** [try_push t x] — [false] when the ring is full or closed. *)

@@ -4,7 +4,7 @@
     A synthetic client submits [instances] workloads on a deterministic
     arrival schedule (inter-arrival gaps are stateless splitmix64 draws
     from [seed]), through the real wire path: requests are encoded with
-    a reused {!Bsm_wire.Wire.Enc} into an SPSC {!Ring}, decoded and
+    a reused {!Bsm_wire.Wire.Enc} into a bounded {!Ring}, decoded and
     admitted by the {!Server}, and answered over a response ring — the
     in-process twin of the socket transport. A [Queue_full] reject is
     retried next tick, so the measured latencies include genuine

@@ -43,7 +43,7 @@ let create ?pool ?(config = default_config) () =
     config;
     pool;
     queue = Ring.create ~capacity:config.queue_capacity ();
-    instances = Instances.create ~shards:(Pool.jobs pool) ();
+    instances = Instances.create ();
     closing = false;
     violations = 0;
   }
@@ -74,9 +74,8 @@ let metrics_fingerprint (m : Bsm_runtime.Engine.metrics) =
    charges at most R0 (and the bench's chaos workloads grant the right
    side the full spare budget t_right = k), so the oracle must answer
    [Ok] — any [Violation] is a real protocol bug. *)
-let live_schedules ~k =
+let live_schedules =
   let r0 = Party_id.make Side.Right 0 in
-  ignore k;
   [
     Schedule.never;
     Schedule.during ~from_round:0 ~until_round:6
@@ -101,13 +100,12 @@ let execute_bsm ~chaos ~chaos_seed ~max_rounds ~req_id ~k ~topology ~auth ~t_lef
     | Error _ -> Frame.Failed "unsolvable setting", false
     | Ok _ ->
       if chaos then begin
-        let schedules = live_schedules ~k in
         let h = Rng.mix64_absorb (Rng.mix64 (Int64.of_int chaos_seed)) req_id in
         let pick =
           Int64.to_int (Int64.rem (Int64.logand h Int64.max_int)
-                          (Int64.of_int (List.length schedules)))
+                          (Int64.of_int (List.length live_schedules)))
         in
-        let schedule = List.nth schedules pick in
+        let schedule = List.nth live_schedules pick in
         let seed = Int64.to_int (Int64.logand (Rng.mix64_absorb h 1) 0x3FFFFFFFL) in
         let report = Oracle.run ?max_rounds ~seed ~schedule case in
         match report.Oracle.verdict with

@@ -1,7 +1,7 @@
 (** The matchmaking daemon's core: admission, scheduling, execution.
 
     A server owns a bounded submission queue (a {!Ring}), an
-    {!Instances} table sharded across the pool's lanes, and a
+    {!Instances} table keyed by request id, and a
     {!Bsm_runtime.Pool} the instance executions fan out over. Time is
     the caller's {e tick} counter — the daemon loop (or the open-loop
     bench) advances it; latencies are tick deltas, which is what makes

@@ -22,26 +22,6 @@ let of_l2r_exn a =
   | Ok t -> t
   | Error msg -> invalid_arg ("Matching.of_l2r_exn: " ^ msg)
 
-let of_pairs k pairs =
-  if List.length pairs <> k then Error "wrong number of pairs"
-  else begin
-    let a = Array.make k (-1) in
-    let fill acc (i, j) =
-      match acc with
-      | Error _ as e -> e
-      | Ok () ->
-        if i < 0 || i >= k || j < 0 || j >= k then Error "index out of range"
-        else if a.(i) <> -1 then Error "duplicate left index"
-        else begin
-          a.(i) <- j;
-          Ok ()
-        end
-    in
-    match List.fold_left fill (Ok ()) pairs with
-    | Error msg -> Error msg
-    | Ok () -> of_l2r a
-  end
-
 let k t = Array.length t.l2r
 
 let partner_of_left t i =

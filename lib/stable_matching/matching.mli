@@ -16,10 +16,6 @@ val of_l2r : int array -> (t, string) result
 
 val of_l2r_exn : int array -> t
 
-(** [of_pairs k pairs] builds from explicit (left index, right index)
-    pairs; every index must appear exactly once. *)
-val of_pairs : int -> (int * int) list -> (t, string) result
-
 val k : t -> int
 
 (** [partner_of_left t i] is the right index matched with left [i]. *)

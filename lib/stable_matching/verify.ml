@@ -3,8 +3,6 @@ type blocking_pair = {
   right : int;
 }
 
-let pp_blocking_pair ppf { left; right } = Format.fprintf ppf "(L%d, R%d)" left right
-
 (* Allocation-free view of a (possibly partial) matching against a
    preference structure. Partners are plain ints with -1 for unmatched,
    so the hot verification scan never allocates an option. The
@@ -38,31 +36,6 @@ let view_of_matching profile m =
     right_partner_rank = (fun r -> Prefs.rank rp.(r) (Matching.partner_of_right m r));
     consider_left = all;
     consider_right = all;
-  }
-
-let int_partner partner l =
-  match partner l with
-  | None -> -1
-  | Some r -> r
-
-let view_partial profile ~left_partner ~right_partner ~consider_left
-    ~consider_right =
-  let k = Profile.k profile in
-  let lp = Profile.left profile in
-  let rp = Profile.right profile in
-  {
-    k;
-    left_order = (fun l rank -> Prefs.at lp.(l) rank);
-    left_rank = (fun l r -> Prefs.rank lp.(l) r);
-    right_rank = (fun r l -> Prefs.rank rp.(r) l);
-    left_partner = int_partner left_partner;
-    right_partner_rank =
-      (fun r ->
-        match right_partner r with
-        | None -> k
-        | Some l -> Prefs.rank rp.(r) l);
-    consider_left;
-    consider_right;
   }
 
 (* The one scan everything else derives from: count blocking pairs with

@@ -69,14 +69,6 @@ type view = {
 
 val view_of_matching : Profile.t -> Matching.t -> view
 
-val view_partial :
-  Profile.t ->
-  left_partner:(int -> int option) ->
-  right_partner:(int -> int option) ->
-  consider_left:(int -> bool) ->
-  consider_right:(int -> bool) ->
-  view
-
 (** [count_blocking_rows ?cap v ~lo ~hi] counts blocking pairs whose
     left endpoint lies in rows [lo, hi) (clamped to [0, k)), giving up —
     and returning [cap + 1] — as soon as the count exceeds [cap]
@@ -100,5 +92,3 @@ val blocking_pairs_partial :
   consider_left:(int -> bool) ->
   consider_right:(int -> bool) ->
   blocking_pair list
-
-val pp_blocking_pair : Format.formatter -> blocking_pair -> unit

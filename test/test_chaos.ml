@@ -851,6 +851,46 @@ let test_recovery_grid_rows () =
          | None -> false)
        (json_list "runs" report))
 
+(* The first path at which two JSON values differ, e.g. ["runs[3].sent"]. *)
+let rec json_diff path (a : Json.t) (b : Json.t) =
+  match a, b with
+  | Json.Obj ma, Json.Obj mb ->
+    if List.map fst ma <> List.map fst mb then Some (path ^ " (keys)")
+    else
+      List.find_map
+        (fun ((key, va), (_, vb)) ->
+          json_diff (if path = "" then key else path ^ "." ^ key) va vb)
+        (List.combine ma mb)
+  | Json.List la, Json.List lb ->
+    if List.length la <> List.length lb then Some (path ^ " (length)")
+    else
+      List.find_map Fun.id
+        (List.mapi
+           (fun i (va, vb) -> json_diff (Printf.sprintf "%s[%d]" path i) va vb)
+           (List.combine la lb))
+  | _ -> if a = b then None else Some path
+
+(* The committed quick grid: [to_json ~jobs:1] of [run_cells (quick_grid ())],
+   which is the BENCH_chaos.quick.json of [bench/main.exe --quick --jobs 1].
+   An intended change to a count regenerates the file in the same change. *)
+let test_quick_grid_matches_golden () =
+  let file = "golden/chaos_quick.json" in
+  let golden =
+    match Json.of_string (In_channel.with_open_bin file In_channel.input_all) with
+    | Ok v -> v
+    | Error e -> Alcotest.failf "%s: %s" file (Json.error_to_string e)
+  in
+  let cells = Chaos_sweep.quick_grid () in
+  List.iter
+    (fun (what, outcomes) ->
+      match json_diff "" golden (chaos_report outcomes) with
+      | None -> ()
+      | Some path -> Alcotest.failf "%s quick grid differs from %s at %s" what file path)
+    [
+      "sequential", Chaos_sweep.run_cells cells;
+      "2-lane", Pool.with_pool ~jobs:2 (fun pool -> Chaos_sweep.run_cells ~pool cells);
+    ]
+
 let test_grid_shape () =
   let cases =
     [ H.Sweep.case (List.hd (t_settings ~k:2)); H.Sweep.case (List.nth (t_settings ~k:2) 1) ]
@@ -955,6 +995,8 @@ let () =
           Alcotest.test_case "state-corruption sweep par equals seq" `Quick
             test_state_corruption_sweep_par_equals_seq;
           Alcotest.test_case "recovery grid rows" `Quick test_recovery_grid_rows;
+          Alcotest.test_case "quick grid matches golden" `Quick
+            test_quick_grid_matches_golden;
           Alcotest.test_case "grid shape" `Quick test_grid_shape;
         ] );
     ]

@@ -710,6 +710,76 @@ let test_trace_fate_per_event () =
   Alcotest.check fate "L1 no channel" `No_channel (fate_of (Party_id.left 1));
   Alcotest.check fate "R1 omitted" `Omitted (fate_of (Party_id.right 1))
 
+(* One bipartite k=2 run whose sends meet every fate: delivered, no
+   channel (a same-side link and a party outside the roster), omitted and
+   corrupted under a label, plus one labelled state scramble. *)
+let every_fate_trace ~trace_limit =
+  let l0 = Party_id.left 0 and l1 = Party_id.left 1 in
+  let r0 = Party_id.right 0 and r1 = Party_id.right 1 in
+  let faults =
+    Engine.fault_model
+      ~label:(fun ~round:_ ~src:_ ~dst:_ -> Some "omit-R1")
+      ~corrupt:(fun ~round:_ ~src ~dst:_ ~prev:_ data ->
+        if Party_id.equal src l1 then Some (data ^ "!", "garble-L1") else None)
+      ~scramble:(fun ~round ~party ~cell:_ ~attempt:_ _ ->
+        if round = 1 && Party_id.equal party l0 then
+          Some (Wire.encode Wire.uint 300, "scramble-L0")
+        else None)
+      (fun ~round:_ ~src:_ ~dst -> Party_id.equal dst r1)
+  in
+  let programs id env =
+    if Party_id.equal id l0 then begin
+      env.Engine.register_state Wire.uint (ref 7);
+      env.Engine.send r0 "a";
+      env.Engine.send l1 "bb";
+      env.Engine.send (Party_id.left 99) "ccc";
+      env.Engine.send r1 "dddd";
+      ignore (env.Engine.next_round ());
+      ignore (env.Engine.next_round ())
+    end
+    else if Party_id.equal id l1 then env.Engine.send r0 "eeeee"
+    else if Party_id.equal id r0 then begin
+      ignore (env.Engine.next_round ());
+      env.Engine.send l0 "ffffff"
+    end
+  in
+  let cfg =
+    Engine.config ~k:2 ~faults ~trace_limit
+      ~link:(Engine.Of_topology Topology.Bipartite) ()
+  in
+  (Engine.run cfg ~programs).Engine.trace
+
+let test_trace_exact_events () =
+  let ev event_round event_src event_dst event_bytes event_fate event_label =
+    { Engine.event_round; event_src; event_dst; event_bytes; event_fate; event_label }
+  in
+  let expected =
+    [
+      ev 0 (Party_id.left 0) (Party_id.right 0) 1 `Delivered None;
+      ev 0 (Party_id.left 0) (Party_id.left 1) 2 `No_channel None;
+      ev 0 (Party_id.left 0) (Party_id.left 99) 3 `No_channel None;
+      ev 0 (Party_id.left 0) (Party_id.right 1) 4 `Omitted (Some "omit-R1");
+      ev 0 (Party_id.left 1) (Party_id.right 0) 6 `Corrupted (Some "garble-L1");
+      ev 1 (Party_id.left 0) (Party_id.left 0) 2 `Scrambled (Some "scramble-L0");
+      ev 1 (Party_id.right 0) (Party_id.left 0) 6 `Delivered None;
+    ]
+  in
+  let pp_event ppf (e : Engine.event) =
+    Format.fprintf ppf "r%d %a->%a %dB %s%s" e.event_round Party_id.pp e.event_src
+      Party_id.pp e.event_dst e.event_bytes
+      (match e.event_fate with
+      | `Delivered -> "delivered"
+      | `No_channel -> "no-channel"
+      | `Omitted -> "omitted"
+      | `Corrupted -> "corrupted"
+      | `Scrambled -> "scrambled")
+      (match e.event_label with None -> "" | Some l -> " [" ^ l ^ "]")
+  in
+  let events = Alcotest.(list (testable pp_event ( = ))) in
+  Alcotest.check events "every event" expected (every_fate_trace ~trace_limit:100);
+  Alcotest.check events "first three at limit 3" (List.filteri (fun i _ -> i < 3) expected)
+    (every_fate_trace ~trace_limit:3)
+
 (* The engine used to build each inbox by consing arrivals and re-sorting
    with List.stable_sort every round; it now fills per-sender buckets and
    concatenates them in dense roster order. This property test replays
@@ -1115,6 +1185,7 @@ let () =
       ( "trace",
         [
           Alcotest.test_case "records all fates" `Quick test_trace_records_fates;
+          Alcotest.test_case "exact events of one run" `Quick test_trace_exact_events;
           Alcotest.test_case "limit respected" `Quick test_trace_limit_respected;
           Alcotest.test_case "off by default" `Quick test_trace_off_by_default;
           Alcotest.test_case "chronological order" `Quick test_trace_chronological;

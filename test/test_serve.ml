@@ -108,7 +108,7 @@ let test_backpressure_reject () =
   | r -> Alcotest.failf "expected Shutting_down, got %a" Frame.pp_response r
 
 let test_lifecycle_transitions () =
-  let t = Instances.create ~shards:2 () in
+  let t = Instances.create () in
   let r = Instances.add t ~tick:0 (gs_spec 1) in
   Alcotest.(check int) "submitted" 1 (Instances.count t Instances.Submitted);
   Instances.transition t r Instances.Running;

@@ -233,8 +233,7 @@ let test_stats_counters () =
       let _ = Pool.map pool (fun i -> i) [ 7 ] in
       let s1 = Pool.stats pool in
       Alcotest.(check int) "tasks counted (incl. singleton path)" 11 s1.Pool.tasks;
-      Alcotest.(check int) "no steals on the jobs=1 path" 0 s1.Pool.steals;
-      Alcotest.(check int) "two batches" 2 s1.Pool.batches);
+      Alcotest.(check int) "no steals on the jobs=1 path" 0 s1.Pool.steals);
   Pool.with_pool ~jobs:4 (fun pool ->
       let _ =
         Pool.map pool (fun i -> busy_work (i mod 5)) (List.init 40 Fun.id)
@@ -242,10 +241,35 @@ let test_stats_counters () =
       let _ = Pool.map pool (fun i -> i) (List.init 10 Fun.id) in
       let s = Pool.stats pool in
       Alcotest.(check int) "tasks accumulate across maps" 50 s.Pool.tasks;
-      Alcotest.(check int) "batches accumulate" 2 s.Pool.batches;
       Alcotest.(check bool)
         "steals bounded by tasks" true
         (s.Pool.steals <= s.Pool.tasks))
+
+let test_every_task_runs_once () =
+  (* Result equality cannot see a task that ran twice (both runs write
+     the same slot), so each task bumps its own counter. *)
+  let n = 5_000 in
+  List.iter
+    (fun jobs ->
+      Pool.with_pool ~jobs (fun pool ->
+          let runs = Array.init n (fun _ -> Atomic.make 0) in
+          let before = Pool.stats pool in
+          let _ = Pool.map pool (fun i -> Atomic.incr runs.(i)) (List.init n Fun.id) in
+          let after = Pool.stats pool in
+          Array.iteri
+            (fun i c ->
+              if Atomic.get c <> 1 then
+                Alcotest.failf "jobs=%d: task %d ran %d times" jobs i (Atomic.get c))
+            runs;
+          Alcotest.(check int)
+            (Printf.sprintf "jobs=%d: tasks grew by n" jobs)
+            n
+            (after.Pool.tasks - before.Pool.tasks);
+          Alcotest.(check bool)
+            (Printf.sprintf "jobs=%d: steals bounded by tasks" jobs)
+            true
+            (after.Pool.steals <= after.Pool.tasks)))
+    [ 2; 3; 8 ]
 
 let test_straggler_rebalances () =
   (* One task ~100x the others. With one-cell tasks and work stealing,
@@ -649,6 +673,8 @@ let () =
           Alcotest.test_case "randomized costs identical for jobs 1..8" `Quick
             test_randomized_costs_all_jobs;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
+          Alcotest.test_case "every task runs exactly once" `Quick
+            test_every_task_runs_once;
           Alcotest.test_case "straggler's lane rebalances via steals" `Quick
             test_straggler_rebalances;
           Alcotest.test_case "global pool persists across maps" `Quick
