@@ -101,7 +101,41 @@ let whole_run_speedup (rs : H.Sweep.Fused.run_stats) =
   let par_ms = rs.H.Sweep.Fused.wall_ms in
   if par_ms > 0. then total_sequential_ms () /. par_ms else 0.
 
-let sweeps_json ~jobs (rs : H.Sweep.Fused.run_stats) =
+(* The host's part in the speedup gate. An allocation-free integer loop
+   is timed alone on one domain, then on two domains at once; 2·t₁/t₂ is
+   the speedup the host grants perfectly parallel work in that window:
+   ~2 when two domains get two CPUs, ~1 when a shared host gives them
+   one CPU's worth of time between them. Timed right after the fused
+   drain, so a low whole-run speedup beside a ratio near 1 is the host's
+   doing, not the program's. *)
+let host_kernel () =
+  let x = ref 0x2545F491 in
+  for _ = 1 to 30_000_000 do
+    x := !x lxor (!x lsl 13);
+    x := !x lxor (!x lsr 7);
+    x := !x lxor (!x lsl 17)
+  done;
+  ignore (Sys.opaque_identity !x)
+
+let host_parallel () =
+  let timed () =
+    let t0 = Unix.gettimeofday () in
+    host_kernel ();
+    Unix.gettimeofday () -. t0
+  in
+  let alone = timed () in
+  let go = Atomic.make false in
+  let paired () =
+    while not (Atomic.get go) do Domain.cpu_relax () done;
+    timed ()
+  in
+  let other = Domain.spawn paired in
+  Atomic.set go true;
+  let mine = paired () in
+  let both = Float.max mine (Domain.join other) in
+  2. *. alone /. both
+
+let sweeps_json ~jobs ~host_parallel (rs : H.Sweep.Fused.run_stats) =
   let ms = Json.rounded "%.3f" in
   let words w = Json.Int (int_of_float w) in
   let record r =
@@ -134,6 +168,7 @@ let sweeps_json ~jobs (rs : H.Sweep.Fused.run_stats) =
             "sequential_ms", ms (total_sequential_ms ());
             "parallel_ms", ms rs.H.Sweep.Fused.wall_ms;
             "speedup", ms (whole_run_speedup rs);
+            "host_parallel", ms host_parallel;
             "tasks", Json.Int rs.H.Sweep.Fused.tasks;
             "steals", Json.Int rs.H.Sweep.Fused.steals;
           ] );
@@ -942,10 +977,12 @@ let parse_args () =
 
 (* The `make bench-quick` CI gate: with real parallelism available, the
    whole run must not be slower than the sequential reference —
-   whole-run speedup >= 1.0. On a single-core container (or jobs = 1)
+   whole-run speedup >= 1.0. With jobs = 1 or one recommended domain
    there is nothing to win, so the check is skipped with a notice rather
-   than asserting noise. *)
-let check_whole_run_speedup ~jobs (rs : H.Sweep.Fused.run_stats) =
+   than asserting noise. Either way the line reports [host_parallel]
+   beside the speedup, so a failure on a shared host shows whether the
+   host ran two domains in parallel at all. *)
+let check_whole_run_speedup ~jobs ~host_parallel (rs : H.Sweep.Fused.run_stats) =
   let recommended = Domain.recommended_domain_count () in
   let seq_total = total_sequential_ms () in
   let par_total = rs.H.Sweep.Fused.wall_ms in
@@ -953,22 +990,24 @@ let check_whole_run_speedup ~jobs (rs : H.Sweep.Fused.run_stats) =
   if jobs >= 2 && recommended >= 2 then begin
     Printf.printf
       "whole-run speedup: %.2fx (%.1f ms sequential vs %.1f ms fused drain, \
-       %d tasks, %d steals)\n"
+       %d tasks, %d steals); host_parallel %.2fx\n"
       speedup seq_total par_total rs.H.Sweep.Fused.tasks
-      rs.H.Sweep.Fused.steals;
+      rs.H.Sweep.Fused.steals host_parallel;
     if speedup < 1.0 then begin
       Printf.eprintf
         "FAIL: whole-run fused speedup %.2fx < 1.0 with %d jobs on %d \
-         recommended domains\n"
-        speedup jobs recommended;
+         recommended domains (host_parallel %.2fx: ~2 when the host ran \
+         two domains in parallel, ~1 when it gave them one CPU)\n"
+        speedup jobs recommended host_parallel;
       exit 1
     end
   end
   else
     Printf.printf
       "whole-run speedup check skipped (%d job(s), %d recommended domain(s) — \
-       needs both >= 2); fused drain: %.1f ms over %d tasks\n"
-      jobs recommended par_total rs.H.Sweep.Fused.tasks
+       needs both >= 2); fused drain: %.1f ms over %d tasks; host_parallel \
+       %.2fx\n"
+      jobs recommended par_total rs.H.Sweep.Fused.tasks host_parallel
 
 let () =
   Logs.set_reporter (Logs_fmt.reporter ());
@@ -983,7 +1022,7 @@ let () =
     (if !quick then "; --quick: smallest k per table, no microbenchmarks"
      else "");
   print_newline ();
-  let run =
+  let run, host_parallel =
     Pool.with_pool ~jobs (fun pool ->
         let sched = H.Sweep.Fused.create () in
         (* Registration phase: sequential reference passes run here, cells
@@ -1005,10 +1044,11 @@ let () =
         (* The single drain point: every registered cell — all tables plus
            the chaos grid and T-scale — executes in one parallel pass. *)
         let run = H.Sweep.Fused.drain ~pool sched in
+        let host_parallel = host_parallel () in
         (* Render in registration order; the getters verify bit-identity
            against their sequential references here. *)
         List.iter (fun render -> render ()) (List.rev !renderers);
-        run)
+        run, host_parallel)
   in
   if not !quick then run_microbenchmarks ();
   (* Quick runs exercise the JSON writer without clobbering the tracked
@@ -1016,11 +1056,11 @@ let () =
   let json_path =
     if !quick then "BENCH_sweeps.quick.json" else "BENCH_sweeps.json"
   in
-  Json.to_file json_path (sweeps_json ~jobs run);
+  Json.to_file json_path (sweeps_json ~jobs ~host_parallel run);
   Printf.printf
     "wrote %s (%d sweeps with GC deltas; every parallel sweep verified \
      bit-identical to its sequential run)\n"
     json_path
     (List.length !sweep_records);
-  check_whole_run_speedup ~jobs run;
+  check_whole_run_speedup ~jobs ~host_parallel run;
   print_endline "done. See EXPERIMENTS.md for the paper-vs-measured discussion."

@@ -409,31 +409,39 @@ let virtual_net (env : Engine.env) ~topology ~auth =
              if fresh p && 2 * List.length forwarders > k then Some (deliver p)
              else None)
   in
+  (* The [n] engine rounds left of a virtual round, received into two
+     reversed lists: [direct] bodies, and [forwards], Forward frames kept
+     as raw spans until [relayed] judges them. The lists are threaded
+     through arguments, never stored in a cell that outlives a park: a
+     minor collection during [next_round] promotes such a cell, and each
+     later write of a young list into it would put it in the remembered
+     set, so the next collection would promote the whole list through a
+     dead cell. *)
+  let rec receive n direct forwards =
+    if n = 0 then direct, forwards else scan (n - 1) direct forwards (env.next_round ())
+  and scan n direct forwards = function
+    | [] -> receive n direct forwards
+    | (e : Engine.envelope) :: rest ->
+      let tag =
+        if Wire.Slice.length e.data > 0 then Wire.Slice.get e.data 0 else '\255'
+      in
+      if tag = request_tag then begin
+        (* Relay duty never needs the body — header scan only. *)
+        forward_payload env h ~topology ~from:e.src ~data:e.data;
+        scan n direct forwards rest
+      end
+      else if tag = forward_tag then scan n direct ((e.src, e.data) :: forwards) rest
+      else if tag = direct_tag then
+        match direct_body cursor e.data with
+        | Some body -> scan n ((e.src, body) :: direct) forwards rest
+        | None -> scan n direct forwards rest
+      else scan n direct forwards rest
+  in
   let sync () =
-    let direct = ref [] in
-    (* Forward frames stay raw spans until [relayed] judges them. *)
-    let forwards = ref [] in
-    for _ = 1 to stride do
-      let inbox = env.next_round () in
-      List.iter
-        (fun (e : Engine.envelope) ->
-          let tag =
-            if Wire.Slice.length e.data > 0 then Wire.Slice.get e.data 0
-            else '\255'
-          in
-          if tag = request_tag then
-            (* Relay duty never needs the body — header scan only. *)
-            forward_payload env h ~topology ~from:e.src ~data:e.data
-          else if tag = forward_tag then forwards := (e.src, e.data) :: !forwards
-          else if tag = direct_tag then
-            match direct_body cursor e.data with
-            | Some body -> direct := (e.src, body) :: !direct
-            | None -> ())
-        inbox
-    done;
-    let relayed = relayed !forwards in
+    let direct, forwards = receive stride [] [] in
+    let relayed = relayed forwards in
     incr vround;
-    let all = List.rev_append !direct relayed in
+    let all = List.rev_append direct relayed in
     (* On a fully-connected net the inbox already arrives in sender order
        (the engine delivers by sender), so check before sorting: the
        result is the same list either way. *)

@@ -18,7 +18,13 @@ open Bsm_prelude
    [Rng.mix64_absorb] chain over (seed, side, index) and its round keys
    absorb 0..3 into it. A probe derives all five keys on the fly, as
    unboxed locals: keeping per-party key tables instead measured no
-   faster and raised the top heap by 21%.
+   faster and raised the top heap by 21%. Two places derive keys less
+   often without storing any per party:
+   - the stability scan's row cursor ([row_cursor]) derives a left
+     party's round keys once per row and answers the row's probes from
+     them;
+   - under [Common_acceptors] every acceptor shares one key chain, so
+     [make] derives its round keys once per instance.
 
    Gale–Shapley and the scan of its output share one per-domain slab
    (see [with_slab]), so a warm served request ([solve]) allocates no
@@ -40,6 +46,12 @@ type t = {
   half_mask : int;
   left_prefix : int64;  (* the (seed, side) prefix of every key chain *)
   right_prefix : int64;
+  (* The round keys of right party 0: under [Common_acceptors], those of
+     every acceptor. *)
+  acceptor0 : int64;
+  acceptor1 : int64;
+  acceptor2 : int64;
+  acceptor3 : int64;
 }
 
 let make ~family ~seed ~k =
@@ -49,6 +61,8 @@ let make ~family ~seed ~k =
   let prefix side =
     Rng.mix64_absorb (Rng.mix64 (Int64.of_int seed)) (Side.to_int side)
   in
+  let right_prefix = prefix Side.Right in
+  let acceptor = Rng.mix64_absorb right_prefix 0 in
   {
     k;
     seed;
@@ -56,7 +70,11 @@ let make ~family ~seed ~k =
     half_bits = !bits / 2;
     half_mask = (1 lsl (!bits / 2)) - 1;
     left_prefix = prefix Side.Left;
-    right_prefix = prefix Side.Right;
+    right_prefix;
+    acceptor0 = Rng.mix64_absorb acceptor 0;
+    acceptor1 = Rng.mix64_absorb acceptor 1;
+    acceptor2 = Rng.mix64_absorb acceptor 2;
+    acceptor3 = Rng.mix64_absorb acceptor 3;
   }
 
 let k t = t.k
@@ -99,12 +117,9 @@ let[@inline] decrypt k0 k1 k2 k3 bits mask x =
   let l, r = r lxor round k0 mask l, l in
   (l lsl bits) lor r
 
-(* Party [index]'s permutation at [x] (forward, or inverse when
-   [inverse]), keys derived from [prefix]. *)
-let permute t prefix index ~inverse x =
-  let key = absorb prefix index in
-  let k0 = absorb key 0 and k1 = absorb key 1 in
-  let k2 = absorb key 2 and k3 = absorb key 3 in
+(* A party's permutation at [x] (forward, or inverse when [inverse]),
+   given its round keys: the network, cycle-walked into [0, k). *)
+let[@inline] walk t k0 k1 k2 k3 ~inverse x =
   let n = t.k and bits = t.half_bits and mask = t.half_mask in
   let y = ref x in
   if inverse then begin
@@ -117,6 +132,11 @@ let permute t prefix index ~inverse x =
   end;
   !y
 
+(* Party [index]'s permutation, its keys derived from [prefix]. *)
+let permute t prefix index ~inverse x =
+  let key = absorb prefix index in
+  walk t (absorb key 0) (absorb key 1) (absorb key 2) (absorb key 3) ~inverse x
+
 let out_of_range t name i =
   invalid_arg (Printf.sprintf "Flat.%s: %d out of range [0, %d)" name i t.k)
 
@@ -124,12 +144,14 @@ let[@inline] check t name i = if i < 0 || i >= t.k then out_of_range t name i
 
 (* Under [Common_acceptors] every right party shares the key of index
    0 — the common-preferences regime of Hirvonen–Ranjbaran
-   (arXiv:2402.16532) on the accepting side. Callers range-check the
-   party first, so the collapse cannot hide a bad index. *)
-let right_index t r =
+   (arXiv:2402.16532) on the accepting side — whose round keys [make]
+   derived. Callers range-check the party first, so the collapse cannot
+   hide a bad index. *)
+let right_permute t r ~inverse x =
   match t.family with
-  | Uniform -> r
-  | Common_acceptors -> 0
+  | Uniform -> permute t t.right_prefix r ~inverse x
+  | Common_acceptors ->
+    walk t t.acceptor0 t.acceptor1 t.acceptor2 t.acceptor3 ~inverse x
 
 (* Full arity: a fully applied probe allocates nothing; only staging
    ([left_order t l]) allocates, the closure. *)
@@ -146,12 +168,12 @@ let left_rank t l r =
 let right_order t r rank =
   check t "right_order" r;
   check t "right_order" rank;
-  permute t t.right_prefix (right_index t r) ~inverse:false rank
+  right_permute t r ~inverse:false rank
 
 let right_rank t r l =
   check t "right_rank" r;
   check t "right_rank" l;
-  permute t t.right_prefix (right_index t r) ~inverse:true l
+  right_permute t r ~inverse:true l
 
 (* --- per-domain slab --------------------------------------------------- *)
 
@@ -301,18 +323,52 @@ let gale_shapley t =
 
 (* --- verification --------------------------------------------------------- *)
 
-let all _ = true
+(* A scan's row cursor. [enter] derives the row's four round keys into
+   [keys] once, and the row's probes read them back as unboxed locals,
+   so a probe costs the network alone. Under [Common_acceptors] every
+   acceptor ranks the row's party alike: [right_rank] probes it once per
+   row, on first use. The cursor is the scan's own, so concurrent scans
+   of one view share no row state. *)
+let row_cursor t () =
+  let keys = Bytes.create 32 in
+  let row = ref 0 and shared = ref (-1) in
+  let enter l =
+    check t "left_order" l;
+    let key = absorb t.left_prefix l in
+    Bytes.set_int64_ne keys 0 (absorb key 0);
+    Bytes.set_int64_ne keys 8 (absorb key 1);
+    Bytes.set_int64_ne keys 16 (absorb key 2);
+    Bytes.set_int64_ne keys 24 (absorb key 3);
+    row := l;
+    shared := -1
+  in
+  let order rank =
+    check t "left_order" rank;
+    walk t (Bytes.get_int64_ne keys 0) (Bytes.get_int64_ne keys 8)
+      (Bytes.get_int64_ne keys 16) (Bytes.get_int64_ne keys 24) ~inverse:false rank
+  in
+  let rank r =
+    check t "left_rank" r;
+    walk t (Bytes.get_int64_ne keys 0) (Bytes.get_int64_ne keys 8)
+      (Bytes.get_int64_ne keys 16) (Bytes.get_int64_ne keys 24) ~inverse:true r
+  in
+  let right_rank =
+    match t.family with
+    | Uniform -> fun r -> right_rank t r !row
+    | Common_acceptors ->
+      fun r ->
+        if !shared < 0 then shared := right_rank t r !row
+        else check t "right_rank" r;
+        !shared
+  in
+  { Verify.enter; order; rank; right_rank }
 
 let view t ~l2r ~memo =
   {
     Verify.k = t.k;
-    left_order = (fun l rank -> left_order t l rank);
-    left_rank = (fun l r -> left_rank t l r);
-    right_rank = (fun r l -> right_rank t r l);
+    row = row_cursor t;
     left_partner = (fun l -> l2r.(l));
     right_partner_rank = (fun r -> partner_rank t memo r);
-    consider_left = all;
-    consider_right = all;
   }
 
 (* The memo starts unprobed: one O(k) pass, the cost of the r2l array

@@ -11,13 +11,28 @@
     function of [(family, seed, k)]: results are bit-replayable and
     domain-safe under parallel sweeps.
 
-    Allocation: a fully applied probe allocates nothing (the keys are
-    derived per probe as unboxed locals, not stored per party). GS and
-    the scan of its output run in a per-domain {e slab} of four int
-    arrays, reused across calls while its capacity is at most 2¹⁶
-    parties and dropped after use above that; a slab in use is taken
-    out of its slot, so a nested call gets a fresh one. A warm {!solve}
-    therefore allocates no O(k) block. *)
+    Keys: a party's permutation is keyed by four round keys, absorbed
+    from its key chain. No key is stored per party; they are derived
+    - per probe, as unboxed locals, by the probes below and GS's
+      proposals;
+    - once per row by the stability scan: {!verify_view}'s row cursor
+      derives the row's left party's round keys when the scan enters
+      the row, and answers the row's order and rank probes from them;
+    - once per instance, in {!make}, for the one key chain every
+      acceptor shares under [Common_acceptors]. GS's contested probes,
+      the partner-rank memo and the scan all use it, and the scan asks
+      for a row's rank at the acceptors once per row, since every
+      acceptor gives the same answer.
+
+    Every probe value is the same whichever way its keys were derived.
+
+    Allocation: a fully applied probe allocates nothing. A scan
+    allocates one row cursor, O(1) words whatever k is. GS and the scan
+    of its output run in a per-domain {e slab} of four int arrays,
+    reused across calls while its capacity is at most 2¹⁶ parties and
+    dropped after use above that; a slab in use is taken out of its
+    slot, so a nested call gets a fresh one. A warm {!solve} therefore
+    allocates no O(k) block. *)
 
 type t
 
@@ -34,7 +49,8 @@ type family =
 
 val family_to_string : family -> string
 
-(** [make ~family ~seed ~k] — O(1); no tables are materialized. Raises
+(** [make ~family ~seed ~k] — O(1); no tables are materialized, only
+    the shared acceptor round keys are derived. Raises
     [Invalid_argument] when [k <= 0]. *)
 val make : family:family -> seed:int -> k:int -> t
 
@@ -68,8 +84,13 @@ val gale_shapley : t -> int array * Gale_shapley.stats
     array ([-1] = unmatched) to the {!Verify.view} scan, for
     {!Verify.count_blocking_rows} and friends. The view memoises each
     right party's rank of its partner in one O(k) array as scans probe
-    it (a concurrent scan of the same view only ever writes the value
-    already there). Raises [Invalid_argument] when [l2r] has the wrong
+    it. Each scan makes its own row cursor, which holds the keys of the
+    row it is in.
+
+    Concurrency: scans of one view may run on several domains at once,
+    as the sharded large-k check does. They share no row state, and a
+    concurrent write to the memo only ever stores the value already
+    due there. Raises [Invalid_argument] when [l2r] has the wrong
     length. *)
 val verify_view : t -> l2r:int array -> Verify.view
 

@@ -8,9 +8,6 @@ type t = {
   right_rank : int array array;
 }
 
-let k_left t = t.k_left
-let k_right t = t.k_right
-
 let rank_table ~rows ~cols order =
   let rank = Array.make_matrix rows cols (-1) in
   let ok = ref true in

@@ -30,9 +30,6 @@ val make : left:int list array -> right:int list array -> (t, string) result
 
 val make_exn : left:int list array -> right:int list array -> t
 
-val k_left : t -> int
-val k_right : t -> int
-
 (** [random rng ~k ~acceptance] — each of the [k²] pairs is acceptable to
     each endpoint independently with probability [acceptance]; rankings
     uniform. *)

@@ -16,7 +16,8 @@ let join profile a b = combine profile ~better:false a b
    partner, and run the sequential proposal chain. Women only trade up, so
    the chain ends when the originally-divorced woman accepts a proposer she
    prefers to her old partner — or fails when a proposer exhausts his
-   list. *)
+   list. [Some m'] is a strictly left-worse stable matching; [m] must be
+   stable. *)
 let breakmarriage profile m ~left =
   let k = Profile.k profile in
   let lp = Profile.left profile in

@@ -16,12 +16,6 @@ val meet : Profile.t -> Matching.t -> Matching.t -> Matching.t
 (** [join profile a b] — left-pessimal combination. *)
 val join : Profile.t -> Matching.t -> Matching.t -> Matching.t
 
-(** [breakmarriage profile m ~left] forces left party [left] past its
-    current partner and lets the proposal chain settle: [Some m'] with a
-    strictly left-worse stable matching, or [None] when no stable matching
-    exists below [m] through this break. [m] must be stable. *)
-val breakmarriage : Profile.t -> Matching.t -> left:int -> Matching.t option
-
 (** All stable matchings, left-optimal first, in BFS order from the
     left-optimal matching. *)
 val all_stable : Profile.t -> Matching.t list

@@ -10,10 +10,8 @@ open Bsm_prelude
 
 type t
 
-(** [of_l2r a] — [a.(i)] is the right partner of left party [i]; must be a
-    permutation. *)
-val of_l2r : int array -> (t, string) result
-
+(** [of_l2r_exn a] — [a.(i)] is the right partner of left party [i];
+    raises [Invalid_argument] unless [a] is a permutation. *)
 val of_l2r_exn : int array -> t
 
 val k : t -> int
@@ -26,8 +24,6 @@ val partner_of_right : t -> int -> int
 
 (** [partner t p] is [p]'s partner as a {!Party_id.t}. *)
 val partner : t -> Party_id.t -> Party_id.t
-
-val to_pairs : t -> (int * int) list
 
 val equal : t -> t -> bool
 val compare : t -> t -> int

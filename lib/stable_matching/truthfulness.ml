@@ -22,6 +22,9 @@ let all_prefs k =
   in
   List.map Prefs.of_list_exn (perms (List.init k Fun.id))
 
+(* All [k!] alternative lists for [p]: the manipulation that yields [p]
+   its best achievable partner (by its true list), or [None] if lying
+   never strictly helps. *)
 let best_lie profile p ~proposers =
   let truth = Profile.prefs profile p in
   let honest_partner = partner_index (Gale_shapley.run ~proposers profile) p in

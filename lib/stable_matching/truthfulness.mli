@@ -22,12 +22,6 @@ type manipulation = {
     manipulation. *)
 val roth_instance : unit -> Profile.t * manipulation
 
-(** [best_lie profile p ~proposers] searches all [k!] alternative lists for
-    party [p] and returns the manipulation that yields [p] its best
-    achievable partner (w.r.t. [p]'s true list), or [None] if lying never
-    strictly helps. Factorial time; intended for small [k]. *)
-val best_lie : Profile.t -> Party_id.t -> proposers:Side.t -> manipulation option
-
 (** [proposer_can_gain profile] is [true] iff some left party can strictly
     gain by lying under left-proposing Gale–Shapley; by
     Dubins–Freedman / Roth this is always [false] — asserted by the test

@@ -6,36 +6,48 @@ type blocking_pair = {
 (* Allocation-free view of a (possibly partial) matching against a
    preference structure. Partners are plain ints with -1 for unmatched,
    so the hot verification scan never allocates an option. The
-   preference accessors are functions rather than arrays so that both
+   preference probes are functions rather than arrays so that both
    explicit [Profile.t] instances and implicit [Flat.t] ones share one
    scan. A right party enters the scan only through the rank it gives
    its partner, which an implicit instance memoises instead of probing
-   per candidate. *)
-type view = {
-  k : int;
-  left_order : int -> int -> int;  (** [left_order l rank] = candidate *)
-  left_rank : int -> int -> int;  (** [left_rank l r] = rank of [r] at [l] *)
-  right_rank : int -> int -> int;
-  left_partner : int -> int;  (** -1 when unmatched *)
-  right_partner_rank : int -> int;  (** [k] when unmatched *)
-  consider_left : int -> bool;
-  consider_right : int -> bool;
+   per candidate.
+
+   The left side's probes go through a row cursor: the scan enters each
+   row once and then asks about that row only, so an implicit instance
+   derives a row's keys once rather than once per probe. A scan creates
+   its own cursor, so concurrent scans of one view share no row
+   state. *)
+type row = {
+  enter : int -> unit;
+  order : int -> int;
+  rank : int -> int;
+  right_rank : int -> int;
 }
 
-let all _ = true
+type view = {
+  k : int;
+  row : unit -> row;
+  left_partner : int -> int;
+  right_partner_rank : int -> int;
+}
 
 let view_of_matching profile m =
   let lp = Profile.left profile in
   let rp = Profile.right profile in
+  let row () =
+    let l = ref 0 in
+    {
+      enter = (fun i -> l := i);
+      order = (fun rank -> Prefs.at lp.(!l) rank);
+      rank = (fun r -> Prefs.rank lp.(!l) r);
+      right_rank = (fun r -> Prefs.rank rp.(r) !l);
+    }
+  in
   {
     k = Profile.k profile;
-    left_order = (fun l rank -> Prefs.at lp.(l) rank);
-    left_rank = (fun l r -> Prefs.rank lp.(l) r);
-    right_rank = (fun r l -> Prefs.rank rp.(r) l);
+    row;
     left_partner = (fun l -> Matching.partner_of_left m l);
     right_partner_rank = (fun r -> Prefs.rank rp.(r) (Matching.partner_of_right m r));
-    consider_left = all;
-    consider_right = all;
   }
 
 (* The one scan everything else derives from: count blocking pairs with
@@ -47,31 +59,30 @@ let view_of_matching profile m =
    O(log k) on average. A candidate [r] blocks iff it ranks [l] strictly
    before its partner (an unmatched [r] ranks its "partner" at [k], after
    everyone) — when [r] is [l]'s own partner the strict comparison
-   fails, so no self-pair is counted. Every probe is fully applied, so
-   the scan allocates nothing. *)
+   fails, so no self-pair is counted. The scan makes one cursor and
+   enters each row once; every probe is fully applied, so it allocates
+   only the cursor. *)
 let count_blocking_rows ?(cap = max_int) v ~lo ~hi =
   let lo = max lo 0 and hi = min hi v.k in
+  let c = v.row () in
   let count = ref 0 in
   let l = ref lo in
   while !count <= cap && !l < hi do
     let li = !l in
-    if v.consider_left li then begin
-      let p = v.left_partner li in
-      let limit = if p < 0 then v.k else v.left_rank li p in
-      let rank = ref 0 in
-      while !count <= cap && !rank < limit do
-        let r = v.left_order li !rank in
-        if v.consider_right r && v.right_rank r li < v.right_partner_rank r then
-          incr count;
-        incr rank
-      done
-    end;
+    c.enter li;
+    let p = v.left_partner li in
+    let limit = if p < 0 then v.k else c.rank p in
+    let rank = ref 0 in
+    while !count <= cap && !rank < limit do
+      let r = c.order !rank in
+      if c.right_rank r < v.right_partner_rank r then incr count;
+      incr rank
+    done;
     incr l
   done;
   !count
 
-let exists_blocking_rows v ~lo ~hi = count_blocking_rows ~cap:0 v ~lo ~hi > 0
-let exists_blocking v = exists_blocking_rows v ~lo:0 ~hi:v.k
+let exists_blocking v = count_blocking_rows ~cap:0 v ~lo:0 ~hi:v.k > 0
 let count_blocking v = count_blocking_rows v ~lo:0 ~hi:v.k
 
 (* ε-stability (Ostrovsky–Rosenbaum): at most ε·k² blocking pairs. The
@@ -119,6 +130,8 @@ let blocking_pairs_partial profile ~left_partner ~right_partner ~consider_left
     done
   done;
   !pairs
+
+let all _ = true
 
 let blocking_pairs profile m =
   blocking_pairs_partial profile

@@ -46,25 +46,35 @@ val is_eps_stable : eps:float -> Profile.t -> Matching.t -> bool
 
 (** {2 Allocation-free views}
 
-    A {!view} abstracts the inputs of the fast scan: preference
-    accessors as functions (so explicit [Profile.t] and implicit
-    [Flat.t] instances share the scan), the left partner map as ints
-    with [-1] meaning unmatched, and each right party's rank of its
-    partner — the one thing the scan needs of the right side's matching,
-    so an implicit instance can memoise it instead of probing it per
+    A {!view} abstracts the inputs of the fast scan: preference probes
+    as functions (so explicit [Profile.t] and implicit [Flat.t]
+    instances share the scan), the left partner map as ints with [-1]
+    meaning unmatched, and each right party's rank of its partner — the
+    one thing the scan needs of the right side's matching, so an
+    implicit instance can memoise it instead of probing it per
     candidate. *)
+
+(** A row cursor: the scan calls [enter l] once for left party [l]'s
+    row, then asks only about that row. [Flat] derives the row's keys
+    at [enter] and answers the row's probes from them; an explicit
+    profile only remembers [l]. *)
+type row = {
+  enter : int -> unit;  (** [enter l]: the probes below are about row [l] *)
+  order : int -> int;  (** [order rank] = the row's candidate at [rank] *)
+  rank : int -> int;  (** [rank r] = the rank of [r] in the row *)
+  right_rank : int -> int;  (** [right_rank r] = the rank [r] gives [l] *)
+}
 
 type view = {
   k : int;
-  left_order : int -> int -> int;  (** [left_order l rank] = candidate *)
-  left_rank : int -> int -> int;  (** [left_rank l r] = rank of [r] at [l] *)
-  right_rank : int -> int -> int;
+  row : unit -> row;
+      (** a fresh cursor, made once per scan call: the row state belongs
+          to the scan, not the view, so scans of one view on several
+          domains at once share none of it *)
   left_partner : int -> int;  (** -1 when unmatched *)
   right_partner_rank : int -> int;
       (** [right_partner_rank r] = rank [r] gives its partner; [k] when
           unmatched (every candidate ranks ahead of being alone) *)
-  consider_left : int -> bool;
-  consider_right : int -> bool;
 }
 
 val view_of_matching : Profile.t -> Matching.t -> view
@@ -74,10 +84,11 @@ val view_of_matching : Profile.t -> Matching.t -> view
     and returning [cap + 1] — as soon as the count exceeds [cap]
     (default [max_int], i.e. exact). Disjoint row ranges partition the
     blocking pairs, so shard counts sum to the total: this is the unit
-    of work of the pool-parallel large-k check. *)
+    of work of the pool-parallel large-k check. One call makes one
+    cursor and enters each row once, so it allocates O(1) words
+    whatever the number of rows. *)
 val count_blocking_rows : ?cap:int -> view -> lo:int -> hi:int -> int
 
-val exists_blocking_rows : view -> lo:int -> hi:int -> bool
 val exists_blocking : view -> bool
 val count_blocking : view -> int
 val is_eps_stable_view : eps:float -> view -> bool

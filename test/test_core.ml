@@ -1385,6 +1385,41 @@ let test_ssm_mutual_favorites_matched () =
   | Core.Problem.Nobody | Core.Problem.No_output ->
     Alcotest.fail "L0 must match its mutual favorite"
 
+(* [sync] parks its fiber once per engine round. A cell allocated
+   before a park is promoted by any minor collection during it, and
+   every later write of a young value into it puts it in the remembered
+   set, so the next minor collection promotes whatever it points to —
+   the round's whole inbox list, though the cell is already dead. Four
+   parties per side multicast 200 bytes to everyone for 50 rounds, and
+   L0 collects each round: with the inbox lists threaded through
+   arguments, the run promotes ~17k words; with refs written after the
+   park, ~96k. *)
+let test_sync_promotes_little () =
+  if Sys.backend_type = Sys.Native then begin
+    let k = 4 and rounds = 50 in
+    let body = String.make 200 'x' in
+    let programs p (env : Engine.env) =
+      let net =
+        Core.Channels.virtual_net env ~topology:Topology.Fully_connected
+          ~auth:Core.Channels.Majority
+      in
+      let others = List.filter (fun q -> not (Party_id.equal q p)) (Party_id.all ~k) in
+      for _ = 1 to rounds do
+        net.Bsm_runtime.Net.send_many others body;
+        if Party_id.equal p (Party_id.left 0) then Gc.minor ();
+        ignore (Sys.opaque_identity (net.Bsm_runtime.Net.sync ()))
+      done
+    in
+    let cfg = Engine.config ~k ~link:(Engine.Of_topology Topology.Fully_connected) () in
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.promoted_words in
+    ignore (Engine.run cfg ~programs);
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "promoted %.0f words <= 40000" promoted)
+      true (promoted <= 40_000.)
+  end
+
 let () =
   Alcotest.run "core"
     [
@@ -1414,6 +1449,8 @@ let () =
             test_forward_duty_matches_reference;
           Alcotest.test_case "majority dedups forged sources and huge ids" `Quick
             test_majority_dedups_forged_sources;
+          Alcotest.test_case "sync promotes no dead inbox" `Quick
+            test_sync_promotes_little;
         ] );
       ( "end-to-end",
         [

@@ -601,6 +601,73 @@ let test_flat_probes_allocate_nothing () =
       true (large <= 16.)
   end
 
+(* A view promises that concurrent scans of it are safe: each scan makes
+   its own row cursor, and the partner-rank memo they share is only ever
+   written with the value already due there. Two domains scan disjoint
+   halves of the same fresh views at once (racing on the memo of every
+   right party both halves reach); every shard count must equal the
+   sequential one, and the halves must sum to [count_blocking]. *)
+let test_flat_concurrent_scans () =
+  let k = 1024 and reps = 60 in
+  List.iter
+    (fun family ->
+      let f = SM.Flat.make ~family ~seed:0xC0C ~k in
+      let gs, _ = SM.Flat.gale_shapley f in
+      (* Rotate the partners of every 32nd left party, over both
+         halves, so each half holds blocking pairs. *)
+      let l2r = Array.copy gs and moved = k / 32 in
+      for i = 0 to moved - 1 do
+        l2r.(32 * i) <- gs.(32 * ((i + 1) mod moved))
+      done;
+      let half = k / 2 in
+      let shard ~lo ~hi =
+        SM.Verify.count_blocking_rows (SM.Flat.verify_view f ~l2r) ~lo ~hi
+      in
+      let lo_count = shard ~lo:0 ~hi:half and hi_count = shard ~lo:half ~hi:k in
+      let name = SM.Flat.family_to_string family in
+      Alcotest.(check int) (name ^ " halves sum to the total")
+        (SM.Verify.count_blocking (SM.Flat.verify_view f ~l2r))
+        (lo_count + hi_count);
+      Alcotest.(check bool) (name ^ " both halves block") true
+        (lo_count > 0 && hi_count > 0);
+      let views = Array.init reps (fun _ -> SM.Flat.verify_view f ~l2r) in
+      let ready = Atomic.make 0 in
+      let scan ~lo ~hi =
+        Atomic.incr ready;
+        while Atomic.get ready < 2 do Domain.cpu_relax () done;
+        Array.map (fun v -> SM.Verify.count_blocking_rows v ~lo ~hi) views
+      in
+      let other = Domain.spawn (fun () -> scan ~lo:half ~hi:k) in
+      let lows = scan ~lo:0 ~hi:half in
+      let highs = Domain.join other in
+      Array.iter (Alcotest.(check int) (name ^ " low shard") lo_count) lows;
+      Array.iter (Alcotest.(check int) (name ^ " high shard") hi_count) highs)
+    [ SM.Flat.Uniform; SM.Flat.Common_acceptors ]
+
+(* A scan makes one row cursor, whatever the number of rows: the words
+   it allocates do not grow with k. *)
+let test_flat_scan_allocates_one_cursor () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun family ->
+        let words k =
+          let f = SM.Flat.make ~family ~seed:5 ~k in
+          let l2r, _ = SM.Flat.gale_shapley f in
+          let v = SM.Flat.verify_view f ~l2r in
+          let w0 = Gc.minor_words () in
+          let count = SM.Verify.count_blocking v in
+          let w = Gc.minor_words () -. w0 in
+          Alcotest.(check int) "GS output is stable" 0 count;
+          w
+        in
+        let small = words 64 and large = words 65_536 in
+        let name = SM.Flat.family_to_string family in
+        Alcotest.(check (float 0.)) (name ^ ": 1024x the rows, same words") small large;
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: one cursor (%.0f words)" name large)
+          true (large <= 64.))
+      [ SM.Flat.Uniform; SM.Flat.Common_acceptors ]
+
 (* --- Lattice ------------------------------------------------------------ *)
 
 let test_lattice_meet_join_stable () =
@@ -906,6 +973,10 @@ let () =
             test_flat_solve_matches_parts;
           Alcotest.test_case "probes allocate nothing" `Quick
             test_flat_probes_allocate_nothing;
+          Alcotest.test_case "concurrent scans of one view" `Quick
+            test_flat_concurrent_scans;
+          Alcotest.test_case "a scan allocates one cursor" `Quick
+            test_flat_scan_allocates_one_cursor;
         ] );
       ( "lattice",
         [
