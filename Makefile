@@ -19,8 +19,10 @@ bench:
 # violation, a stuck or violated recovery, an unstable GS output, a
 # failed epsilon check, a parallel result that differs from the
 # sequential one, or a whole-run parallel speedup < 1.0 when both --jobs
-# and the recommended domain count are >= 2 (on a single-core container
-# that check is skipped with a notice).
+# and the recommended domain count are >= 2 (on one core that check is
+# skipped with a notice). The development host has 2 vCPUs shared with
+# other tenants, so the speedup line also prints host_parallel: near 1
+# the host, not the program, failed the check.
 bench-quick:
 	dune exec bench/main.exe -- --quick
 
@@ -32,10 +34,10 @@ bench-quick:
 bench-compare:
 	dune exec tools/bench_compare/bench_compare.exe -- $(OLD) $(NEW)
 
-# Deterministic decoder fuzzing over every registered codec (the
-# Codec_corpus): per codec, 500 clean round-trips plus 500 mutated-frame
-# decodes — 20k decoder invocations, fully seeded, well under a second.
-# Any exception other than Wire.Malformed fails the run.
+# Deterministic decoder fuzzing over every wire codec (the Codec_corpus
+# and the serve frames): per codec, 500 clean round-trips plus 500
+# mutated-frame decodes — 29k decoder invocations, fully seeded, well
+# under a second. Any exception other than Wire.Malformed fails the run.
 fuzz-quick:
 	dune exec bin/main.exe -- fuzz --cases 500
 

@@ -22,8 +22,8 @@
    across PRs. The parallel pass is *fused*: all tables' cells (chaos
    grid and T-scale included) enter one shared task graph with a single
    drain point, so no table pays a barrier behind another table's
-   straggler cell. Parallelism comes from --jobs, else BSM_JOBS, else
-   the machine's recommended domain count.
+   straggler cell. Parallelism comes from --jobs, else the machine's
+   recommended domain count.
 
    Usage: main.exe [--quick] [--jobs N | -j N]; anything else is an
    error (exit 2).
@@ -1010,13 +1010,13 @@ let check_whole_run_speedup ~jobs ~host_parallel (rs : H.Sweep.Fused.run_stats) 
       jobs recommended par_total rs.H.Sweep.Fused.tasks host_parallel
 
 let () =
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (Some Logs.Warning);
-  let jobs = Pool.resolve_jobs ?jobs:(parse_args ()) () in
+  let jobs =
+    Option.value (parse_args ()) ~default:(Domain.recommended_domain_count ())
+  in
   print_endline "byzantine stable matching — experiment harness";
   Printf.printf
-    "sweep parallelism: %d job(s) (--jobs beats BSM_JOBS, %d domain(s) \
-     recommended); scheduler: fused (one task graph, one drain point)%s\n"
+    "sweep parallelism: %d job(s) (%d domain(s) recommended); scheduler: \
+     fused (one task graph, one drain point)%s\n"
     jobs
     (Domain.recommended_domain_count ())
     (if !quick then "; --quick: smallest k per table, no microbenchmarks"

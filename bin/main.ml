@@ -341,11 +341,8 @@ let chaos_cmd =
       else Chaos.Chaos_sweep.quick_grid ()
     in
     let cells = if inject then cells @ [ injected_cell () ] else cells in
-    (* resolve_jobs: an explicit --jobs wins verbatim (no clamping) over
-       the BSM_JOBS environment variable. *)
-    let jobs = Bsm_runtime.Pool.resolve_jobs ?jobs () in
     let outcomes =
-      Bsm_runtime.Pool.with_pool ~jobs (fun pool ->
+      Bsm_runtime.Pool.with_pool ?jobs (fun pool ->
           Chaos.Chaos_sweep.run_cells ~pool cells)
     in
     let table =
@@ -413,11 +410,9 @@ let chaos_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (int_at_least 1)) None
       & info [ "j"; "jobs" ]
-          ~doc:
-            "Domains for the sweep. An explicit value takes precedence over \
-             BSM_JOBS (default: BSM_JOBS, else the recommended domain count).")
+          ~doc:"Domains for the sweep (default: the recommended domain count).")
   in
   let shrink =
     Arg.(
@@ -494,10 +489,7 @@ let replay_cmd =
 
 let fuzz_cmd =
   let run cases seed =
-    (* The serve frames register themselves into the corpus (the corpus
-       library cannot depend on the serve layer). *)
-    Bsm_serve.Frame.register_codecs ();
-    let entries = Chaos.Codec_corpus.entries () in
+    let entries = Chaos.Codec_corpus.entries () @ Bsm_serve.Frame.fuzz_entries in
     let stats = Bsm_wire.Fuzz.run ~seed ~cases entries in
     List.iter (fun s -> Format.printf "%a@." Bsm_wire.Fuzz.pp_stats s) stats;
     let total = Bsm_wire.Fuzz.total_cases stats in
@@ -838,17 +830,19 @@ let socket_arg =
     & opt string "/tmp/bsm.sock"
     & info [ "socket" ] ~doc:"Unix-domain socket path.")
 
+let queue_arg =
+  Arg.(
+    value
+    & opt (int_at_least 1) 256
+    & info [ "queue" ] ~doc:"Submission queue capacity.")
+
+let batch_arg =
+  Arg.(
+    value & opt (int_at_least 1) 64 & info [ "batch" ] ~doc:"Max instances retired per tick.")
+
 let serve_cmd =
   let run socket jobs queue batch max_k max_requests chaos =
-    let pool =
-      (* An explicit --jobs sizes a dedicated pool; otherwise the serve
-         loop holds the process-global one (shutdown_global / at_exit
-         stay safe mid-serve: Pool.shutdown waits out in-flight
-         batches). *)
-      match jobs with
-      | Some j -> Bsm_runtime.Pool.create ~jobs:j ()
-      | None -> Bsm_runtime.Pool.global ()
-    in
+    Bsm_runtime.Pool.with_pool ?jobs @@ fun pool ->
     let server =
       Serve.Server.create ~pool
         ~config:
@@ -907,14 +901,8 @@ let serve_cmd =
   let jobs =
     Arg.(
       value
-      & opt (some int) None
-      & info [ "j"; "jobs" ] ~doc:"Pool lanes (default: the process-global pool).")
-  in
-  let queue =
-    Arg.(value & opt int 256 & info [ "queue" ] ~doc:"Submission queue capacity.")
-  in
-  let batch =
-    Arg.(value & opt int 64 & info [ "batch" ] ~doc:"Max instances retired per tick.")
+      & opt (some (int_at_least 1)) None
+      & info [ "j"; "jobs" ] ~doc:"Pool lanes (default: the recommended domain count).")
   in
   let max_k =
     Arg.(value & opt int 4096 & info [ "max-k" ] ~doc:"Admission ceiling on k.")
@@ -936,16 +924,16 @@ let serve_cmd =
        ~doc:
          "Run the matchmaking daemon: a Unix-domain-socket listener \
           multiplexing concurrent instances over the persistent domain pool.")
-    Term.(const run $ socket_arg $ jobs $ queue $ batch $ max_k $ max_requests $ chaos)
+    Term.(const run $ socket_arg $ jobs $ queue_arg $ batch_arg $ max_k $ max_requests $ chaos)
 
 let load_cmd =
-  let run (instances, live_check) seed jobs queue batch k_min k_max mean_gap chaos
-      wall out connect =
+  let run (instances, live_check) seed jobs queue batch (k_min, k_max) mean_gap
+      chaos wall out connect =
     let params =
       {
         Serve.Serve_bench.instances;
         seed;
-        jobs = Bsm_runtime.Pool.resolve_jobs ?jobs ();
+        jobs = Option.value jobs ~default:(Domain.recommended_domain_count ());
         queue_capacity = queue;
         batch;
         k_min;
@@ -1029,16 +1017,22 @@ let load_cmd =
     Arg.(
       value
       & opt (some (int_at_least 1)) None
-      & info [ "j"; "jobs" ] ~doc:"Pool lanes (default: BSM_JOBS or the core count).")
+      & info [ "j"; "jobs" ] ~doc:"Pool lanes (default: the recommended domain count).")
   in
-  let queue =
-    Arg.(value & opt int 256 & info [ "queue" ] ~doc:"Submission queue capacity.")
+  let k_min =
+    Arg.(value & opt (int_at_least 1) 8 & info [ "k-min" ] ~doc:"Smallest instance k.")
   in
-  let batch =
-    Arg.(value & opt int 64 & info [ "batch" ] ~doc:"Max instances retired per tick.")
-  in
-  let k_min = Arg.(value & opt int 8 & info [ "k-min" ] ~doc:"Smallest instance k.") in
   let k_max = Arg.(value & opt int 64 & info [ "k-max" ] ~doc:"Largest instance k.") in
+  let k_range =
+    let check k_min k_max =
+      if k_max < k_min then
+        `Error
+          ( true,
+            Printf.sprintf "option '--k-max': %d is below --k-min %d" k_max k_min )
+      else `Ok (k_min, k_max)
+    in
+    Term.(ret (const check $ k_min $ k_max))
+  in
   let mean_gap =
     Arg.(
       value & opt int 1
@@ -1100,8 +1094,8 @@ let load_cmd =
          "Open-loop load bench for the serve layer: deterministic arrival \
           schedule, ring (or socket) transport, BENCH_serve.json output.")
     Term.(
-      const run $ instances_and_check $ seed_arg $ jobs $ queue $ batch $ k_min
-      $ k_max $ mean_gap $ chaos $ wall $ out $ connect)
+      const run $ instances_and_check $ seed_arg $ jobs $ queue_arg $ batch_arg
+      $ k_range $ mean_gap $ chaos $ wall $ out $ connect)
 
 let () =
   (* Socket writes to a vanished peer must surface as EPIPE errors the

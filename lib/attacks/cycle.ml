@@ -1,36 +1,20 @@
 open Bsm_prelude
-module Engine = Bsm_runtime.Engine
 module Topology = Bsm_topology.Topology
 
-(* Small system: a,b = L0,L1; c,d = R0,R1. Copies i ∈ {1,2} at big index
-   (small index) resp. (small index + 2). *)
-let small_k = 2
-let big_k = 4
+(* Small system: a,b = L0,L1; c,d = R0,R1. *)
+let a = Party_id.left 0
+let b = Party_id.left 1
+let c = Party_id.right 0
 
-let big_id label copy =
-  Party_id.make (Party_id.side label) (Party_id.index label + (2 * (copy - 1)))
-
-let label_of big =
-  Party_id.make (Party_id.side big) (Party_id.index big mod 2), (Party_id.index big / 2) + 1
-
-(* The 8-cycle a1-c1-b1-d1-a2-c2-b2-d2-a1: from (x, i), the copy hosting
-   the neighbor labeled y. Only the a–d chords cross copies. *)
-let neighbor_copy (x, i) y =
+(* The 8-cycle a1-c1-b1-d1-a2-c2-b2-d2-a1: only the a–d chords cross
+   copies. *)
+let crossing x y =
   let is_a p = Side.equal (Party_id.side p) Side.Left && Party_id.index p = 0 in
   let is_d p = Side.equal (Party_id.side p) Side.Right && Party_id.index p = 1 in
-  if (is_a x && is_d y) || (is_d x && is_a y) then 3 - i else i
-
-let big_edge u v =
-  let lu, cu = label_of u in
-  let lv, cv = label_of v in
-  (not (Side.equal (Party_id.side lu) (Party_id.side lv)))
-  && cv = neighbor_copy (lu, cu) lv
+  (is_a x && is_d y) || (is_d x && is_a y)
 
 (* Inputs: a1 <-> c1 and b2 <-> c2 mutual favorites; rest arbitrary. *)
-let favorite_of big =
-  let label, copy = label_of big in
-  let a = Party_id.left 0 and b = Party_id.left 1 in
-  let c = Party_id.right 0 in
+let favorite label ~copy =
   match Side.equal (Party_id.side label) Side.Left, Party_id.index label, copy with
   | true, 0, 1 -> c (* a1 -> c *)
   | false, 0, 1 -> a (* c1 -> a *)
@@ -39,65 +23,22 @@ let favorite_of big =
   | true, _, _ -> c
   | false, _, _ -> a
 
-let node_name big =
-  let label, copy = label_of big in
-  let letter =
-    match Side.equal (Party_id.side label) Side.Left, Party_id.index label with
-    | true, 0 -> "a"
-    | true, _ -> "b"
-    | false, 0 -> "c"
-    | false, _ -> "d"
-  in
-  letter ^ string_of_int copy
+let violation decision =
+  match decision a ~copy:1, decision b ~copy:2 with
+  | Some x, Some y when Party_id.equal x c && Party_id.equal y c ->
+    Some
+      "final projection: honest a and b both decide to match byzantine c \
+       (non-competition violated; Lemma 7)"
+  | _ -> None
 
-let run (protocol : Protocol_under_test.t) =
-  let outputs = Hashtbl.create 8 in
-  let node_program big (env : Engine.env) =
-    let label, copy = label_of big in
-    let program =
-      protocol.Protocol_under_test.program ~topology:Topology.Bipartite ~k:small_k
-        ~favorite:(favorite_of big) ~self:label
-    in
-    Simulate.run env
-      ~instances:
-        [
-          { Simulate.tag = "node"; simulated_id = label; simulated_k = small_k; program };
-        ]
-      ~rounds:protocol.Protocol_under_test.rounds
-      ~route_out:(fun o ->
-        Simulate.Physical
-          ( big_id o.Simulate.out_dst (neighbor_copy (label, copy) o.Simulate.out_dst),
-            o.Simulate.out_body ))
-      ~route_in:(fun e ->
-        let src_label, _ = label_of e.Engine.src in
-        Some { Simulate.in_tag = "node"; in_src = src_label; in_body = Bsm_wire.Wire.Slice.to_string e.Engine.data })
-      ~on_output:(fun _ payload ->
-        Hashtbl.replace outputs (Party_id.to_string big)
-          (Protocol_under_test.decode_decision payload))
-  in
-  let cfg = Engine.config ~k:big_k ~link:(Engine.Custom big_edge) ~max_rounds:200 () in
-  ignore (Engine.run cfg ~programs:(fun big env -> node_program big env));
-  let out_of label copy =
-    Option.join (Hashtbl.find_opt outputs (Party_id.to_string (big_id label copy)))
-  in
-  let a1 = out_of (Party_id.left 0) 1 in
-  let b2 = out_of (Party_id.left 1) 2 in
-  let c = Party_id.right 0 in
-  let violation =
-    match a1, b2 with
-    | Some x, Some y when Party_id.equal x c && Party_id.equal y c ->
-      Some
-        "final projection: honest a and b both decide to match byzantine c \
-         (non-competition violated; Lemma 7)"
-    | _ -> None
-  in
-  {
-    Report.attack = "cycle attack (Lemma 7, Fig. 3)";
-    protocol = protocol.Protocol_under_test.name;
-    outputs =
-      List.map
-        (fun big ->
-          node_name big, Option.join (Hashtbl.find_opt outputs (Party_id.to_string big)))
-        (Party_id.all ~k:big_k);
-    violation;
-  }
+let run =
+  Covering.run
+    {
+      Covering.attack = "cycle attack (Lemma 7, Fig. 3)";
+      topology = Topology.Bipartite;
+      small_k = 2;
+      letters = "ab", "cd";
+      crossing;
+      favorite;
+      violation;
+    }

@@ -1,17 +1,12 @@
 open Bsm_prelude
-module Engine = Bsm_runtime.Engine
 module Topology = Bsm_topology.Topology
 
-(* Small system: a,b,c = L0,L1,L2; u,v,w = R0,R1,R2. Copies i ∈ {1,2} live
-   at big index (small index) resp. (small index + 3). *)
-let small_k = 3
-let big_k = 6
-
-let big_id label copy =
-  Party_id.make (Party_id.side label) (Party_id.index label + (3 * (copy - 1)))
-
-let label_of big =
-  Party_id.make (Party_id.side big) (Party_id.index big mod 3), (Party_id.index big / 3) + 1
+(* Small system: a,b,c = L0,L1,L2; u,v,w = R0,R1,R2. *)
+let a = Party_id.left 0
+let b = Party_id.left 1
+let c = Party_id.left 2
+let u = Party_id.right 0
+let v = Party_id.right 1
 
 (* The twist: channels between {a, u} and {c, w} cross the two copies;
    every other pair of labels stays within its copy. *)
@@ -20,96 +15,32 @@ let crossing x y =
   let in_group2 p = Party_id.index p = 2 (* c or w *) in
   (in_group1 x && in_group2 y) || (in_group2 x && in_group1 y)
 
-(* From big node (x, i), the copy hosting its neighbor with label y. *)
-let neighbor_copy (x, i) y = if crossing x y then 3 - i else i
-
-let big_edge u v =
-  let lu, cu = label_of u in
-  let lv, cv = label_of v in
-  (not (Party_id.equal lu lv)) && cv = neighbor_copy (lu, cu) lv
-
 (* Inputs: c1 <-> v1 and a2 <-> v2 are mutual favorites; the rest are
    arbitrary (Lemma 5 fixes only those four). *)
-let favorite_of big =
-  let label, copy = label_of big in
-  let a = Party_id.left 0 and c = Party_id.left 2 in
-  let u = Party_id.right 0 and v = Party_id.right 1 in
+let favorite label ~copy =
   match Party_id.to_string label, copy with
   | "L2", 1 -> v (* c1 -> v *)
   | "R1", 1 -> c (* v1 -> c *)
   | "L0", 2 -> v (* a2 -> v *)
   | "R1", 2 -> a (* v2 -> a *)
-  | _ ->
-    if Side.equal (Party_id.side label) Side.Left then u else Party_id.left 1
+  | _ -> if Side.equal (Party_id.side label) Side.Left then u else b
 
-let node_name big =
-  let label, copy = label_of big in
-  let letter =
-    match Side.equal (Party_id.side label) Side.Left, Party_id.index label with
-    | true, 0 -> "a"
-    | true, 1 -> "b"
-    | true, _ -> "c"
-    | false, 0 -> "u"
-    | false, 1 -> "v"
-    | false, _ -> "w"
-  in
-  letter ^ string_of_int copy
+let violation decision =
+  match decision a ~copy:2, decision c ~copy:1 with
+  | Some x, Some y when Party_id.equal x v && Party_id.equal y v ->
+    Some
+      "projection (iv): honest a and c both decide to match v \
+       (non-competition violated; Lemma 5)"
+  | _ -> None
 
-let run (protocol : Protocol_under_test.t) =
-  let outputs = Hashtbl.create 16 in
-  let node_program big (env : Engine.env) =
-    let label, copy = label_of big in
-    let program =
-      protocol.Protocol_under_test.program ~topology:Topology.Fully_connected
-        ~k:small_k ~favorite:(favorite_of big) ~self:label
-    in
-    Simulate.run env
-      ~instances:
-        [
-          {
-            Simulate.tag = "node";
-            simulated_id = label;
-            simulated_k = small_k;
-            program;
-          };
-        ]
-      ~rounds:protocol.Protocol_under_test.rounds
-      ~route_out:(fun o ->
-        Simulate.Physical
-          ( big_id o.Simulate.out_dst (neighbor_copy (label, copy) o.Simulate.out_dst),
-            o.Simulate.out_body ))
-      ~route_in:(fun e ->
-        let src_label, _ = label_of e.Engine.src in
-        Some { Simulate.in_tag = "node"; in_src = src_label; in_body = Bsm_wire.Wire.Slice.to_string e.Engine.data })
-      ~on_output:(fun _ payload ->
-        Hashtbl.replace outputs (Party_id.to_string big)
-          (Protocol_under_test.decode_decision payload))
-  in
-  let cfg =
-    Engine.config ~k:big_k ~link:(Engine.Custom big_edge) ~max_rounds:200 ()
-  in
-  ignore (Engine.run cfg ~programs:(fun big env -> node_program big env));
-  let out_of label copy =
-    try Hashtbl.find outputs (Party_id.to_string (big_id label copy)) with
-    | Not_found -> None
-  in
-  let a2 = out_of (Party_id.left 0) 2 in
-  let c1 = out_of (Party_id.left 2) 1 in
-  let v = Party_id.right 1 in
-  let violation =
-    match a2, c1 with
-    | Some x, Some y when Party_id.equal x v && Party_id.equal y v ->
-      Some
-        "projection (iv): honest a and c both decide to match v \
-         (non-competition violated; Lemma 5)"
-    | _ -> None
-  in
-  {
-    Report.attack = "duplication attack (Lemma 5, Fig. 2)";
-    protocol = protocol.Protocol_under_test.name;
-    outputs =
-      List.map
-        (fun big -> node_name big, Hashtbl.find_opt outputs (Party_id.to_string big) |> Option.join)
-        (Party_id.all ~k:big_k);
-    violation;
-  }
+let run =
+  Covering.run
+    {
+      Covering.attack = "duplication attack (Lemma 5, Fig. 2)";
+      topology = Topology.Fully_connected;
+      small_k = 3;
+      letters = "abc", "uvw";
+      crossing;
+      favorite;
+      violation;
+    }

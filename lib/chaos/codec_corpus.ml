@@ -131,12 +131,6 @@ let via_slice (codec : 'a Wire.t) : 'a Wire.t =
         Wire.decode_slice_exn codec span);
   }
 
-(* Extension point for layers above chaos: registered thunks run on
-   every [entries] call, after the built-in corpus, in registration
-   order. *)
-let extras : (unit -> Fuzz.entry list) list ref = ref []
-let register f = extras := !extras @ [ f ]
-
 let entries () =
   [
     (* Wire primitives: the building blocks under every protocol codec. *)
@@ -277,4 +271,3 @@ let entries () =
       ~equal:( = ) Oracle.recovery_codec;
     e ~name:"chaos.repro" ~gen:gen_repro ~equal:( = ) Repro.codec;
   ]
-  @ List.concat_map (fun f -> f ()) !extras

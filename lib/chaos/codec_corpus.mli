@@ -1,18 +1,12 @@
-(** The registered-codec corpus for the decoder fuzzer.
+(** The codec corpus for the decoder fuzzer.
 
     One {!Bsm_wire.Fuzz.entry} per codec that ever touches the network
     (broadcast messages, Π_bSM messages, channel relay frames, signed
     envelopes, stable-matching payloads) plus the wire primitives and the
     chaos subsystem's own serialized forms (schedules, repro records).
-    [make fuzz-quick] and [bsm fuzz] iterate exactly this list, so adding
-    a codec here is all it takes to put it under fuzz. *)
+    The serve frames live in a library above this one, so they are not
+    listed here: [make fuzz-quick], [bsm fuzz] and the tier-1 fuzz test
+    all fuzz [entries () @ Bsm_serve.Frame.fuzz_entries]. Adding a codec
+    to either list is all it takes to put it under fuzz. *)
 
 val entries : unit -> Bsm_wire.Fuzz.entry list
-
-(** [register extra] appends [extra ()]'s entries to every later
-    {!entries} result. Layers above chaos (the serve frames) register
-    their codecs through this instead of being hard-wired here, which
-    would invert the library dependency. Registration order is
-    first-come; duplicate registration is the caller's to avoid (see
-    [Bsm_serve.Frame.register_codecs], which guards itself). *)
-val register : (unit -> Bsm_wire.Fuzz.entry list) -> unit

@@ -25,8 +25,6 @@ let recovery_to_string = function
   | Stuck -> "stuck"
   | Violated -> "violated"
 
-let pp_recovery ppf r = Format.pp_print_string ppf (recovery_to_string r)
-
 let recovery_codec =
   let open Bsm_wire.Wire in
   variant ~name:"recovery"
@@ -148,12 +146,12 @@ let pp_report ppf r =
   (match r.recovery with
   | None -> ()
   | Some rec_ ->
-    Format.fprintf ppf "state cells scrambled: %d (first at round %s); recovery: %a@,"
+    Format.fprintf ppf "state cells scrambled: %d (first at round %s); recovery: %s@,"
       r.metrics.Engine.cells_scrambled
       (match r.metrics.Engine.first_scramble_round with
       | Some n -> string_of_int n
       | None -> "-")
-      pp_recovery rec_);
+      (recovery_to_string rec_));
   (match r.metrics.Engine.messages_dropped_by_label with
   | [] -> ()
   | by_label ->

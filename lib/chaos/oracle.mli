@@ -47,8 +47,6 @@ type recovery =
     BENCH_chaos.json rows and repro fingerprints. *)
 val recovery_to_string : recovery -> string
 
-val pp_recovery : Format.formatter -> recovery -> unit
-
 (** Canonical wire codec (registered in the fuzz corpus as
     ["chaos.recovery"]). *)
 val recovery_codec : recovery Bsm_wire.Wire.t

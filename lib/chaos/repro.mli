@@ -21,15 +21,14 @@ type t = {
   seed : int;  (** chaos seed the schedule was compiled with *)
   max_rounds : int option;
   expected : Oracle.verdict;
-  fingerprint : string;  (** {!fingerprint_of_report} of the original run *)
+  fingerprint : string;
+      (** deterministic digest of everything the oracle judged in the
+          original run: verdict, budget flag, charged/corrupted sets,
+          rendered violations, per-fate message counts (including
+          per-label omission/corruption counts), scrambled state-cell
+          counts and the recovery verdict. Two runs with equal
+          fingerprints made identical decisions. *)
 }
-
-(** Deterministic digest of everything the oracle judged: verdict, budget
-    flag, charged/corrupted sets, rendered violations, per-fate message
-    counts (including per-label omission/corruption counts), scrambled
-    state-cell counts and the recovery verdict. Two runs with equal
-    fingerprints made identical decisions. *)
-val fingerprint_of_report : Oracle.report -> string
 
 (** [make ?max_rounds ~case ~schedule ~seed report] packs a repro for a
     run that produced [report]. [Error] for a [Scripted] adversary —

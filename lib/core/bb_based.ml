@@ -9,6 +9,7 @@ let pk_params (setting : Setting.t) =
   B.Phase_king.params ~structure:(Setting.structure setting)
     ~participants:(Party_id.all ~k:setting.k)
 
+(* Virtual rounds the broadcast phase needs in [setting]. *)
 let broadcast_rounds (setting : Setting.t) =
   match setting.auth with
   | Setting.Unauthenticated -> B.Pi_bb.rounds (pk_params setting)

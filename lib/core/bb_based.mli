@@ -19,9 +19,6 @@
 open Bsm_prelude
 module SM := Bsm_stable_matching
 
-(** Virtual rounds the broadcast phase needs in [setting]. *)
-val broadcast_rounds : Setting.t -> int
-
 (** Engine rounds a (honest) run takes, for scheduling and metrics. *)
 val engine_rounds : Setting.t -> int
 

@@ -33,7 +33,6 @@
     local runs identical, so all five properties follow. *)
 
 open Bsm_prelude
-module SM := Bsm_stable_matching
 
 (** A party's preference list over the other [n-1] parties, most preferred
     first, in dense index order (see {!Party_id.to_dense}). *)
@@ -88,6 +87,3 @@ val random_inputs : Rng.t -> k:int -> Party_id.t -> prefs
 (** Centralized reference: solve the instance the honest protocol would
     solve when no party is byzantine. *)
 val solve_reference : k:int -> inputs:(Party_id.t -> prefs) -> int array option
-
-val roommates_instance :
-  k:int -> inputs:(Party_id.t -> prefs) -> SM.Roommates.instance

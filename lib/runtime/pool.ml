@@ -1,44 +1,3 @@
-let src =
-  Logs.Src.create "bsm.pool" ~doc:"persistent domain pool with per-lane task shares"
-
-module Log = (val Logs.src_log src : Logs.LOG)
-
-(* BSM_JOBS beyond the hardware's recommended domain count makes every
-   sweep slower (domains time-share cores and fight over the minor heaps),
-   so oversubscription is clamped — warned once per process, not once per
-   map. Explicit [~jobs] arguments are not clamped: tests deliberately
-   oversubscribe. *)
-let clamp_warned = Atomic.make false
-
-let default_jobs () =
-  let recommended = Domain.recommended_domain_count () in
-  match Sys.getenv_opt "BSM_JOBS" with
-  | None -> recommended
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 ->
-      if n > recommended then begin
-        if not (Atomic.exchange clamp_warned true) then
-          Log.warn (fun m ->
-              m
-                "BSM_JOBS=%d oversubscribes this machine (%d domain(s) \
-                 recommended); clamping to %d"
-                n recommended recommended);
-        recommended
-      end
-      else n
-    | Some _ | None ->
-      invalid_arg (Printf.sprintf "BSM_JOBS=%S: expected a positive integer" s))
-
-let resolve_jobs ?jobs () =
-  match jobs with
-  | None -> default_jobs ()
-  | Some n when n >= 1 -> n
-  | Some n ->
-    invalid_arg (Printf.sprintf "Pool.resolve_jobs: jobs=%d must be >= 1" n)
-
-(* --- pool ----------------------------------------------------------------- *)
-
 (* A batch is a fixed list of [n] tasks, published once and never grown.
    Lane [l] of [lanes] owns the round-robin share l, l + lanes,
    l + 2*lanes, ...; [claimed.(l)] counts the tasks of that share claimed
@@ -71,8 +30,8 @@ type stats = {
 
 let stats t = { tasks = Atomic.get t.tasks_total; steals = Atomic.get t.steals_total }
 
-let create ?jobs () =
-  let jobs = resolve_jobs ?jobs () in
+let create ?(jobs = Domain.recommended_domain_count ()) () =
+  if jobs < 1 then invalid_arg (Printf.sprintf "Pool.create: jobs=%d must be >= 1" jobs);
   {
     jobs;
     mutex = Mutex.create ();
@@ -235,11 +194,10 @@ let map t f xs =
     end;
     collect slots n
 
-(* Long-running processes (the serve daemon) may call [shutdown] — via
-   [shutdown_global] or the [at_exit] hook — from a domain other than the
-   one currently holding the pool in a [map]. Closing mid-batch would
-   either strand the batch's unclaimed tasks (workers exit before
-   draining their shares) or tear domains out from under the submitter,
+(* [shutdown] may come from a domain other than the one currently
+   holding the pool in a [map]. Closing mid-batch would either strand
+   the batch's unclaimed tasks (workers exit before draining their
+   shares) or tear domains out from under the submitter,
    so shutdown first waits for any in-flight batch to retire, then
    closes and joins. Idempotent: late callers wait for the same drain and
    find [closed] already set; only the first joins the domains. *)
@@ -262,30 +220,3 @@ let shutdown t =
 let with_pool ?jobs f =
   let t = create ?jobs () in
   Fun.protect ~finally:(fun () -> shutdown t) (fun () -> f t)
-
-(* --- the process-wide persistent pool ------------------------------------ *)
-
-let global_pool : t option ref = ref None
-let global_at_exit_registered = ref false
-
-let global () =
-  match !global_pool with
-  | Some p when not p.closed -> p
-  | Some _ | None ->
-    let p = create () in
-    global_pool := Some p;
-    if not !global_at_exit_registered then begin
-      global_at_exit_registered := true;
-      (* Join the persistent domains at exit so `dune runtest` and the
-         CLI leave no leaked domains behind under runtime debugging. *)
-      Stdlib.at_exit (fun () ->
-          match !global_pool with Some p -> shutdown p | None -> ())
-    end;
-    p
-
-let shutdown_global () =
-  match !global_pool with Some p -> shutdown p | None -> ()
-
-module For_testing = struct
-  let reset_clamp_warning () = Atomic.set clamp_warned false
-end

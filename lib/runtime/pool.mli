@@ -24,23 +24,23 @@
 
     {2 Scheduling}
 
-    Worker domains are spawned {e lazily} on the first parallel {!map}
-    and then {e persist}: every later [map] on the same pool (and, for
-    {!global}, every [map] for the rest of the process) reuses them —
-    no per-call domain spawns. A batch is fixed when [map] publishes it
-    and never grows. Each of the [jobs] lanes (the submitting domain is
-    lane 0) owns the round-robin share [l, l + jobs, l + 2 jobs, ...] of
-    the element indices, and one atomic counter per lane counts the
-    tasks of that share claimed so far. A lane claims its own share in
-    ascending index order, one fetch-and-add per task, then drains the
-    other lanes' shares in lane order; a task claimed from another
-    lane's share is a steal. One element is one task — there are no
-    static chunks — so a sweep mixing 1 ms and 100 ms cells (k = 2
-    protocol runs next to k = 160 pipelines) rebalances automatically
-    instead of serializing behind the lane that got the expensive
-    cells. Once a lane finds every share exhausted it blocks on a
-    condition variable rather than spinning, so a straggler task does
-    not have idle domains burning its CPU.
+    The caller owns a pool: it creates it, passes it to whatever maps
+    over it, and shuts it down. Worker domains are spawned {e lazily}
+    on the first parallel {!map} and then {e persist}: every later
+    [map] on the same pool reuses them — no per-call domain spawns. A
+    batch is fixed when [map] publishes it and never grows. Each of the
+    [jobs] lanes (the submitting domain is lane 0) owns the round-robin
+    share [l, l + jobs, l + 2 jobs, ...] of the element indices, and one
+    atomic counter per lane counts the tasks of that share claimed so
+    far. A lane claims its own share in ascending index order, one
+    fetch-and-add per task, then drains the other lanes' shares in lane
+    order; a task claimed from another lane's share is a steal. One
+    element is one task — there are no static chunks — so a sweep
+    mixing 1 ms and 100 ms cells (k = 2 protocol runs next to k = 160
+    pipelines) rebalances automatically instead of serializing behind
+    the lane that got the expensive cells. Once a lane finds every share
+    exhausted it blocks on a condition variable rather than spinning, so
+    a straggler task does not have idle domains burning its CPU.
 
     Do not call {!map} from inside a task of the same (or any) pool —
     the nested call raises [Invalid_argument] instead of deadlocking.
@@ -49,40 +49,12 @@
 
 type t
 
-(** [default_jobs ()] resolves the parallelism level: the [BSM_JOBS]
-    environment variable when set (must parse as a positive integer),
-    otherwise [Domain.recommended_domain_count ()]. A [BSM_JOBS] value
-    above the recommended domain count is clamped to it (and a warning
-    is logged on the [bsm.pool] source, once per process — not once per
-    call): oversubscribed domains time-share cores and contend on minor
-    heaps, making every sweep slower. Explicit [?jobs] arguments to
-    {!create}/{!with_pool}/{!resolve_jobs} are taken verbatim,
-    clamp-free. *)
-val default_jobs : unit -> int
-
-(** [resolve_jobs ?jobs ()] is the CLI-flag precedence rule in one
-    place: an explicit [jobs] (e.g. [--jobs]) wins verbatim — never
-    clamped, never overridden by [BSM_JOBS] — and only when absent does
-    {!default_jobs} (and hence the environment) apply. Raises
-    [Invalid_argument] when [jobs < 1]. *)
-val resolve_jobs : ?jobs:int -> unit -> int
-
 (** [create ?jobs ()] makes a pool of [jobs] lanes ([jobs] defaults to
-    {!default_jobs}). No domain is spawned yet: the [jobs - 1] workers
-    start on the first parallel {!map} and persist until {!shutdown}.
-    Raises [Invalid_argument] when [jobs < 1]. *)
+    [Domain.recommended_domain_count ()]; an explicit value is taken
+    verbatim, so tests may oversubscribe). No domain is spawned yet: the
+    [jobs - 1] workers start on the first parallel {!map} and persist
+    until {!shutdown}. Raises [Invalid_argument] when [jobs < 1]. *)
 val create : ?jobs:int -> unit -> t
-
-(** The process-wide persistent pool, created (with {!default_jobs}
-    lanes) on first use and reused by every later call. An [at_exit]
-    hook joins its domains so the process exits clean even under domain
-    -leak debugging; {!shutdown_global} joins them earlier. If the
-    global pool was shut down, the next [global ()] makes a fresh one. *)
-val global : unit -> t
-
-(** Join the global pool's domains now (idempotent; a no-op when
-    {!global} was never called). *)
-val shutdown_global : unit -> unit
 
 (** Parallelism level the pool was created with (including the
     submitting domain). *)
@@ -109,22 +81,11 @@ val stats : t -> stats
 
 (** [shutdown pool] signals the workers to exit and joins them.
     Idempotent, and safe to call from another domain while a {!map} is
-    in flight — shutdown first waits for the current batch to retire
-    (long-running processes, e.g. the serve daemon, reach this via
-    {!shutdown_global} or its [at_exit] hook). Raises
-    [Invalid_argument] when called from inside a pool task, where
+    in flight — shutdown first waits for the current batch to retire.
+    Raises [Invalid_argument] when called from inside a pool task, where
     waiting for the batch would deadlock. Calling {!map} after
     [shutdown] raises [Invalid_argument]. *)
 val shutdown : t -> unit
 
 (** [with_pool ?jobs f] brackets [create]/[shutdown] around [f]. *)
 val with_pool : ?jobs:int -> (t -> 'a) -> 'a
-
-(**/**)
-
-(** Test hooks — not part of the public API. *)
-module For_testing : sig
-  (** Re-arm the once-per-process [BSM_JOBS] clamp warning so a test can
-      observe exactly one emission. *)
-  val reset_clamp_warning : unit -> unit
-end

@@ -303,18 +303,9 @@ let gen_response rng =
         done_tick = arrival + Rng.int rng 1_000;
       }
 
-let registered = ref false
-
-let register_codecs () =
-  if not !registered then begin
-    registered := true;
-    Bsm_chaos.Codec_corpus.register (fun () ->
-        [
-          Fuzz.entry ~name:"serve.workload" ~gen:gen_workload ~equal:( = )
-            workload_codec;
-          Fuzz.entry ~name:"serve.request" ~gen:gen_request ~equal:( = )
-            request_codec;
-          Fuzz.entry ~name:"serve.response" ~gen:gen_response ~equal:( = )
-            response_codec;
-        ])
-  end
+let fuzz_entries =
+  [
+    Fuzz.entry ~name:"serve.workload" ~gen:gen_workload ~equal:( = ) workload_codec;
+    Fuzz.entry ~name:"serve.request" ~gen:gen_request ~equal:( = ) request_codec;
+    Fuzz.entry ~name:"serve.response" ~gen:gen_response ~equal:( = ) response_codec;
+  ]

@@ -3,11 +3,10 @@
 
     Frames are {!Bsm_wire.Wire} values like every other message in the
     repository, for the same reasons: clients can be byzantine (the
-    fuzzer mutates these codecs — {!register_codecs} puts them in
-    {!Bsm_chaos.Codec_corpus}), sizes are accountable, and the encoding
-    is canonical. A {e workload} names one matching instance as plain
-    data — implicit GS instance or full bSM scenario — so a submission
-    is replayable from its bytes alone. *)
+    fuzzer mutates these codecs — see {!fuzz_entries}), sizes are
+    accountable, and the encoding is canonical. A {e workload} names one
+    matching instance as plain data — implicit GS instance or full bSM
+    scenario — so a submission is replayable from its bytes alone. *)
 
 open Bsm_prelude
 module SM := Bsm_stable_matching
@@ -91,7 +90,8 @@ val gen_workload : Rng.t -> workload
 val gen_request : Rng.t -> request
 val gen_response : Rng.t -> response
 
-(** Add the three serve codecs to {!Bsm_chaos.Codec_corpus} (under
-    names [serve.workload], [serve.request], [serve.response]).
-    Idempotent; call before fuzzing. *)
-val register_codecs : unit -> unit
+(** The three serve codecs as fuzz entries, named [serve.workload],
+    [serve.request] and [serve.response]. The fuzzed corpus is
+    [Bsm_chaos.Codec_corpus.entries () @ fuzz_entries]: the chaos
+    library sits below this one, so it cannot list them itself. *)
+val fuzz_entries : Bsm_wire.Fuzz.entry list

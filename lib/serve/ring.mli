@@ -1,4 +1,4 @@
-(** Bounded blocking queue, safe across domains.
+(** Bounded non-blocking queue, safe across domains.
 
     The serve layer's in-process transport: the load generator feeds the
     daemon through one ring and reads responses off another. One mutex
@@ -6,10 +6,10 @@
     Popped values leave the queue, so the ring never pins them for the
     GC.
 
-    [try_push]/[try_pop] never block — a full ring is the backpressure
-    signal admission control turns into a typed reject. [push]/[pop]
-    park on a condition variable (no spinning) and are woken by the
-    opposite side. *)
+    Neither operation blocks: a full ring is the backpressure signal
+    admission control turns into a typed reject, and an empty one tells
+    the caller to do something else (tick the server, poll a socket)
+    before it looks again. *)
 
 type 'a t
 
@@ -23,22 +23,8 @@ val capacity : 'a t -> int
 (** Elements currently queued. *)
 val length : 'a t -> int
 
-(** [try_push t x] — [false] when the ring is full or closed. *)
+(** [try_push t x] — [false] when the ring is full. *)
 val try_push : 'a t -> 'a -> bool
 
-(** [try_pop t] — [None] when the ring is empty (closed or not). *)
+(** [try_pop t] — [None] when the ring is empty. *)
 val try_pop : 'a t -> 'a option
-
-(** [push t x] blocks while the ring is full; [false] iff the ring was
-    closed before the element could be queued. *)
-val push : 'a t -> 'a -> bool
-
-(** [pop t] blocks while the ring is empty; [None] once the ring is
-    closed {e and} drained — the consumer's end-of-stream. *)
-val pop : 'a t -> 'a option
-
-(** [close t] — subsequent pushes fail; pops drain what remains then
-    report end-of-stream. Idempotent; wakes both blocked sides. *)
-val close : 'a t -> unit
-
-val closed : 'a t -> bool

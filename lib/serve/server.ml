@@ -35,10 +35,9 @@ type t = {
   mutable violations : int;
 }
 
-let create ?pool ?(config = default_config) () =
+let create ~pool ?(config = default_config) () =
   if config.queue_capacity < 1 then invalid_arg "Server.create: queue_capacity < 1";
   if config.batch < 1 then invalid_arg "Server.create: batch < 1";
-  let pool = match pool with Some p -> p | None -> Pool.global () in
   {
     config;
     pool;

@@ -1,8 +1,8 @@
 (** The matchmaking daemon's core: admission, scheduling, execution.
 
-    A server owns a bounded submission queue (a {!Ring}), an
-    {!Instances} table keyed by request id, and a
-    {!Bsm_runtime.Pool} the instance executions fan out over. Time is
+    A server owns a bounded submission queue (a {!Ring}) and an
+    {!Instances} table keyed by request id; its instance executions fan
+    out over a {!Bsm_runtime.Pool} the caller passes in. Time is
     the caller's {e tick} counter — the daemon loop (or the open-loop
     bench) advances it; latencies are tick deltas, which is what makes
     a whole serve run bit-replayable from its seed.
@@ -35,12 +35,10 @@ val default_config : config
 
 type t
 
-(** [create ?pool ?config ()] — [pool] defaults to the process-global
-    pool ({!Bsm_runtime.Pool.global}); the server never shuts a pool
-    down (the global pool's [at_exit]/[shutdown_global] handles it —
-    safe mid-serve since [Pool.shutdown] waits out in-flight
-    batches). *)
-val create : ?pool:Bsm_runtime.Pool.t -> ?config:config -> unit -> t
+(** [create ~pool ?config ()] — the caller owns [pool]: it creates it,
+    may share it with other work, and shuts it down once it is done
+    ticking the server (the server never does). *)
+val create : pool:Bsm_runtime.Pool.t -> ?config:config -> unit -> t
 
 val config : t -> config
 val instances : t -> Instances.t

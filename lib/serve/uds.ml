@@ -1,5 +1,6 @@
 module Wire = Bsm_wire.Wire
 
+(* Frames above this many payload bytes are rejected. *)
 let max_frame_bytes = 1 lsl 20
 
 (* --- varint stream framing ----------------------------------------------- *)

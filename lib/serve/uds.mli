@@ -17,9 +17,6 @@
 
 module Frame := Frame
 
-(** Frames above this many payload bytes are rejected. *)
-val max_frame_bytes : int
-
 (** {2 Daemon side} *)
 
 type listener

@@ -4,7 +4,7 @@
     returns a value or raises {!Wire.Malformed} — it never crashes with
     another exception, loops, or allocates proportionally to a forged
     length prefix. This module checks that contract mechanically: for each
-    registered codec it generates values, encodes them, applies
+    codec it is given it generates values, encodes them, applies
     seed-deterministic byte mutations (bit flips, truncations, insertions,
     splices), and classifies what the decoder does with the result.
 
@@ -52,15 +52,12 @@ type stats = {
           to replay the case by hand. *)
 }
 
-(** [run_entry ~seed ~cases e] fuzzes one codec: [cases] clean round-trip
-    checks interleaved with [cases] mutated-byte decodes (so one call
-    accounts for [2 * cases] decoder invocations, reported in
-    [stats.cases]). A clean round-trip that fails to compare equal counts
-    as a crash: canonical codecs must round-trip exactly. *)
-val run_entry : seed:int -> cases:int -> entry -> stats
-
-(** [run ~seed ~cases entries] runs every entry with a per-entry derived
-    seed. *)
+(** [run ~seed ~cases entries] fuzzes every entry with a per-entry
+    derived seed: [cases] clean round-trip checks interleaved with
+    [cases] mutated-byte decodes (so each entry accounts for [2 * cases]
+    decoder invocations, reported in [stats.cases]). A clean round-trip
+    that fails to compare equal counts as a crash: canonical codecs must
+    round-trip exactly. *)
 val run : seed:int -> cases:int -> entry list -> stats list
 
 val total_cases : stats list -> int

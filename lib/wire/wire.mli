@@ -101,7 +101,7 @@ module Dec : sig
 
   (** [of_slice s] decodes directly out of [s]'s backing string with the
       bounds pinned to the view: every hardening check (varint caps,
-      length-vs-remaining, [expect_end]) holds at the slice edges, so a
+      length-vs-remaining, no trailing bytes) holds at the slice edges, so a
       forged frame cannot read a neighbouring arena span. No copy. *)
   val of_slice : Slice.t -> t
 
@@ -122,10 +122,6 @@ module Dec : sig
   val bool : t -> bool
   val string : t -> string
   val tag : t -> int
-
-  (** [expect_end d] raises [Malformed] if bytes remain: decoding a whole
-      message must consume it entirely. *)
-  val expect_end : t -> unit
 end
 
 (** A two-way codec for ['a]. *)

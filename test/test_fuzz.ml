@@ -1,11 +1,19 @@
-(* The decoder-fuzz corpus as a tier-1 test: every registered codec fed
-   mutated encodings must round-trip, reinterpret, or raise
-   Wire.Malformed — never crash. The CLI's `bsm fuzz` and `make
-   fuzz-quick` run the same corpus with a bigger budget. *)
+(* The decoder-fuzz corpus as a tier-1 test: every codec fed mutated
+   encodings must round-trip, reinterpret, or raise Wire.Malformed —
+   never crash. The CLI's `bsm fuzz` and `make fuzz-quick` run the same
+   corpus with a bigger budget. *)
 
 module Fuzz = Bsm_wire.Fuzz
 
-let corpus () = Bsm_chaos.Codec_corpus.entries ()
+let corpus () = Bsm_chaos.Codec_corpus.entries () @ Bsm_serve.Frame.fuzz_entries
+
+let test_corpus_holds_serve_frames () =
+  (* The serve frames are what byzantine clients send the daemon; the
+     tier-1 corpus must fuzz them, not only the CLI's. *)
+  let names = List.map (fun (Fuzz.Entry e) -> e.name) (corpus ()) in
+  List.iter
+    (fun name -> Alcotest.(check bool) name true (List.mem name names))
+    [ "serve.workload"; "serve.request"; "serve.response" ]
 
 let test_corpus_never_crashes () =
   let stats = Fuzz.run ~seed:7 ~cases:200 (corpus ()) in
@@ -59,5 +67,7 @@ let () =
             test_mutations_are_exercised;
           Alcotest.test_case "deterministic in the seed" `Quick
             test_deterministic_in_the_seed;
+          Alcotest.test_case "holds the serve frames" `Quick
+            test_corpus_holds_serve_frames;
         ] );
     ]

@@ -23,25 +23,31 @@ module Schedule = Bsm_chaos.Schedule
 
 let test_ring_spsc_ordering () =
   (* A real producer/consumer pair across domains, with a ring small
-     enough to wrap many times and block both sides. *)
+     enough to wrap many times and turn both sides away (full, empty).
+     A side that is turned away yields its CPU rather than spinning, so
+     the test stays fast when the two domains share one CPU. *)
   let n = 10_000 in
   let ring = Ring.create ~capacity:8 () in
   let producer =
     Domain.spawn (fun () ->
         for i = 0 to n - 1 do
-          if not (Ring.push ring i) then failwith "push on open ring failed"
-        done;
-        Ring.close ring)
+          while not (Ring.try_push ring i) do
+            Unix.sleepf 0.
+          done
+        done)
   in
   let received = ref [] in
-  let rec consume () =
-    match Ring.pop ring with
-    | Some v ->
-      received := v :: !received;
-      consume ()
-    | None -> ()
+  let rec consume got =
+    if got < n then
+      match Ring.try_pop ring with
+      | Some v ->
+        received := v :: !received;
+        consume (got + 1)
+      | None ->
+        Unix.sleepf 0.;
+        consume got
   in
-  consume ();
+  consume 0;
   Domain.join producer;
   Alcotest.(check int) "all received" n (List.length !received);
   Alcotest.(check (list int)) "FIFO order" (List.init n Fun.id) (List.rev !received)
@@ -55,14 +61,7 @@ let test_ring_try_ops_and_close () =
   Alcotest.(check bool) "full" false (Ring.try_push ring 99);
   Alcotest.(check int) "length" 4 (Ring.length ring);
   Alcotest.(check (option int)) "pop" (Some 0) (Ring.try_pop ring);
-  Alcotest.(check bool) "space again" true (Ring.try_push ring 4);
-  Ring.close ring;
-  Alcotest.(check bool) "push after close" false (Ring.try_push ring 5);
-  Alcotest.(check (option int)) "drains after close" (Some 1) (Ring.try_pop ring);
-  Alcotest.(check (option int)) "blocking pop drains" (Some 2) (Ring.pop ring);
-  ignore (Ring.pop ring);
-  ignore (Ring.pop ring);
-  Alcotest.(check (option int)) "end of stream" None (Ring.pop ring)
+  Alcotest.(check bool) "space again" true (Ring.try_push ring 4)
 
 (* --- admission / backpressure -------------------------------------------- *)
 
@@ -615,22 +614,6 @@ let test_shutdown_waits_for_inflight_map () =
     (Invalid_argument "Pool.map: pool is shut down") (fun () ->
       ignore (Pool.map pool Fun.id [ 1 ]))
 
-let test_shutdown_global_while_serving () =
-  (* A server holding the global pool: shutdown_global mid-traffic must
-     not strand or crash it, and the next global () self-heals. *)
-  let s = Server.create () (* global pool *) in
-  for i = 0 to 7 do
-    ignore (Server.submit s ~tick:0 (gs_spec i))
-  done;
-  ignore (Server.tick s ~tick:1);
-  Pool.shutdown_global ();
-  Pool.shutdown_global () (* idempotent *);
-  (* The global pool self-heals for the next server. *)
-  let s2 = Server.create () in
-  ignore (Server.submit s2 ~tick:0 (gs_spec 0));
-  let dones = Server.tick s2 ~tick:1 in
-  Alcotest.(check int) "served after global shutdown" 1 (List.length dones)
-
 (* --- readiness (poll-based) --------------------------------------------- *)
 
 let test_readiness_pipe () =
@@ -735,7 +718,5 @@ let () =
         [
           Alcotest.test_case "waits for in-flight map" `Quick
             test_shutdown_waits_for_inflight_map;
-          Alcotest.test_case "global shutdown while serving" `Quick
-            test_shutdown_global_while_serving;
         ] );
     ]

@@ -124,79 +124,6 @@ let test_map_usable_after_failure () =
         "pool still works" [ 2; 4; 6 ]
         (Pool.map pool (fun i -> 2 * i) [ 1; 2; 3 ]))
 
-let test_default_jobs_clamped () =
-  (* BSM_JOBS beyond the recommended domain count is clamped (running more
-     domains than cores made every sweep slower); in-range values and the
-     malformed error path are unchanged. *)
-  let original = Sys.getenv_opt "BSM_JOBS" in
-  let recommended = Domain.recommended_domain_count () in
-  (* [Unix] has no unsetenv: restore an unset variable to a value with the
-     same meaning (the recommended count) rather than "" (malformed). *)
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "BSM_JOBS"
-        (Option.value original ~default:(string_of_int recommended)))
-    (fun () ->
-      Unix.putenv "BSM_JOBS" (string_of_int (recommended + 7));
-      Alcotest.(check int) "oversubscription clamped" recommended (Pool.default_jobs ());
-      Unix.putenv "BSM_JOBS" "1";
-      Alcotest.(check int) "in-range value kept" 1 (Pool.default_jobs ());
-      Unix.putenv "BSM_JOBS" "nope";
-      match Pool.default_jobs () with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ())
-
-let test_resolve_jobs_flag_beats_env () =
-  (* Regression for `bsm chaos --jobs N`: an explicit flag must win over
-     BSM_JOBS, verbatim — never clamped, never overridden. *)
-  let original = Sys.getenv_opt "BSM_JOBS" in
-  let recommended = Domain.recommended_domain_count () in
-  Fun.protect
-    ~finally:(fun () ->
-      Unix.putenv "BSM_JOBS"
-        (Option.value original ~default:(string_of_int recommended)))
-    (fun () ->
-      Unix.putenv "BSM_JOBS" "1";
-      Alcotest.(check int) "explicit flag beats env" 5 (Pool.resolve_jobs ~jobs:5 ());
-      Alcotest.(check int)
-        "explicit flag unclamped"
-        (recommended + 9)
-        (Pool.resolve_jobs ~jobs:(recommended + 9) ());
-      Alcotest.(check int) "absent flag falls back to env" 1 (Pool.resolve_jobs ());
-      match Pool.resolve_jobs ~jobs:0 () with
-      | _ -> Alcotest.fail "expected Invalid_argument"
-      | exception Invalid_argument _ -> ())
-
-let test_clamp_warns_once () =
-  (* The oversubscription warning fires once per process, not once per
-     default_jobs call. *)
-  let original = Sys.getenv_opt "BSM_JOBS" in
-  let recommended = Domain.recommended_domain_count () in
-  let warnings = ref 0 in
-  let counting_reporter =
-    {
-      Logs.report =
-        (fun _src level ~over k _msgf ->
-          if level = Logs.Warning then incr warnings;
-          over ();
-          k ());
-    }
-  in
-  let old_reporter = Logs.reporter () in
-  Fun.protect
-    ~finally:(fun () ->
-      Logs.set_reporter old_reporter;
-      Unix.putenv "BSM_JOBS"
-        (Option.value original ~default:(string_of_int recommended)))
-    (fun () ->
-      Logs.set_reporter counting_reporter;
-      Unix.putenv "BSM_JOBS" (string_of_int (recommended + 3));
-      Pool.For_testing.reset_clamp_warning ();
-      let _ = Pool.default_jobs () in
-      let _ = Pool.default_jobs () in
-      let _ = Pool.default_jobs () in
-      Alcotest.(check int) "warned exactly once" 1 !warnings)
-
 (* --- persistent workers & work stealing ---------------------------------- *)
 
 (* Deterministic busy loop: per-index cost without shared state. *)
@@ -300,24 +227,6 @@ let test_straggler_rebalances () =
   in
   let rec try_n k = attempt () || (k > 1 && try_n (k - 1)) in
   Alcotest.(check bool) "straggler's lane-mates got stolen" true (try_n 3)
-
-let test_global_pool_persists () =
-  Pool.shutdown_global ();
-  let p1 = Pool.global () in
-  let p2 = Pool.global () in
-  Alcotest.(check bool) "global () returns the same pool" true (p1 == p2);
-  Alcotest.(check (list int))
-    "global pool works" [ 2; 4; 6 ]
-    (Pool.map p1 (fun i -> 2 * i) [ 1; 2; 3 ]);
-  Pool.shutdown_global ();
-  Pool.shutdown_global ();
-  (* idempotent *)
-  let p3 = Pool.global () in
-  Alcotest.(check bool) "fresh pool after shutdown_global" true (not (p3 == p1));
-  Alcotest.(check (list int))
-    "fresh global works" [ 1; 4; 9 ]
-    (Pool.map p3 (fun i -> i * i) [ 1; 2; 3 ]);
-  Pool.shutdown_global ()
 
 (* --- fused sweep scheduler ------------------------------------------------ *)
 
@@ -664,12 +573,6 @@ let () =
             test_map_exceptions_jobs1;
           Alcotest.test_case "pool usable after failed map" `Quick
             test_map_usable_after_failure;
-          Alcotest.test_case "BSM_JOBS oversubscription clamped" `Quick
-            test_default_jobs_clamped;
-          Alcotest.test_case "--jobs flag beats BSM_JOBS" `Quick
-            test_resolve_jobs_flag_beats_env;
-          Alcotest.test_case "clamp warning fires once per process" `Quick
-            test_clamp_warns_once;
           Alcotest.test_case "randomized costs identical for jobs 1..8" `Quick
             test_randomized_costs_all_jobs;
           Alcotest.test_case "stats counters" `Quick test_stats_counters;
@@ -677,8 +580,6 @@ let () =
             test_every_task_runs_once;
           Alcotest.test_case "straggler's lane rebalances via steals" `Quick
             test_straggler_rebalances;
-          Alcotest.test_case "global pool persists across maps" `Quick
-            test_global_pool_persists;
         ] );
       ( "fused",
         [
