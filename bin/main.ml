@@ -183,7 +183,7 @@ let crash_conv =
   Arg.conv (parse, print)
 
 let run_cmd =
-  let run k topology auth tl tr seed verbose drop_rate crashes =
+  let run (k, drop_rate, crashes) topology auth tl tr seed verbose =
     let s = setting_of k topology auth tl tr in
     let rng = Rng.make seed in
     let profile = SM.Profile.random rng k in
@@ -263,12 +263,30 @@ let run_cmd =
             "Crash $(docv) (e.g. L0@3): all its sends are dropped from that \
              round on. Repeatable.")
   in
+  (* A fault the run cannot apply is a usage error naming its flag: a
+     rate outside [0, 1], or a crash of a party outside the roster (which
+     would crash nobody). *)
+  let k_and_faults =
+    let check k drop_rate crashes =
+      if not (drop_rate >= 0. && drop_rate <= 1.) then
+        `Error (true, Printf.sprintf "option '--drop-rate': %g is not in [0, 1]" drop_rate)
+      else
+        match List.find_opt (fun (p, _) -> Party_id.index p >= k) crashes with
+        | Some (p, _) ->
+          `Error
+            ( true,
+              Printf.sprintf "option '--crash': %s is not a party at k = %d"
+                (Party_id.to_string p) k )
+        | None -> `Ok (k, drop_rate, crashes)
+    in
+    Term.(ret (const check $ k_arg $ drop_rate $ crashes))
+  in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Run one bSM execution with a random byzantine coalition at full budget.")
     Term.(
-      const run $ k_arg $ topology_arg $ auth_arg $ tl_arg $ tr_arg $ seed_arg
-      $ verbose $ drop_rate $ crashes)
+      const run $ k_and_faults $ topology_arg $ auth_arg $ tl_arg $ tr_arg $ seed_arg
+      $ verbose)
 
 (* --- chaos ------------------------------------------------------------------- *)
 
@@ -840,8 +858,17 @@ let batch_arg =
   Arg.(
     value & opt (int_at_least 1) 64 & info [ "batch" ] ~doc:"Max instances retired per tick.")
 
+(* The commands that write to sockets: a write to a vanished peer must
+   surface as an EPIPE error that the serve and load paths handle, not
+   kill the process. Every other command keeps SIGPIPE's default action,
+   so a reader that closes the pipe early ([bsm topology | head]) ends it
+   quietly. *)
+let ignore_sigpipe () =
+  try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ()
+
 let serve_cmd =
   let run socket jobs queue batch max_k max_requests chaos =
+    ignore_sigpipe ();
     Bsm_runtime.Pool.with_pool ?jobs @@ fun pool ->
     let server =
       Serve.Server.create ~pool
@@ -929,6 +956,7 @@ let serve_cmd =
 let load_cmd =
   let run (instances, live_check) seed jobs queue batch (k_min, k_max) mean_gap
       chaos wall out connect =
+    ignore_sigpipe ();
     let params =
       {
         Serve.Serve_bench.instances;
@@ -1098,9 +1126,6 @@ let load_cmd =
       $ k_range $ mean_gap $ chaos $ wall $ out $ connect)
 
 let () =
-  (* Socket writes to a vanished peer must surface as EPIPE errors the
-     serve/load paths handle, not kill the process. *)
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
   let doc = "byzantine stable matching (PODC 2025) — protocols, attacks, experiments" in
   let info = Cmd.info "bsm" ~version:"1.0.0" ~doc in
   exit (Cmd.eval (Cmd.group info

@@ -66,9 +66,6 @@ let relay_codec =
              | Direct _ | Request _ -> None));
     ]
 
-(* The signature covers the payload with the signature field blanked. *)
-let signing_bytes p = Wire.encode payload_codec { p with signature = None }
-
 (* --- forwarding duty ---------------------------------------------------- *)
 
 let direct_tag = '\000'
@@ -105,9 +102,19 @@ module Header = struct
       pos = ref 0;
     }
 
+  (* [Wire.Dec.peek_uint]: a one-byte varint (a side, an index below 128)
+     is read here, a longer one by the codec's scanner. *)
+  let[@inline] uint base pos ~limit =
+    let p = !pos in
+    if p < limit && Char.code (String.unsafe_get base p) < 0x80 then begin
+      pos := p + 1;
+      Char.code (String.unsafe_get base p)
+    end
+    else Wire.Dec.peek_uint base pos ~limit
+
   (* [Wire.side]'s decoding: a uint that must be 0 or 1; -1 otherwise. *)
   let side_code base h ~limit =
-    match Wire.Dec.peek_uint base h.pos ~limit with
+    match uint base h.pos ~limit with
     | (0 | 1) as c -> c
     | _ -> -1
 
@@ -121,19 +128,19 @@ module Header = struct
     let src_side = side_code base h ~limit in
     src_side >= 0
     &&
-    let src_index = Wire.Dec.peek_uint base h.pos ~limit in
+    let src_index = uint base h.pos ~limit in
     src_index >= 0
     &&
     let dst_side = side_code base h ~limit in
     dst_side >= 0
     &&
-    let dst_index = Wire.Dec.peek_uint base h.pos ~limit in
+    let dst_index = uint base h.pos ~limit in
     dst_index >= 0
     &&
-    let vround = Wire.Dec.peek_uint base h.pos ~limit in
+    let vround = uint base h.pos ~limit in
     vround >= 0
     &&
-    let id = Wire.Dec.peek_uint base h.pos ~limit in
+    let id = uint base h.pos ~limit in
     id >= 0
     && begin
       h.src_side <- side_of_code src_side;
@@ -147,6 +154,87 @@ module Header = struct
 
   let is_party side index p =
     Side.equal side (Party_id.side p) && index = Party_id.index p
+end
+
+(* --- the request writer ----------------------------------------------------- *)
+
+(* A byte buffer holding one relay frame, reused by a virtual net for
+   every request it sends and every signed copy it checks. [unsigned]
+   writes [relay_codec]'s bytes of a [Request] or [Forward] whose
+   signature is [None] — the tag, both party ids, [vround], [id], the body
+   and the [None] byte — so bytes [1 .. len) are the payload codec's
+   encoding of the payload with its signature blanked: exactly what a
+   signature covers. The sender signs them where they lie and [sign]
+   turns [None] into [Some] and appends the signature. A signed receiver
+   rebuilds them with the same [unsigned] from the values it parsed out of
+   a copy, so a forged copy with padded, non-minimal varints is judged by
+   the canonical bytes, as re-encoding the decoded payload judged it. *)
+module Writer = struct
+  type t = {
+    mutable bytes : Bytes.t;
+    mutable len : int;
+  }
+
+  let create () = { bytes = Bytes.create 256; len = 0 }
+
+  let char t c =
+    Bytes.set t.bytes t.len c;
+    t.len <- t.len + 1
+
+  (* [Wire.Enc.uint]'s LEB128 bytes, and its error on a negative value
+     (a scrambled counter that wrapped around). *)
+  let rec leb128 t n =
+    if n < 0x80 then char t (Char.unsafe_chr n)
+    else begin
+      char t (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      leb128 t (n lsr 7)
+    end
+
+  let uint t n = if n < 0 then invalid_arg "Wire.Enc.uint: negative" else leb128 t n
+
+  (* [Wire.Enc.string]'s bytes of [s.[off .. off+len)]. *)
+  let sub t s ~off ~len =
+    uint t len;
+    Bytes.blit_string s off t.bytes t.len len;
+    t.len <- t.len + len
+
+  (* Room for the tag, seven varints of at most 10 bytes (four header
+     fields, two counters, the body length), the option byte and a
+     signature with its length. *)
+  let overhead = 1 + (7 * 10) + 1 + 1 + Crypto.Signature.byte_length
+
+  let unsigned t ~tag ~src_side ~src_index ~dst_side ~dst_index ~vround ~id body ~off
+      ~len =
+    if Bytes.length t.bytes < overhead + len then
+      t.bytes <- Bytes.create (max (overhead + len) (2 * Bytes.length t.bytes));
+    t.len <- 0;
+    char t tag;
+    uint t (Side.to_int src_side);
+    uint t src_index;
+    uint t (Side.to_int dst_side);
+    uint t dst_index;
+    uint t vround;
+    uint t id;
+    sub t body ~off ~len;
+    char t '\000'
+
+  (* The range the signature covers: everything after the tag. *)
+  let signed_off = 1
+  let signed_len t = t.len - 1
+
+  let sign t signer =
+    let signature =
+      (Crypto.Signer.sign_sub signer t.bytes ~off:signed_off ~len:(signed_len t) :> string)
+    in
+    Bytes.set t.bytes (t.len - 1) '\001';
+    sub t signature ~off:0 ~len:(String.length signature)
+
+  (* The written frame, copied into the sender's arena as one span. *)
+  let codec : t Wire.t =
+    {
+      Wire.write = (fun e t -> Wire.Enc.append_subbytes e t.bytes ~off:0 ~len:t.len);
+      read = (fun _ -> raise (Wire.Malformed "Channels.Writer.codec is write-only"));
+    }
 end
 
 (* A [Direct] frame is the tag byte, a varint length and exactly that many
@@ -163,9 +251,9 @@ let direct_body pos (s : Wire.Slice.t) =
    replay the span with one byte rewritten instead of walking the codec
    again. The write-only codec below streams the received view straight
    into the sender's round arena (tag byte, then the rest of the span),
-   so forwarding allocates nothing outside the arena. The receiver
-   decodes the same payload either way (and the signature check
-   re-encodes canonically), so behavior is unchanged. *)
+   so forwarding allocates nothing outside the arena. The receiver reads
+   the same payload either way (and the signature check rebuilds the
+   signed bytes canonically), so behavior is unchanged. *)
 let forward_slice_codec : Wire.Slice.t Wire.t =
   {
     Wire.write =
@@ -299,20 +387,20 @@ let virtual_net (env : Engine.env) ~topology ~auth =
   env.register_state Wire.uint vround;
   env.register_state Wire.uint next_id;
   let reachable dst = Topology.connected topology self dst in
+  let writer = Writer.create () in
   let request dst body =
-    let p =
-      { src = self; dst; vround = !vround; id = !next_id; body; signature = None }
-    in
+    let id = !next_id in
     incr next_id;
-    let p =
-      match auth with
-      | Majority -> p
-      | Signed { signer; _ } ->
-        { p with signature = Some (Crypto.Signer.sign signer (signing_bytes p)) }
-    in
-    (* One arena encode (and one signature already paid above) shared
-       by every relay: the request bytes are identical per target. *)
-    env.send_multi_w relay_codec opposite (Request p)
+    Writer.unsigned writer ~tag:request_tag ~src_side:(Party_id.side self)
+      ~src_index:(Party_id.index self) ~dst_side:(Party_id.side dst)
+      ~dst_index:(Party_id.index dst) ~vround:!vround ~id body ~off:0
+      ~len:(String.length body);
+    (match auth with
+    | Majority -> ()
+    | Signed { signer; _ } -> Writer.sign writer signer);
+    (* One frame, one signature and one arena span shared by every relay:
+       the request bytes are identical per target. *)
+    env.send_multi_w Writer.codec opposite writer
   in
   (* A message to [self] is dropped, one to a directly reachable party
      goes as a [Direct] frame and any other as a relay request. Each
@@ -347,13 +435,46 @@ let virtual_net (env : Engine.env) ~topology ~auth =
     Delivered.add delivered (Party_id.side p.src) (Party_id.index p.src) p.id;
     p.src, p.body
   in
+  (* A [Forward] copy whose header [h] holds, judged in place: the rest
+     of the frame — body length, body, the [Some] byte, the signature and
+     the end of the frame — is accepted and rejected exactly as
+     [relay_codec]'s decoder does, and the signature is checked over the
+     bytes [Writer.unsigned] rebuilds from the parsed values. Only an
+     accepted copy allocates: its body and its signature. *)
+  let signed_copy verifier (frame : Wire.Slice.t) =
+    let base = frame.base and limit = frame.off + frame.len in
+    let len = Header.uint base h.pos ~limit in
+    let off = !(h.pos) in
+    if len < 0 || len > limit - off || off + len >= limit || base.[off + len] <> '\001'
+    then None
+    else
+      let rest = off + len + 1 in
+      match
+        Wire.decode_slice Crypto.Signature.codec
+          (Wire.Slice.make base ~off:rest ~len:(limit - rest))
+      with
+      | Error _ -> None
+      | Ok signature ->
+        Writer.unsigned writer ~tag:forward_tag ~src_side:h.src_side
+          ~src_index:h.src_index ~dst_side:h.dst_side ~dst_index:h.dst_index
+          ~vround:h.vround ~id:h.id base ~off ~len;
+        let src = Party_id.make h.src_side h.src_index in
+        if
+          Crypto.Verifier.verify_sub verifier ~signer:src writer.bytes
+            ~off:Writer.signed_off ~len:(Writer.signed_len writer) signature
+        then begin
+          Delivered.add delivered h.src_side h.src_index h.id;
+          Some (src, String.sub base off len)
+        end
+        else None
+  in
   let relayed forwards =
     match auth, forwards with
     | _, [] -> []
     | Signed { verifier; _ }, _ ->
       (* Stale and duplicate copies are told apart by the header alone;
-         only the first fresh copy per (src, id) pays for a body decode
-         and a signature check. *)
+         only the first fresh copy per (src, id) reads its body and pays
+         for a signature check. *)
       List.filter_map
         (fun (_, frame) ->
           if
@@ -361,14 +482,7 @@ let virtual_net (env : Engine.env) ~topology ~auth =
             && Header.is_party h.dst_side h.dst_index self
             && h.vround = !vround
             && not (Delivered.mem delivered h.src_side h.src_index h.id)
-          then
-            match Wire.decode_slice relay_codec frame with
-            | Ok (Forward ({ signature = Some signature; _ } as p))
-              when fresh p
-                   && Crypto.Verifier.verify verifier ~signer:p.src
-                        ~msg:(signing_bytes p) signature ->
-              Some (deliver p)
-            | Ok _ | Error _ -> None
+          then signed_copy verifier frame
           else None)
         forwards
     | Majority, _ ->

@@ -10,7 +10,17 @@
       forwarders — sound while the forwarding side has an honest majority.
     - {b Signed} (Lemmas 8/10, authenticated): requests carry the sender's
       signature over [(src, dst, vround, id, body)]; [v] accepts any
-      correctly-signed forward. The virtual-round stamp [vround] is the
+      correctly-signed forward. The signature covers the payload codec's
+      canonical bytes of the payload with its signature blanked, which
+      are the request frame's bytes after its tag up to and including
+      the [None] byte. One writer produces those bytes for the signer
+      and, from a received copy's parsed values, for the verifier: the
+      sender signs them where they lie in its frame buffer, and a
+      receiver judges each copy in place — header, body, signature and
+      frame end read without a decode, exactly as {!relay_codec} accepts
+      them — then verifies over the rebuilt canonical bytes, so a copy
+      with padded varints is judged as decoding and re-encoding it would
+      judge it. The virtual-round stamp [vround] is the
       paper's timestamp τ: a forward arriving outside the immediately
       following virtual round is discarded (an {e omission}), and the [id]
       makes replays detectable — exactly Lemma 10's guarantee that the

@@ -25,14 +25,21 @@ let scratch_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
    lifetime. *)
 let retain_limit = 1 lsl 16
 
-let digest_string prefix msg =
+(* The one digest routine: [prefix ^ msg.[off .. off+len)], where the
+   message is read in place from the caller's bytes (a whole string is
+   the full range of itself; nothing here writes to [msg]). *)
+let digest prefix msg ~off ~len =
+  if off < 0 || len < 0 || off > Bytes.length msg - len then
+    invalid_arg "Crypto: message range out of bounds";
   let scratch = Domain.DLS.get scratch_key in
-  let len = String.length prefix + String.length msg in
-  let raw = if Bytes.length !scratch >= len then !scratch else Bytes.create len in
-  if len <= retain_limit then scratch := raw;
+  let total = String.length prefix + len in
+  let raw = if Bytes.length !scratch >= total then !scratch else Bytes.create total in
+  if total <= retain_limit then scratch := raw;
   Bytes.blit_string prefix 0 raw 0 (String.length prefix);
-  Bytes.blit_string msg 0 raw (String.length prefix) (String.length msg);
-  Digest.subbytes raw 0 len
+  Bytes.blit msg off raw (String.length prefix) len;
+  Digest.subbytes raw 0 total
+
+let whole msg = Bytes.unsafe_of_string msg
 
 module Signer = struct
   type t = {
@@ -41,17 +48,21 @@ module Signer = struct
   }
 
   let id t = t.id
-  let sign t msg = digest_string t.prefix msg
+  let sign_sub t msg ~off ~len = digest t.prefix msg ~off ~len
+  let sign t msg = sign_sub t (whole msg) ~off:0 ~len:(String.length msg)
 end
 
 module Verifier = struct
   (* The signer's digest prefix; [None] for a party outside the setup. *)
   type t = { prefix_of : Party_id.t -> string option }
 
-  let verify t ~signer ~msg signature =
+  let verify_sub t ~signer msg ~off ~len signature =
     match t.prefix_of signer with
-    | Some prefix -> Signature.equal signature (digest_string prefix msg)
+    | Some prefix -> Signature.equal signature (digest prefix msg ~off ~len)
     | None -> false
+
+  let verify t ~signer ~msg signature =
+    verify_sub t ~signer (whole msg) ~off:0 ~len:(String.length msg) signature
 end
 
 module Pki = struct

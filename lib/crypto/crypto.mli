@@ -12,7 +12,10 @@
     signed messages behave reproducibly. *)
 
 module Signature : sig
-  type t
+  (** The digest's bytes. Private: a signature can be read (a frame
+      writer copies it onto the wire) but only made by a {!Signer} or
+      decoded by {!codec}. *)
+  type t = private string
 
   val equal : t -> t -> bool
   val codec : t Bsm_wire.Wire.t
@@ -30,6 +33,13 @@ module Signer : sig
 
   (** [sign t msg] signs the raw bytes [msg] as [id t]. *)
   val sign : t -> string -> Signature.t
+
+  (** [sign_sub t b ~off ~len] is [sign t (Bytes.sub_string b off len)]
+      without the copy: the range digest reads the message where it lies
+      ({!sign} is its full-range case, so both give the same signature for
+      the same bytes). Raises [Invalid_argument] if the range is not
+      within [b]. *)
+  val sign_sub : t -> Bytes.t -> off:int -> len:int -> Signature.t
 end
 
 module Verifier : sig
@@ -40,6 +50,12 @@ module Verifier : sig
       unique valid signature of [signer] on [msg]. Unknown signers verify
       as [false]. *)
   val verify : t -> signer:Bsm_prelude.Party_id.t -> msg:string -> Signature.t -> bool
+
+  (** [verify_sub t ~signer b ~off ~len signature] is {!verify} of the
+      message [b.[off .. off+len)], read in place by the same range digest
+      as {!Signer.sign_sub}. The range must lie within [b]. *)
+  val verify_sub :
+    t -> signer:Bsm_prelude.Party_id.t -> Bytes.t -> off:int -> len:int -> Signature.t -> bool
 end
 
 module Pki : sig

@@ -191,16 +191,24 @@ type outbox = {
 }
 
 (* Per-recipient span vector: the round's delivery sweep appends
-   [(sender, base, off, len)] rows in sender-dense order (the sweep
-   walks sender cells in roster order), so the append order {e is} the
-   inbox order — sorted by sender, send order preserved per sender —
-   with no per-sender buckets and no sort. *)
+   [(sender, off, len)] rows in sender-dense order (the sweep walks
+   sender cells in roster order), so the append order {e is} the inbox
+   order — sorted by sender, send order preserved per sender — with no
+   per-sender buckets and no sort. The base string a span points into is
+   kept once per {e run} of consecutive rows sharing it: [run_base.(r)]
+   holds for rows [run_start.(r)] up to the next run's start. One
+   sender's spans to one recipient arrive back to back, so a run is
+   usually all of them, and only its first row stores a pointer: one
+   write barrier per run rather than per message. A corrupted copy has
+   its own string and so starts a run of its own. *)
 type inbox = {
   mutable in_src : int array; (* sender dense id *)
-  mutable in_base : string array;
   mutable in_off : int array;
   mutable in_len : int array;
   mutable in_count : int;
+  mutable run_base : string array;
+  mutable run_start : int array;
+  mutable runs : int;
 }
 
 type cell = {
@@ -239,20 +247,30 @@ let inbox_push ib ~src_dense ~base ~off ~len =
   if ib.in_count = cap then begin
     let cap' = max 8 (2 * cap) in
     let src' = Array.make cap' 0
-    and base' = Array.make cap' ""
     and off' = Array.make cap' 0
     and len' = Array.make cap' 0 in
     Array.blit ib.in_src 0 src' 0 ib.in_count;
-    Array.blit ib.in_base 0 base' 0 ib.in_count;
     Array.blit ib.in_off 0 off' 0 ib.in_count;
     Array.blit ib.in_len 0 len' 0 ib.in_count;
     ib.in_src <- src';
-    ib.in_base <- base';
     ib.in_off <- off';
     ib.in_len <- len'
   end;
+  if ib.runs = 0 || ib.run_base.(ib.runs - 1) != base then begin
+    let cap = Array.length ib.run_base in
+    if ib.runs = cap then begin
+      let cap' = max 8 (2 * cap) in
+      let base' = Array.make cap' "" and start' = Array.make cap' 0 in
+      Array.blit ib.run_base 0 base' 0 ib.runs;
+      Array.blit ib.run_start 0 start' 0 ib.runs;
+      ib.run_base <- base';
+      ib.run_start <- start'
+    end;
+    ib.run_base.(ib.runs) <- base;
+    ib.run_start.(ib.runs) <- ib.in_count;
+    ib.runs <- ib.runs + 1
+  end;
   ib.in_src.(ib.in_count) <- src_dense;
-  ib.in_base.(ib.in_count) <- base;
   ib.in_off.(ib.in_count) <- off;
   ib.in_len.(ib.in_count) <- len;
   ib.in_count <- ib.in_count + 1
@@ -261,10 +279,17 @@ let run ?pool cfg ~programs =
   let k = cfg.k in
   let roster = Party_id.all ~k in
   let roster_arr = Array.of_list roster in
-  let connected =
+  (* Under a topology a link exists between two distinct parties
+     exactly when their sides allow it: [side_links.(2 * src side + dst
+     side)], a table read per message instead of a [Topology.connected]
+     call. A custom link keeps its predicate. *)
+  let side_links =
     match cfg.link with
-    | Of_topology t -> fun u v -> Topology.connected t u v
-    | Custom f -> fun u v -> (not (Party_id.equal u v)) && f u v
+    | Of_topology t ->
+      let sides = [| Side.Left; Side.Right |] in
+      Array.init 4 (fun i ->
+          Topology.connected t (Party_id.make sides.(i / 2) 0) (Party_id.make sides.(i mod 2) 1))
+    | Custom _ -> [||]
   in
   let cells =
     Array.map
@@ -284,10 +309,12 @@ let run ?pool cfg ~programs =
           inbox =
             {
               in_src = [||];
-              in_base = no_strings;
               in_off = [||];
               in_len = [||];
               in_count = 0;
+              run_base = no_strings;
+              run_start = [||];
+              runs = 0;
             };
           state = Finished;
           out = None;
@@ -296,7 +323,6 @@ let run ?pool cfg ~programs =
         })
       roster_arr
   in
-  let cell_of id = cells.(Party_id.to_dense ~k id) in
   let iter_cells f = Array.iter f cells in
   let round = ref 0 in
   (* The first [trace_limit] events, newest first. *)
@@ -474,6 +500,7 @@ let run ?pool cfg ~programs =
         if ob.out_len > 0 then begin
           let src = cell.id in
           let src_dense = Party_id.to_dense ~k src in
+          let src_side = Side.to_int (Party_id.side src) in
           let base = Wire.Enc.to_string ob.arena in
           messages_sent := !messages_sent + ob.out_len;
           for i = 0 to ob.out_len - 1 do
@@ -488,7 +515,17 @@ let run ?pool cfg ~programs =
                    "Engine.deliver_message: destination %s has a negative index \
                     (corrupt Party_id)"
                    (Party_id.to_string dst));
-            if dst_index >= k || not (connected src dst) then begin
+            let dst_side = Side.to_int (Party_id.side dst) in
+            (* [Party_id.to_dense], meaningful once [dst_index < k]. *)
+            let dst_dense = (dst_side * k) + dst_index in
+            let linked =
+              dst_index < k && dst_dense <> src_dense
+              &&
+              match cfg.link with
+              | Of_topology _ -> side_links.((2 * src_side) + dst_side)
+              | Custom f -> f src dst
+            in
+            if not linked then begin
               incr dropped_topology;
               record src dst len `No_channel;
               Log.debug (fun m ->
@@ -504,14 +541,14 @@ let run ?pool cfg ~programs =
               record ~label src dst len `Omitted
             end
             else begin
-              let target = cell_of dst in
+              let target = cells.(dst_dense) in
               if track_prev then begin
                 (* The corrupt hook and its replay memory are string-based:
                    materialize a span-local copy so mutations never alias
                    the shared arena, and deliver whatever the hook returns
                    (bytes and replay memory both reflect the mutated
                    frame). *)
-                let link_idx = (src_dense * 2 * k) + Party_id.to_dense ~k dst in
+                let link_idx = (src_dense * 2 * k) + dst_dense in
                 let data = String.sub base off len in
                 match
                   cfg.faults.corrupt ~round:!round ~src ~dst
@@ -560,19 +597,23 @@ let run ?pool cfg ~programs =
     let ib = cell.inbox in
     if ib.in_count = 0 then []
     else begin
-      let acc = ref [] in
+      let acc = ref [] and run = ref (ib.runs - 1) in
       for i = ib.in_count - 1 downto 0 do
+        (* Runs are never empty, so stepping back one row crosses at most
+           one run boundary. *)
+        if i < ib.run_start.(!run) then decr run;
         acc :=
           {
             src = roster_arr.(ib.in_src.(i));
-            data = Wire.Slice.make ib.in_base.(i) ~off:ib.in_off.(i) ~len:ib.in_len.(i);
+            data = Wire.Slice.make ib.run_base.(!run) ~off:ib.in_off.(i) ~len:ib.in_len.(i);
           }
           :: !acc
       done;
       (* Drop the base-string references so arenas from this round are
          not retained past it by the reused vector. *)
-      Array.fill ib.in_base 0 ib.in_count "";
+      Array.fill ib.run_base 0 ib.runs "";
       ib.in_count <- 0;
+      ib.runs <- 0;
       !acc
     end
   in

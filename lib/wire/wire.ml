@@ -49,6 +49,7 @@ module Enc = struct
   let length = Buffer.length
   let append t s = Buffer.add_string t s
   let append_sub t s ~off ~len = Buffer.add_substring t s off len
+  let append_subbytes t b ~off ~len = Buffer.add_subbytes t b off len
 
   (* Roll back a failed in-place encode: a codec that raises mid-write
      must not leave half a frame in the arena. *)

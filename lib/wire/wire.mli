@@ -50,6 +50,10 @@ module Enc : sig
   (** Raw append of [s.[off .. off+len)], no length prefix. *)
   val append_sub : t -> string -> off:int -> len:int -> unit
 
+  (** Raw append of [b.[off .. off+len)], no length prefix: a frame
+      written elsewhere, copied into the arena as it stands. *)
+  val append_subbytes : t -> Bytes.t -> off:int -> len:int -> unit
+
   (** [truncate e n] rolls the encoder back to [n] bytes: a codec that
       raises mid-write must not leave half a frame in the arena. *)
   val truncate : t -> int -> unit

@@ -567,6 +567,292 @@ let test_majority_dedups_forged_sources () =
     ]
     (List.map show !inboxes)
 
+(* --- relay frames against references ----------------------------------------- *)
+
+(* A virtual net driven without an engine: every frame it hands
+   [send_multi_w] is captured, newest first, and [next_round] returns
+   what [feed] holds once, then nothing. [set_counters] overwrites the
+   net's [vround] and [next_id] through the state cells it registers
+   (in that order), as a state scramble would. *)
+type bare_net = {
+  net : Bsm_runtime.Net.t;
+  sent : string list ref;
+  feed : Engine.envelope list ref;
+  set_counters : vround:int -> id:int -> unit;
+}
+
+let bare_net ~k ~self ~auth =
+  let sent = ref [] and feed = ref [] and cells = ref [] in
+  let env =
+    {
+      Engine.self;
+      k;
+      round = (fun () -> 0);
+      send = (fun _ _ -> ());
+      send_w = (fun _ _ _ -> ());
+      send_slice = (fun _ _ -> ());
+      send_multi_w = (fun c _ v -> sent := Wire.encode c v :: !sent);
+      next_round =
+        (fun () ->
+          let inbox = !feed in
+          feed := [];
+          inbox);
+      output = ignore;
+      log = ignore;
+      register_state = (fun c r -> cells := Engine.state_cell c r :: !cells);
+      register_cell = ignore;
+    }
+  in
+  let net = Core.Channels.virtual_net env ~topology:Topology.Bipartite ~auth in
+  let set_counters ~vround ~id =
+    match List.rev !cells with
+    | [ v; i ] ->
+      assert (v.Engine.cell_set (Wire.encode Wire.uint vround));
+      assert (i.Engine.cell_set (Wire.encode Wire.uint id))
+    | _ -> Alcotest.fail "expected the vround and next_id cells"
+  in
+  { net; sent; feed; set_counters }
+
+(* The bytes a signature covers: the payload codec's encoding of [p]
+   with its signature blanked, i.e. the [Request] frame minus its tag. *)
+let reference_signed_bytes (p : Core.Channels.payload) =
+  let frame =
+    Wire.encode Core.Channels.relay_codec (Core.Channels.Request { p with signature = None })
+  in
+  String.sub frame 1 (String.length frame - 1)
+
+(* Counters and indices across the one-, two- and three-byte varint
+   widths, and the largest a frame can carry. *)
+let wide rng =
+  match Rng.int rng 5 with
+  | 0 -> Rng.int rng 128
+  | 1 -> 128 + Rng.int rng (16_384 - 128)
+  | 2 -> 16_384 + Rng.int rng 1_000_000
+  | 3 -> max_int - Rng.int rng 3
+  | _ -> Rng.int rng 300
+
+let random_body rng =
+  String.init (Rng.int rng 301) (fun _ -> Char.chr (Rng.int rng 256))
+
+let test_request_frames_match_codec () =
+  (* Senders at indices on both sides of the varint widths, in both auth
+     modes: each request a virtual net writes equals [relay_codec]'s
+     encoding of the [Request], signed over the reference bytes. *)
+  let k = 16_385 in
+  let pki = Crypto.Pki.setup ~k ~seed:8 in
+  let rng = Rng.make 2025 in
+  let checked = ref 0 in
+  List.iter
+    (fun self ->
+      List.iter
+        (fun signed ->
+          let auth = if signed then signed_auth pki self else Core.Channels.Majority in
+          let b = bare_net ~k ~self ~auth in
+          for _ = 1 to 25 do
+            (* A same-side destination, in or out of the roster, is
+               reached through the relays. *)
+            let dst =
+              let i = if Rng.bool rng then Rng.int rng k else wide rng in
+              Party_id.make (Party_id.side self)
+                (if i = Party_id.index self then i + 1 else i)
+            in
+            let vround = wide rng and id = wide rng and body = random_body rng in
+            b.set_counters ~vround ~id;
+            b.net.Bsm_runtime.Net.send dst body;
+            let p =
+              { Core.Channels.src = self; dst; vround; id; body; signature = None }
+            in
+            let signature =
+              if signed then
+                Some (Crypto.Signer.sign (Crypto.Pki.signer pki self) (reference_signed_bytes p))
+              else None
+            in
+            let expected =
+              Wire.encode Core.Channels.relay_codec (Core.Channels.Request { p with signature })
+            in
+            match !(b.sent) with
+            | [ frame ] ->
+              b.sent := [];
+              incr checked;
+              if frame <> expected then
+                Alcotest.failf "request %s -> %s (vround %d, id %d, %d-byte body, %s): %s, \
+                                expected %s"
+                  (Party_id.to_string self) (Party_id.to_string dst) vround id
+                  (String.length body)
+                  (if signed then "signed" else "majority")
+                  (Wire.to_hex frame) (Wire.to_hex expected)
+            | frames -> Alcotest.failf "expected one request frame, got %d" (List.length frames)
+          done)
+        [ false; true ])
+    [
+      Party_id.left 0;
+      Party_id.right 5;
+      Party_id.left 127;
+      Party_id.right 128;
+      Party_id.left 16_383;
+      Party_id.right 16_384;
+    ];
+  Alcotest.(check int) "requests checked" 300 !checked
+
+(* A [Forward] frame written field by field, with a non-minimal varint
+   (one redundant continuation byte) in the field numbered [padded]:
+   0-5 the header fields, 6 the body length; any other number pads
+   nothing. [relay_codec]'s decoder reads the same payload. *)
+let hand_forward ?(padded = -1) ?signature (p : Core.Channels.payload) =
+  let b = Buffer.create 64 in
+  let varint field n =
+    let rec go n =
+      if n >= 0x80 then begin
+        Buffer.add_char b (Char.chr (0x80 lor (n land 0x7f)));
+        go (n lsr 7)
+      end
+      else if field = padded then begin
+        Buffer.add_char b (Char.chr (0x80 lor n));
+        Buffer.add_char b '\000'
+      end
+      else Buffer.add_char b (Char.chr n)
+    in
+    go n
+  in
+  let side p = Side.to_int (Party_id.side p) in
+  Buffer.add_char b '\002';
+  varint 0 (side p.src);
+  varint 1 (Party_id.index p.src);
+  varint 2 (side p.dst);
+  varint 3 (Party_id.index p.dst);
+  varint 4 p.vround;
+  varint 5 p.id;
+  varint 6 (String.length p.body);
+  Buffer.add_string b p.body;
+  (match signature with
+  | None -> Buffer.add_char b '\000'
+  | Some s ->
+    Buffer.add_char b '\001';
+    Buffer.add_string b (Wire.encode Crypto.Signature.codec s));
+  Buffer.contents b
+
+(* The reference for the signed receiver: decode the whole frame,
+   require it fresh, and verify the signature over the re-encoded
+   payload; [delivered] is its replay memory. *)
+let reference_signed_receive ~self ~vround ~verifier delivered frame =
+  match Wire.decode Core.Channels.relay_codec frame with
+  | Ok (Core.Channels.Forward ({ signature = Some signature; _ } as p))
+    when Party_id.equal p.dst self && p.vround = vround
+         && (not (Hashtbl.mem delivered (p.src, p.id)))
+         && Crypto.Verifier.verify verifier ~signer:p.src ~msg:(reference_signed_bytes p)
+              signature ->
+    Hashtbl.replace delivered (p.src, p.id) ();
+    [ p.src, p.body ]
+  | Ok _ | Error _ -> []
+
+let test_signed_receive_matches_reference () =
+  (* Every frame reaches a signed receiver as one [Forward] copy in a
+     virtual round of its own, the receiver's [vround] reset to [v]
+     first. What it delivers must be what the reference chain delivers,
+     frame by frame, with both keeping their replay memory across the
+     whole corpus. *)
+  let k = 200 and v = 300 in
+  let self = Party_id.left 150 in
+  let pki = Crypto.Pki.setup ~k ~seed:12 in
+  let verifier = Crypto.Pki.verifier pki in
+  let rng = Rng.make 77 in
+  let party () =
+    let side = if Rng.bool rng then Side.Left else Side.Right in
+    Party_id.make side (if Rng.int rng 8 = 0 then k + Rng.int rng 100 else Rng.int rng k)
+  in
+  let payload () =
+    {
+      Core.Channels.src = party ();
+      dst = (if Rng.int rng 8 = 0 then party () else self);
+      vround = (if Rng.int rng 8 = 0 then v + 1 - Rng.int rng 3 else v);
+      id = wide rng;
+      body = random_body rng;
+      signature = None;
+    }
+  in
+  (* The signature its claimed source would make; a source outside the
+     setup signs as a roster party, which must not verify. *)
+  let sign (p : Core.Channels.payload) =
+    let signer =
+      Crypto.Pki.signer pki
+        (if Party_id.index p.src < k then p.src else Party_id.right (Party_id.index p.src mod k))
+    in
+    Crypto.Signer.sign signer (reference_signed_bytes p)
+  in
+  let party_in_roster () =
+    Party_id.make (if Rng.bool rng then Side.Left else Side.Right) (Rng.int rng k)
+  in
+  let forward (p : Core.Channels.payload) =
+    Wire.encode Core.Channels.relay_codec (Core.Channels.Forward p)
+  in
+  (* Unpadded, the hand-written frame is the codec's. *)
+  let p = payload () in
+  Alcotest.(check string) "hand-written frame" (forward { p with signature = Some (sign p) })
+    (hand_forward ~signature:(sign p) p);
+  let signature_of_string s = Wire.decode_exn Crypto.Signature.codec (Wire.encode Wire.string s) in
+  let clean =
+    List.init 40 (fun _ ->
+        let p = payload () in
+        forward { p with signature = Some (sign p) })
+  in
+  let corpus =
+    List.concat_map
+      (fun frame ->
+        let p = payload () in
+        let signature = sign p in
+        (* Each field padded in turn, in fresh, correctly signed frames
+           from roster parties: the decoder accepts the padding, and the
+           signature covers the canonical bytes. *)
+        let padded =
+          List.init 7 (fun padded ->
+              let p = { (payload ()) with src = party_in_roster (); dst = self; vround = v } in
+              hand_forward ~padded ~signature:(sign p) p)
+        in
+        let unsigned = [ forward p; hand_forward p ] in
+        let odd_signatures =
+          List.map
+            (fun s -> forward { p with signature = Some (signature_of_string s) })
+            [ ""; String.make 15 'x'; (signature :> string) ^ "x"; String.sub (signature :> string) 0 15 ]
+        in
+        let mutated =
+          List.filter_map
+            (fun kind ->
+              Bsm_chaos.Mutation.apply
+                ~hash:(Rng.mix64 (Int64.of_int (Rng.int rng 1_000_000)))
+                ~src:(party ()) ~prev:(Some (List.hd clean)) kind frame)
+            Bsm_chaos.Mutation.all_kinds
+        in
+        let fuzzed = List.init 4 (fun _ -> Bsm_wire.Fuzz.mutate rng frame) in
+        let truncated = List.init (String.length frame) (fun n -> String.sub frame 0 n) in
+        (* The clean frame itself comes after its corrupted forms and
+           again after that, as a duplicate. *)
+        padded @ unsigned @ odd_signatures @ mutated @ fuzzed @ truncated
+        @ [ frame ^ "\000"; frame; frame ])
+      clean
+  in
+  (* Only [Forward] copies reach the signed receiver's judgement. *)
+  let corpus = List.filter (fun f -> String.length f > 0 && f.[0] = '\002') corpus in
+  let b = bare_net ~k ~self ~auth:(signed_auth pki self) in
+  let delivered = Hashtbl.create 64 in
+  let accepted = ref 0 in
+  List.iteri
+    (fun i frame ->
+      b.set_counters ~vround:v ~id:0;
+      b.feed := [ { Engine.src = Party_id.right 0; data = Wire.Slice.of_string frame } ];
+      let got = b.net.Bsm_runtime.Net.sync () in
+      let expected = reference_signed_receive ~self ~vround:v ~verifier delivered frame in
+      accepted := !accepted + List.length expected;
+      let show = List.map (fun (src, body) -> Party_id.to_string src, body) in
+      if show got <> show expected then
+        Alcotest.failf "frame %d (%s): delivered %d message(s), the reference %d" i
+          (Wire.to_hex frame) (List.length got) (List.length expected))
+    corpus;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d frames, %d accepted: both verdicts exercised" (List.length corpus)
+       !accepted)
+    true
+    (!accepted >= 7 * 40 && !accepted < List.length corpus / 2)
+
 let prop_channels_reliable_links =
   (* Random topology, auth mode and traffic: for several virtual rounds,
      every honest party sends random messages to random peers over the
@@ -687,7 +973,13 @@ let test_predicted_messages_exact () =
   (* The closed-form communication model must match the engine's counter
      exactly, for every representative solvable setting and k = 2..8 —
      k = 7 and 8 pin both majority-proxy stacks (one-sided and bipartite,
-     unauthenticated) past the sizes the chaos grids reach. *)
+     unauthenticated) past the sizes the chaos grids reach — and at
+     k = 16 for the other four settings. The two majority-proxy stacks
+     take 1.8 s and 2.9 s at k = 16, so they stop at k = 8. *)
+  let majority_proxy (s : Core.Setting.t) =
+    s.auth = Core.Setting.Unauthenticated
+    && not (Topology.equal s.topology Topology.Fully_connected)
+  in
   List.iter
     (fun k ->
       let rng = Rng.make (k * 997) in
@@ -701,8 +993,10 @@ let test_predicted_messages_exact () =
             Alcotest.failf "message model wrong at %s: predicted %d, measured %d"
               (Format.asprintf "%a" Core.Setting.pp s)
               predicted measured)
-        (solvable_examples ~k))
-    [ 2; 3; 4; 5; 6; 7; 8 ]
+        (List.filter
+           (fun s -> k <= 8 || not (majority_proxy s))
+           (solvable_examples ~k)))
+    [ 2; 3; 4; 5; 6; 7; 8; 16 ]
 
 (* --- byzantine end-to-end runs ------------------------------------------- *)
 
@@ -1449,6 +1743,10 @@ let () =
             test_forward_duty_matches_reference;
           Alcotest.test_case "majority dedups forged sources and huge ids" `Quick
             test_majority_dedups_forged_sources;
+          Alcotest.test_case "request frames match the codec" `Quick
+            test_request_frames_match_codec;
+          Alcotest.test_case "signed receive matches the reference" `Quick
+            test_signed_receive_matches_reference;
           Alcotest.test_case "sync promotes no dead inbox" `Quick
             test_sync_promotes_little;
         ] );

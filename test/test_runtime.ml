@@ -778,7 +778,41 @@ let test_trace_exact_events () =
   let events = Alcotest.(list (testable pp_event ( = ))) in
   Alcotest.check events "every event" expected (every_fate_trace ~trace_limit:100);
   Alcotest.check events "first three at limit 3" (List.filteri (fun i _ -> i < 3) expected)
-    (every_fate_trace ~trace_limit:3)
+    (every_fate_trace ~trace_limit:3);
+  (* Every party of a k = 2 roster sends to every party, itself included,
+     and to two parties outside the roster. A message is delivered
+     exactly when its destination is in the roster and [connected]
+     holds — [Topology.connected] for each topology, a custom link's
+     predicate between distinct parties — and has no channel otherwise. *)
+  let k = 2 in
+  let dsts = Party_id.all ~k @ [ Party_id.left k; Party_id.right (k + 5) ] in
+  let link_fates name link ~connected =
+    let programs _ env =
+      List.iteri (fun i dst -> env.Engine.send dst (String.make (1 + i) 'x')) dsts
+    in
+    let cfg = Engine.config ~k ~trace_limit:1000 ~link () in
+    let expected =
+      List.concat_map
+        (fun src ->
+          List.mapi
+            (fun i dst ->
+              let fate =
+                if Party_id.index dst < k && connected src dst then `Delivered
+                else `No_channel
+              in
+              ev 0 src dst (1 + i) fate None)
+            dsts)
+        (Party_id.all ~k)
+    in
+    Alcotest.check events name expected (Engine.run cfg ~programs).Engine.trace
+  in
+  List.iter
+    (fun t ->
+      link_fates (Topology.to_string t) (Engine.Of_topology t) ~connected:(Topology.connected t))
+    Topology.all;
+  let custom u v = (Party_id.index u + Party_id.index v) mod 2 = 0 in
+  link_fates "custom link" (Engine.Custom custom) ~connected:(fun u v ->
+      (not (Party_id.equal u v)) && custom u v)
 
 (* The engine used to build each inbox by consing arrivals and re-sorting
    with List.stable_sort every round; it now fills per-sender buckets and
