@@ -61,7 +61,7 @@ let int_at_least lo =
   in
   Arg.conv (parse, Format.pp_print_int)
 
-let k_arg = Arg.(value & opt int 4 & info [ "k" ] ~doc:"Parties per side.")
+let k_arg = Arg.(value & opt (int_at_least 1) 4 & info [ "k" ] ~doc:"Parties per side.")
 
 let topology_arg =
   Arg.(
@@ -520,7 +520,8 @@ let fuzz_cmd =
   in
   let cases =
     Arg.(
-      value & opt int 500
+      value
+      & opt (int_at_least 1) 500
       & info [ "cases" ]
           ~doc:
             "Values generated per codec; each contributes one clean \
@@ -697,7 +698,18 @@ let roommates_cmd =
       "(the paper's conclusion: unlike bipartite stable matching, existence can \
        fail — the byzantine variant needs refined definitions)@."
   in
-  let n_arg = Arg.(value & opt int 8 & info [ "n" ] ~doc:"Number of persons (even).") in
+  let n_arg =
+    let even =
+      let parse s =
+        match int_of_string_opt s with
+        | Some n when n >= 2 && n mod 2 = 0 -> Ok n
+        | Some _ | None ->
+          Error (`Msg (Printf.sprintf "expected an even integer >= 2, got %S" s))
+      in
+      Arg.conv (parse, Format.pp_print_int)
+    in
+    Arg.(value & opt even 8 & info [ "n" ] ~doc:"Number of persons (even).")
+  in
   Cmd.v
     (Cmd.info "roommates"
        ~doc:
@@ -708,7 +720,7 @@ let roommates_cmd =
 (* --- bsr (byzantine stable roommates) ----------------------------------------- *)
 
 let bsr_cmd =
-  let run k t seed =
+  let run (k, t) seed =
     let rng = Rng.make seed in
     let inputs = Core.Roommates_bsm.random_inputs rng ~k in
     let pki = Bsm_crypto.Crypto.Pki.setup ~k ~seed in
@@ -718,7 +730,7 @@ let bsr_cmd =
         List.mapi
           (fun i p ->
             p, if i mod 2 = 0 then H.Adversaries.silent else H.Adversaries.noise ~seed:i)
-          (Rng.sample rng (min t (2 * k)) (Party_id.all ~k))
+          (Rng.sample rng t (Party_id.all ~k))
     in
     let byz_set = Party_set.of_list (List.map fst byzantine) in
     let programs p =
@@ -763,14 +775,29 @@ let bsr_cmd =
       exit 1
   in
   let t_arg =
-    Arg.(value & opt int 1 & info [ "byzantine" ] ~doc:"Number of byzantine parties.")
+    Arg.(
+      value
+      & opt (int_at_least 0) 1
+      & info [ "byzantine" ] ~doc:"Number of byzantine parties.")
+  in
+  (* A coalition of every party leaves no honest party to check. *)
+  let k_and_t =
+    let check k t =
+      if t >= 2 * k then
+        `Error
+          ( true,
+            Printf.sprintf "option '--byzantine': %d is not below 2k = %d parties" t
+              (2 * k) )
+      else `Ok (k, t)
+    in
+    Term.(ret (const check $ k_arg $ t_arg))
   in
   Cmd.v
     (Cmd.info "bsr"
        ~doc:
          "Run byzantine stable roommates (the paper's future-work direction) on a \
           random instance.")
-    Term.(const run $ k_arg $ t_arg $ seed_arg)
+    Term.(const run $ k_and_t $ seed_arg)
 
 (* --- manipulate --------------------------------------------------------------- *)
 
@@ -830,10 +857,12 @@ let complexity_cmd =
                 string_of_int m.Bsm_runtime.Engine.bytes_delivered;
               ])
           (settings k))
-      (List.filter (fun k -> k >= 2) (Util.range 2 (max_k + 1)));
+      (Util.range 2 (max_k + 1));
     Table.print table
   in
-  let max_k = Arg.(value & opt int 6 & info [ "max-k" ] ~doc:"Largest k to measure.") in
+  let max_k =
+    Arg.(value & opt (int_at_least 2) 6 & info [ "max-k" ] ~doc:"Largest k to measure.")
+  in
   Cmd.v
     (Cmd.info "complexity" ~doc:"Measure round/message/byte costs as k grows.")
     Term.(const run $ max_k)

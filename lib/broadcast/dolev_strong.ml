@@ -57,17 +57,23 @@ module Chain = struct
     verify_links [] c.links
 end
 
+(* Is the value field of [payload] — the varint length and the bytes that
+   [Chain.codec]'s first field decodes — one of [extracted]? Read in
+   place; an unreadable field is not. *)
+let holds_extracted pos extracted payload =
+  let limit = String.length payload in
+  pos := 0;
+  let len = Wire.Dec.peek_uint payload pos ~limit in
+  len >= 0
+  && len <= limit - !pos
+  &&
+  let field = Wire.Slice.make payload ~off:!pos ~len in
+  List.exists (fun v -> Wire.Slice.equal (Wire.Slice.of_string v) field) extracted
+
 let make p ~signer ~sender ~input ~default =
   let self = Crypto.Signer.id signer in
   let extracted = ref [] in
-  (* Reused across this machine's messages; the machine is single-fiber. *)
-  let enc = Wire.Enc.create () in
-  let to_all chain =
-    let payload = Wire.encode_into enc Chain.codec chain in
-    List.filter_map
-      (fun dst -> if Party_id.equal dst self then None else Some (dst, payload))
-      p.participants
-  in
+  let to_all = Machine.to_all Chain.codec ~self p.participants in
   let initial =
     if Party_id.equal self sender then begin
       let chain = Chain.start signer input in
@@ -76,23 +82,22 @@ let make p ~signer ~sender ~input ~default =
     end
     else []
   in
+  let pos = ref 0 in
   let step ~round ~inbox =
     let relay = ref [] in
+    (* Accept a value with [round] valid signatures, not already
+       extracted; keep at most two extracted values (two already prove
+       the sender byzantine, so further ones change nothing). A chain
+       that cannot add a value is dropped before it is decoded. *)
     let accept (_, payload) =
-      match Wire.decode Chain.codec payload with
-      | Error _ -> ()
-      | Ok chain ->
-        (* Accept a value with [round] valid signatures, not already
-           extracted; keep at most two extracted values (two already prove
-           the sender byzantine, so further ones change nothing). *)
-        if
-          List.length !extracted < 2
-          && (not (List.mem chain.Chain.value !extracted))
-          && Chain.valid p ~sender ~length:round chain
-        then begin
-          extracted := chain.Chain.value :: !extracted;
-          if round <= p.t then relay := to_all (Chain.sign_onto signer chain) @ !relay
-        end
+      if List.length !extracted < 2 && not (holds_extracted pos !extracted payload) then
+        match Wire.decode Chain.codec payload with
+        | Error _ -> ()
+        | Ok chain ->
+          if Chain.valid p ~sender ~length:round chain then begin
+            extracted := chain.Chain.value :: !extracted;
+            if round <= p.t then relay := to_all (Chain.sign_onto signer chain) @ !relay
+          end
     in
     List.iter accept inbox;
     !relay

@@ -10,7 +10,15 @@
 
     Signature chains make the protocol's messages grow to
     O(t · |signature|) bytes — visible in the communication-complexity
-    experiment (EXPERIMENTS.md, T3). *)
+    experiment (EXPERIMENTS.md, T3).
+
+    {b Skip rule.} A step drops a chain it has no use for before
+    decoding it: every chain once two values are extracted, and a chain
+    whose value field — the length varint and the bytes that
+    [Chain.codec]'s first field decodes, read in place — equals an
+    extracted value. Decoding such a chain would have changed nothing.
+    A value field that cannot be read (a malformed varint, a length past
+    the end) falls through to the decode, which rejects it. *)
 
 open Bsm_prelude
 

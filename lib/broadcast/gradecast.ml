@@ -18,54 +18,43 @@ type msg =
   | Echo of string
   | Ready of string
 
+let value_tag = 0
+let echo_tag = 1
+let ready_tag = 2
+
 let codec =
   let open Wire in
   variant ~name:"gradecast_msg"
     [
       pack
-        (case 0 string
+        (case value_tag string
            ~inject:(fun v -> Value v)
            ~match_:(function
              | Value v -> Some v
              | Echo _ | Ready _ -> None));
       pack
-        (case 1 string
+        (case echo_tag string
            ~inject:(fun v -> Echo v)
            ~match_:(function
              | Echo v -> Some v
              | Value _ | Ready _ -> None));
       pack
-        (case 2 string
+        (case ready_tag string
            ~inject:(fun v -> Ready v)
            ~match_:(function
              | Ready v -> Some v
              | Value _ | Echo _ -> None));
     ]
 
+(* Every case is a [Wire.string], so [Phase_king.Votes] reads these
+   messages in place under this codec's tags. *)
+module Votes = Phase_king.Votes
+
 let make p ~self ~sender ~input =
   let everyone = Party_set.of_list p.participants in
   let possibly_corrupt = Adversary_structure.possibly_corrupt p.structure in
   let complement s = Party_set.diff everyone s in
-  (* Reused across this machine's messages; the machine is single-fiber. *)
-  let enc = Wire.Enc.create () in
-  let to_all msg =
-    let payload = Wire.encode_into enc codec msg in
-    List.filter_map
-      (fun dst -> if Party_id.equal dst self then None else Some (dst, payload))
-      p.participants
-  in
-  let extract shape inbox =
-    List.filter_map
-      (fun (src, payload) ->
-        match Wire.decode codec payload with
-        | Ok m -> Option.map (fun v -> src, v) (shape m)
-        | Error _ -> None)
-      (Machine.first_per_sender inbox)
-  in
-  let tally pairs =
-    Util.group_by ~key:snd pairs
-    |> List.map (fun (v, items) -> v, Party_set.of_list (List.map fst items))
-  in
+  let to_all = Machine.to_all codec ~self p.participants in
   let my_echo = ref None in
   let my_ready = ref None in
   let result = ref { value = None; grade = 0 } in
@@ -74,72 +63,37 @@ let make p ~self ~sender ~input =
     match round with
     | 1 ->
       (* Echo whatever the sender (verifiably, over the authenticated
-         channel) sent; stay silent when nothing arrived. *)
+         channel) sent in its first message; stay silent when nothing
+         arrived. *)
       let received =
         if Party_id.equal self sender then Some input
         else
-          List.find_map
-            (fun (src, v) -> if Party_id.equal src sender then Some v else None)
-            (extract
-               (function
-                 | Value v -> Some v
-                 | Echo _ | Ready _ -> None)
-               inbox)
+          Votes.first_from ~tag:value_tag sender (Machine.first_per_sender inbox)
       in
       my_echo := received;
       (match received with
       | Some v -> to_all (Echo v)
       | None -> [])
     | 2 ->
-      let echoes =
-        extract
-          (function
-            | Echo v -> Some v
-            | Value _ | Ready _ -> None)
-          inbox
-      in
-      let echoes =
-        match !my_echo with
-        | Some v -> (self, v) :: echoes
-        | None -> echoes
-      in
-      let ready =
-        List.find_map
-          (fun (v, senders) ->
-            if possibly_corrupt (complement senders) then Some v else None)
-          (tally echoes)
-      in
+      let echoes = Votes.tally ~tag:echo_tag ~self ~own:!my_echo inbox in
+      let ready = Votes.first (fun senders -> possibly_corrupt (complement senders)) echoes in
       my_ready := ready;
       (match ready with
       | Some v -> to_all (Ready v)
       | None -> [])
     | _ ->
-      let readies =
-        extract
-          (function
-            | Ready v -> Some v
-            | Value _ | Echo _ -> None)
-          inbox
-      in
-      let readies =
-        match !my_ready with
-        | Some v -> (self, v) :: readies
-        | None -> readies
-      in
-      let graded =
-        List.filter_map
-          (fun (v, senders) ->
-            if possibly_corrupt (complement senders) then Some (v, 2)
-            else if not (possibly_corrupt senders) then Some (v, 1)
-            else None)
-          (tally readies)
-      in
-      (* At most one value can reach grade >= 1 under Q3; pick the highest
-         grade defensively. *)
+      let readies = Votes.tally ~tag:ready_tag ~self ~own:!my_ready inbox in
+      (* At most one value can reach grade >= 1 under Q3; take the
+         highest grade defensively, the first-seen value among equals.
+         With no grade-2 value, no group's non-supporters are possibly
+         corrupt, so grade 1 only asks that the supporters are not. *)
       (result :=
-         match List.sort (fun (_, a) (_, b) -> Int.compare b a) graded with
-         | (v, g) :: _ -> { value = Some v; grade = g }
-         | [] -> { value = None; grade = 0 });
+         match Votes.first (fun senders -> possibly_corrupt (complement senders)) readies with
+         | Some v -> { value = Some v; grade = 2 }
+         | None -> (
+           match Votes.first (fun senders -> not (possibly_corrupt senders)) readies with
+           | Some v -> { value = Some v; grade = 1 }
+           | None -> { value = None; grade = 0 }));
       []
   in
   let verdict_codec =

@@ -1,11 +1,14 @@
 open Bsm_prelude
 module Net = Bsm_runtime.Net
 module Engine = Bsm_runtime.Engine
+module Wire = Bsm_wire.Wire
+
+type outbox = (Party_id.t list * string) list
 
 type 'out t = {
-  initial : (Party_id.t * string) list;
+  initial : outbox;
   rounds : int;
-  step : round:int -> inbox:(Party_id.t * string) list -> (Party_id.t * string) list;
+  step : round:int -> inbox:(Party_id.t * string) list -> outbox;
   finish : unit -> 'out;
   cells : Engine.state_cell list;
 }
@@ -14,13 +17,18 @@ let map f m = { m with finish = (fun () -> f (m.finish ())) }
 
 let run (net : Net.t) m =
   List.iter net.register_state m.cells;
-  List.iter (fun (dst, msg) -> net.send dst msg) m.initial;
+  let send (dsts, msg) = net.send_many dsts msg in
+  List.iter send m.initial;
   for round = 1 to m.rounds do
     let inbox = net.sync () in
-    let outbox = m.step ~round ~inbox in
-    List.iter (fun (dst, msg) -> net.send dst msg) outbox
+    List.iter send (m.step ~round ~inbox)
   done;
   m.finish ()
+
+let to_all codec ~self participants =
+  let others = List.filter (fun dst -> not (Party_id.equal dst self)) participants in
+  let enc = Wire.Enc.create () in
+  fun msg -> [ others, Wire.encode_into enc codec msg ]
 
 let silent ~rounds out =
   {

@@ -16,10 +16,20 @@
 
 open Bsm_prelude
 
+(** What a machine sends in one round: a list of fan-outs, each
+    [(dsts, payload)] sending [payload] to every party of [dsts] in list
+    order, the fan-outs in list order. It stands for the messages
+    [List.concat_map (fun (dsts, p) -> List.map (fun d -> d, p) dsts)],
+    and both drivers send exactly those, through one [Net.send_many] per
+    fan-out. A broadcast is one fan-out whose destination list is built
+    once per machine and shared by every round ({!to_all}), so a step
+    allocates nothing per receiver. *)
+type outbox = (Party_id.t list * string) list
+
 type 'out t = {
-  initial : (Party_id.t * string) list;
+  initial : outbox;
   rounds : int;
-  step : round:int -> inbox:(Party_id.t * string) list -> (Party_id.t * string) list;
+  step : round:int -> inbox:(Party_id.t * string) list -> outbox;
   finish : unit -> 'out;
   cells : Bsm_runtime.Engine.state_cell list;
       (** the machine's round-local state, exposed to the
@@ -40,6 +50,14 @@ val run : Bsm_runtime.Net.t -> 'out t -> 'out
 (** [silent ~rounds out] participates without ever sending; used for
     default/placeholder roles. *)
 val silent : rounds:int -> 'out -> 'out t
+
+(** [to_all codec ~self participants] is a machine's broadcast: each call
+    encodes its message once, with an encoder owned by this [to_all] (a
+    machine is single-fiber, so no two encodes overlap), and returns the
+    one fan-out [[others, payload]], where [others] — [participants]
+    without [self], in order — is computed once, here. *)
+val to_all :
+  'a Bsm_wire.Wire.t -> self:Party_id.t -> Party_id.t list -> 'a -> outbox
 
 (** Keep at most the first message of each sender (protocol steps must
     count each sender once, or byzantine floods would inflate quorums). *)

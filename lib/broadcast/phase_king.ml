@@ -9,41 +9,149 @@ module Msg = struct
     | Echo of string
     | Sender of string
 
+  let value_tag = 0
+  let propose_tag = 1
+  let king_tag = 2
+  let echo_tag = 3
+  let sender_tag = 4
+
   let codec =
     let open Wire in
     variant ~name:"phase_king_msg"
       [
         pack
-          (case 0 string
+          (case value_tag string
              ~inject:(fun v -> Value v)
              ~match_:(function
                | Value v -> Some v
                | Propose _ | King _ | Echo _ | Sender _ -> None));
         pack
-          (case 1 string
+          (case propose_tag string
              ~inject:(fun v -> Propose v)
              ~match_:(function
                | Propose v -> Some v
                | Value _ | King _ | Echo _ | Sender _ -> None));
         pack
-          (case 2 string
+          (case king_tag string
              ~inject:(fun v -> King v)
              ~match_:(function
                | King v -> Some v
                | Value _ | Propose _ | Echo _ | Sender _ -> None));
         pack
-          (case 3 string
+          (case echo_tag string
              ~inject:(fun v -> Echo v)
              ~match_:(function
                | Echo v -> Some v
                | Value _ | Propose _ | King _ | Sender _ -> None));
         pack
-          (case 4 string
+          (case sender_tag string
              ~inject:(fun v -> Sender v)
              ~match_:(function
                | Sender v -> Some v
                | Value _ | Propose _ | King _ | Echo _ -> None));
       ]
+end
+
+module Votes = struct
+  (* A vote is [tag byte][varint length][value], nothing after: what
+     [Wire.variant]'s reader and [Wire.string] accept, read with
+     [peek_uint], which applies [Dec.uint]'s checks. [pos] is the
+     caller's cursor, so a scan allocates one, not one per vote. *)
+  let read pos ~tag payload =
+    let limit = String.length payload in
+    if limit = 0 || Char.code (String.unsafe_get payload 0) <> tag then -1
+    else begin
+      pos := 1;
+      let len = Wire.Dec.peek_uint payload pos ~limit in
+      if len >= 0 && len = limit - !pos then !pos else -1
+    end
+
+  let body ~tag payload = read (ref 0) ~tag payload
+
+  (* The group's value is [base]'s bytes [off .. off + len): the first
+     vote's payload, read in place, or the party's own value. *)
+  type group = {
+    base : string;
+    off : int;
+    len : int;
+    mutable voters : Party_id.t list;
+  }
+
+  (* [String.compare] on two values in place: bytes unsigned, then
+     length. *)
+  let rec compare_bytes a ao al b bo bl i =
+    if i = al || i = bl then Int.compare al bl
+    else
+      match Char.compare (String.unsafe_get a (ao + i)) (String.unsafe_get b (bo + i)) with
+      | 0 -> compare_bytes a ao al b bo bl (i + 1)
+      | c -> c
+
+  (* File [voter]'s vote in the group of [all] (newest first) that
+     holds its value, or open a group at the head of [all]; the last
+     argument is the part of [all] still to search. *)
+  let rec file voter base off len all = function
+    | g :: rest ->
+      if g.len = len && compare_bytes g.base g.off len base off len 0 = 0 then begin
+        g.voters <- voter :: g.voters;
+        all
+      end
+      else file voter base off len all rest
+    | [] -> { base; off; len; voters = [ voter ] } :: all
+
+  let tally ~tag ~self ~own inbox =
+    let pos = ref 0 in
+    let rec scan groups = function
+      | [] -> List.rev groups
+      | (src, payload) :: rest ->
+        let off = read pos ~tag payload in
+        if off < 0 then scan groups rest
+        else scan (file src payload off (String.length payload - off) groups groups) rest
+    in
+    let own =
+      match own with
+      | Some v -> [ { base = v; off = 0; len = String.length v; voters = [ self ] } ]
+      | None -> []
+    in
+    scan own (Machine.first_per_sender inbox)
+
+  let supporters g = Party_set.of_list g.voters
+
+  let value g =
+    if g.off = 0 && g.len = String.length g.base then g.base
+    else String.sub g.base g.off g.len
+
+  let pick pred groups =
+    let better g size (b, b_size) =
+      size > b_size
+      || size = b_size && compare_bytes g.base g.off g.len b.base b.off b.len 0 < 0
+    in
+    let rec go best = function
+      | [] -> Option.map (fun (g, _) -> value g) best
+      | g :: rest ->
+        let s = supporters g in
+        if not (pred s) then go best rest
+        else begin
+          let size = Party_set.cardinal s in
+          match best with
+          | Some b when not (better g size b) -> go best rest
+          | Some _ | None -> go (Some (g, size)) rest
+        end
+    in
+    go None groups
+
+  let first pred groups =
+    Option.map value (List.find_opt (fun g -> pred (supporters g)) groups)
+
+  let first_from ~tag sender inbox =
+    let pos = ref 0 in
+    let rec scan = function
+      | [] -> None
+      | (src, payload) :: rest ->
+        let off = if Party_id.equal src sender then read pos ~tag payload else -1 in
+        if off < 0 then scan rest
+        else Some (String.sub payload off (String.length payload - off))
+    in
+    scan inbox
 end
 
 type params = {
@@ -61,54 +169,14 @@ let params ~structure ~participants =
 
 let rounds p = 3 * List.length p.kings
 
-(* Decode, dedupe to one message per sender, and keep only payloads of the
-   expected shape — anything else is byzantine noise. *)
-let relevant extract inbox =
-  List.filter_map
-    (fun (src, payload) ->
-      match Wire.decode Msg.codec payload with
-      | Ok msg -> Option.map (fun v -> src, v) (extract msg)
-      | Error _ -> None)
-    (Machine.first_per_sender inbox)
-
-(* Group received (sender, value) pairs by value: (value, sender set). *)
-let tally pairs =
-  Util.group_by ~key:snd pairs
-  |> List.map (fun (v, items) -> v, Party_set.of_list (List.map fst items))
-
 let make_with_peek p ~self ~input =
   let v = ref input in
   let locked = ref false in
   let my_proposal = ref None in
-  let all = p.participants in
-  let structure = p.structure in
-  let everyone_set = Party_set.of_list all in
+  let everyone_set = Party_set.of_list p.participants in
   let complement s = Party_set.diff everyone_set s in
-  let possibly_corrupt = Adversary_structure.possibly_corrupt structure in
-  (* One encoder per machine, reused for every outgoing message: the
-     machine is single-fiber, so no two encodes overlap. *)
-  let enc = Wire.Enc.create () in
-  let to_all msg =
-    let payload = Wire.encode_into enc Msg.codec msg in
-    List.filter_map
-      (fun dst -> if Party_id.equal dst self then None else Some (dst, payload))
-      all
-  in
-  (* Deterministic choice among tallied candidates satisfying [pred]:
-     largest support first, then lexicographic value. Under Q3 at most one
-     candidate can satisfy the predicates we use, but byzantine behaviour
-     must not be able to crash us. *)
-  let pick pred tallied =
-    let candidates = List.filter (fun (_, senders) -> pred senders) tallied in
-    let by_support (v1, s1) (v2, s2) =
-      match Int.compare (Party_set.cardinal s2) (Party_set.cardinal s1) with
-      | 0 -> String.compare v1 v2
-      | c -> c
-    in
-    match List.sort by_support candidates with
-    | [] -> None
-    | (value, _) :: _ -> Some value
-  in
+  let possibly_corrupt = Adversary_structure.possibly_corrupt p.structure in
+  let to_all = Machine.to_all Msg.codec ~self p.participants in
   let num_kings = List.length p.kings in
   let step ~round ~inbox =
     (* Rounds are grouped in threes per king iteration:
@@ -119,58 +187,33 @@ let make_with_peek p ~self ~input =
     let king = List.nth p.kings iteration in
     match (round - 1) mod 3 with
     | 0 ->
-      let values =
-        relevant
-          (function
-            | Msg.Value x -> Some x
-            | Msg.Propose _ | Msg.King _ | Msg.Echo _ | Msg.Sender _ -> None)
-          inbox
-      in
       (* Own value counts too: the paper's parties send to "all parties"
          including themselves; self-delivery is implicit here. *)
-      let values = (self, !v) :: values in
+      let values = Votes.tally ~tag:Msg.value_tag ~self ~own:(Some !v) inbox in
       let proposal =
-        pick (fun senders -> possibly_corrupt (complement senders)) (tally values)
+        Votes.pick (fun senders -> possibly_corrupt (complement senders)) values
       in
       my_proposal := proposal;
       (match proposal with
       | Some w -> to_all (Msg.Propose w)
       | None -> [])
     | 1 ->
-      let proposals =
-        relevant
-          (function
-            | Msg.Propose x -> Some x
-            | Msg.Value _ | Msg.King _ | Msg.Echo _ | Msg.Sender _ -> None)
-          inbox
-      in
-      let proposals =
-        match !my_proposal with
-        | Some w -> (self, w) :: proposals
-        | None -> proposals
-      in
-      let tallied = tally proposals in
-      (match pick (fun senders -> not (possibly_corrupt senders)) tallied with
+      let proposals = Votes.tally ~tag:Msg.propose_tag ~self ~own:!my_proposal inbox in
+      (match Votes.pick (fun senders -> not (possibly_corrupt senders)) proposals with
       | Some w -> v := w
       | None -> ());
       locked :=
-        List.exists (fun (_, senders) -> possibly_corrupt (complement senders)) tallied;
+        List.exists
+          (fun g -> possibly_corrupt (complement (Votes.supporters g)))
+          proposals;
       if Party_id.equal self king then to_all (Msg.King !v) else []
     | _ ->
-      let king_value =
-        List.find_map
-          (fun (src, payload) ->
-            if not (Party_id.equal src king) then None
-            else
-              match Wire.decode Msg.codec payload with
-              | Ok (Msg.King x) -> Some x
-              | Ok (Msg.Value _ | Msg.Propose _ | Msg.Echo _ | Msg.Sender _)
-              | Error _ -> None)
-          inbox
-      in
-      (match king_value with
-      | Some x when not !locked -> v := x
-      | Some _ | None -> ());
+      (* The king's first [King] message anywhere in the inbox, read
+         only when it can be adopted. *)
+      (if not !locked then
+         match Votes.first_from ~tag:Msg.king_tag king inbox with
+         | Some x -> v := x
+         | None -> ());
       let last_iteration = iteration = num_kings - 1 in
       if last_iteration then [] else to_all (Msg.Value !v)
   in

@@ -33,7 +33,69 @@ module Msg : sig
     | Echo of string
     | Sender of string
 
+  (** The tag byte each case encodes to, in declaration order (0 .. 4):
+      the [~tag] a {!Votes} reader is given. *)
+
+  val value_tag : int
+  val propose_tag : int
+  val king_tag : int
+  val echo_tag : int
+  val sender_tag : int
   val codec : t Bsm_wire.Wire.t
+end
+
+(** Votes read and counted in place in their payloads.
+
+    {b Accept set.} A payload is a vote for tag [c] exactly when
+    [Wire.decode Msg.codec] would decode it as the case of tag [c]: the
+    byte [c], then a length varint that {!Bsm_wire.Wire.Dec.peek_uint}
+    accepts (so padded, non-minimal varints count and over-long or
+    overflowing ones do not), then a value of that length that ends the
+    payload — no byte may trail it. Every other payload (another case, an
+    unknown tag, an empty frame, a length past the end) is no vote. The
+    same holds for any variant whose cases are all [Wire.string], e.g.
+    {!Gradecast.codec}.
+
+    A round's groups live for one step: they point into that step's
+    payloads and are dropped with them, and only a chosen value is
+    copied out as a string. *)
+module Votes : sig
+  (** [body ~tag payload] is the offset of the value in [payload] when it
+      is a vote for [tag] (the value fills the rest), else [-1]. *)
+  val body : tag:int -> string -> int
+
+  (** The votes for one value: its bytes, read in place, and the parties
+      that cast them. *)
+  type group
+
+  (** [tally ~tag ~self ~own inbox] keeps the first message of each
+      sender of [inbox] ({!Machine.first_per_sender}), reads the votes for
+      [tag] among them and groups them by value bytes, in first-seen
+      order; [own], when given, is [self]'s vote and comes first. *)
+  val tally :
+    tag:int ->
+    self:Party_id.t ->
+    own:string option ->
+    (Party_id.t * string) list ->
+    group list
+
+  (** The parties that voted for the group's value. *)
+  val supporters : group -> Party_set.t
+
+  (** [pick pred groups] is the value of the group with the most
+      supporters among those whose supporters satisfy [pred], the least
+      value by [String.compare] breaking ties; [None] if no group
+      qualifies. *)
+  val pick : (Party_set.t -> bool) -> group list -> string option
+
+  (** [first pred groups] is the value of the first group, in first-seen
+      order, whose supporters satisfy [pred]. *)
+  val first : (Party_set.t -> bool) -> group list -> string option
+
+  (** [first_from ~tag sender inbox] is the value of the first message
+      of [sender] in [inbox], in the whole inbox and not only its first
+      message, that is a vote for [tag]. *)
+  val first_from : tag:int -> Party_id.t -> (Party_id.t * string) list -> string option
 end
 
 type params = {

@@ -1,37 +1,24 @@
 open Bsm_prelude
-module Wire = Bsm_wire.Wire
+module Msg = Phase_king.Msg
 
 let rounds p = 1 + Pi_ba.rounds p
 
 let make (p : Phase_king.params) ~self ~sender ~input ~default =
   let ba = ref None in
   let initial =
-    if Party_id.equal self sender then begin
-      let payload = Wire.encode Phase_king.Msg.codec (Phase_king.Msg.Sender input) in
-      List.filter_map
-        (fun dst -> if Party_id.equal dst self then None else Some (dst, payload))
-        p.participants
-    end
+    if Party_id.equal self sender then
+      Machine.to_all Msg.codec ~self p.participants (Msg.Sender input)
     else []
   in
   let step ~round ~inbox =
     if round = 1 then begin
-      let received =
-        List.find_map
-          (fun (src, payload) ->
-            if not (Party_id.equal src sender) then None
-            else
-              match Wire.decode Phase_king.Msg.codec payload with
-              | Ok (Phase_king.Msg.Sender v) -> Some v
-              | Ok
-                  ( Phase_king.Msg.Value _ | Phase_king.Msg.Propose _
-                  | Phase_king.Msg.King _ | Phase_king.Msg.Echo _ )
-              | Error _ -> None)
-          inbox
-      in
+      (* The sender's first [Sender] message anywhere in the inbox. *)
       let ba_input =
         if Party_id.equal self sender then input
-        else Option.value received ~default
+        else
+          Option.value
+            (Phase_king.Votes.first_from ~tag:Msg.sender_tag sender inbox)
+            ~default
       in
       let machine = Pi_ba.make p ~self ~input:ba_input in
       ba := Some machine;

@@ -37,21 +37,9 @@ let run_parallel (net : Net.t) machines =
   if List.length (List.sort_uniq String.compare tags) <> List.length tags then
     invalid_arg "Session.run_parallel: duplicate tags";
   let total_rounds = List.fold_left (fun acc (_, m) -> max acc m.Machine.rounds) 0 machines in
-  (* Machines fan one payload string out to many destinations ([to_all]
-     shares it), so each run of physically-equal payloads is wrapped once
-     and handed to the net as one fan-out. *)
+  (* Each fan-out is wrapped once and handed to the net whole. *)
   let send_tagged tag outbox =
-    let rec go payload dsts = function
-      | (dst, p) :: rest when p == payload -> go payload (dst :: dsts) rest
-      | rest -> (
-        net.send_many (List.rev dsts) (wrap tag payload);
-        match rest with
-        | [] -> ()
-        | (dst, p) :: rest -> go p [ dst ] rest)
-    in
-    match outbox with
-    | [] -> ()
-    | (dst, p) :: rest -> go p [ dst ] rest
+    List.iter (fun (dsts, payload) -> net.send_many dsts (wrap tag payload)) outbox
   in
   (* Expose every machine's round-local state to the state-corruption
      plane before any round runs, in machine-list order, so cell indices

@@ -7,6 +7,14 @@
     incoming messages are routed to the machine with the matching tag.
     Malformed or unknown-tag messages (byzantine noise) are dropped.
 
+    Each fan-out [(dsts, payload)] of a machine's outbox
+    ({!Machine.outbox}) is wrapped once and sent with one
+    [net.send_many dsts], so a broadcast costs one wrap and one call
+    whatever the number of receivers; the messages, bytes and their order
+    are those of sending the wrapped payload to each destination in turn.
+    Routing reads the tag of each incoming message in place and hands the
+    machine a copy of its payload.
+
     All machines advance on the same virtual-round cadence; the session
     runs for the maximum [rounds] among them, machines that finish early
     simply stop sending. *)

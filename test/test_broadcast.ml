@@ -1001,6 +1001,616 @@ let test_first_per_sender_matches_reference () =
       (List.map (fun (p, i) -> Party_id.to_string p, i) (B.Machine.first_per_sender inbox))
   done
 
+(* --- in-place vote readers ------------------------------------------------ *)
+
+module Msg = B.Phase_king.Msg
+module Votes = B.Phase_king.Votes
+module Chain = B.Dolev_strong.Chain
+
+(* The decode-first vote handling the in-place readers replaced, kept as
+   the oracle they must agree with: decode every payload, group the
+   decoded values in a table, sort the candidates. *)
+module Reference = struct
+  let relevant extract inbox =
+    List.filter_map
+      (fun (src, payload) ->
+        match Wire.decode Msg.codec payload with
+        | Ok msg -> Option.map (fun v -> src, v) (extract msg)
+        | Error _ -> None)
+      (B.Machine.first_per_sender inbox)
+
+  let tally pairs =
+    Util.group_by ~key:snd pairs
+    |> List.map (fun (v, items) -> v, Party_set.of_list (List.map fst items))
+
+  let pick pred tallied =
+    let candidates = List.filter (fun (_, senders) -> pred senders) tallied in
+    let by_support (v1, s1) (v2, s2) =
+      match Int.compare (Party_set.cardinal s2) (Party_set.cardinal s1) with
+      | 0 -> String.compare v1 v2
+      | c -> c
+    in
+    match List.sort by_support candidates with
+    | [] -> None
+    | (value, _) :: _ -> Some value
+
+  let locked possibly_corrupt complement tallied =
+    List.exists (fun (_, senders) -> possibly_corrupt (complement senders)) tallied
+
+  (* The first message of [king] in the whole inbox that decodes as
+     [King]. *)
+  let king_value king inbox =
+    List.find_map
+      (fun (src, payload) ->
+        if not (Party_id.equal src king) then None
+        else
+          match Wire.decode Msg.codec payload with
+          | Ok (Msg.King x) -> Some x
+          | Ok (Msg.Value _ | Msg.Propose _ | Msg.Echo _ | Msg.Sender _) | Error _ -> None)
+      inbox
+
+  (* Π_BA's echo rule: the first value, own echo first, whose
+     non-echoers are possibly corrupt. *)
+  let echo possibly_corrupt everyone ~self ~own inbox =
+    let echoes =
+      relevant
+        (function
+          | Msg.Echo z -> Some z
+          | Msg.Value _ | Msg.Propose _ | Msg.King _ | Msg.Sender _ -> None)
+        inbox
+    in
+    List.find_map
+      (fun (z, items) ->
+        let senders = Party_set.of_list (List.map fst items) in
+        if possibly_corrupt (Party_set.diff everyone senders) then Some z else None)
+      (Util.group_by ~key:snd ((self, own) :: echoes))
+
+  (* Dolev–Strong's step, decoding every chain before judging it. *)
+  let ds_step p ~signer ~sender ~others ~round extracted inbox =
+    let relay = ref [] in
+    List.iter
+      (fun (_, payload) ->
+        match Wire.decode Chain.codec payload with
+        | Error _ -> ()
+        | Ok chain ->
+          if
+            List.length !extracted < 2
+            && (not (List.mem chain.Chain.value !extracted))
+            && Chain.valid p ~sender ~length:round chain
+          then begin
+            extracted := chain.Chain.value :: !extracted;
+            if round <= p.B.Dolev_strong.t then begin
+              let payload = Wire.encode Chain.codec (Chain.sign_onto signer chain) in
+              relay := List.map (fun dst -> dst, payload) others @ !relay
+            end
+          end)
+      inbox;
+    !relay
+end
+
+(* LEB128 of [n] with [pad] redundant continuation bytes: the decoder
+   accepts up to 10 bytes in all. *)
+let varint ?(pad = 0) n =
+  let b = Buffer.create 12 in
+  let rec go n =
+    if n >= 0x80 then begin
+      Buffer.add_char b (Char.chr (n land 0x7f lor 0x80));
+      go (n lsr 7)
+    end
+    else if pad = 0 then Buffer.add_char b (Char.chr n)
+    else begin
+      Buffer.add_char b (Char.chr (n lor 0x80));
+      for _ = 2 to pad do
+        Buffer.add_char b '\x80'
+      done;
+      Buffer.add_char b '\x00'
+    end
+  in
+  go n;
+  Buffer.contents b
+
+let vote_pool = [ "a"; "b"; ""; "ab"; "\xff"; "a\x00"; String.make 130 'v' ]
+let tag_byte t = String.make 1 (Char.chr t)
+let random_bytes rng n = String.init n (fun _ -> Char.chr (Rng.int rng 256))
+
+(* A payload for the phase-king family: mostly a vote for [hot] (a tag
+   and a value), otherwise a vote of any case or any of the frames a
+   reader must reject or must not be fooled by. *)
+let gen_vote_payload rng ~hot:(hot_tag, hot_value) =
+  let tag, v =
+    if Rng.bool rng then hot_tag, hot_value else Rng.int rng 5, Rng.choose rng vote_pool
+  in
+  let vote = tag_byte tag ^ varint (String.length v) ^ v in
+  match Rng.int rng 14 with
+  | 0 | 1 | 2 | 3 | 4 | 5 -> vote
+  | 6 -> tag_byte (5 + Rng.int rng 251) ^ varint (String.length v) ^ v
+  | 7 -> ""
+  | 8 -> tag_byte tag ^ varint ~pad:(1 + Rng.int rng 9) (String.length v) ^ v
+  | 9 -> tag_byte tag ^ varint (String.length v + 1 + Rng.int rng 3) ^ v
+  | 10 -> vote ^ random_bytes rng (1 + Rng.int rng 3)
+  | 11 -> String.sub vote 0 (Rng.int rng (String.length vote))
+  | 12 -> tag_byte tag ^ "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01" ^ v
+  | _ -> random_bytes rng (Rng.int rng 9)
+
+(* An inbox of votes for [tag] and noise. Half the inboxes are a crowd:
+   each party of [roster] but about one in eight sends one message,
+   three in four of them a valid vote for [tag] and most of those for
+   the first of [values], so quorums, locks and support ties all occur;
+   the rest are up to 11 messages from random senders. Two in three are
+   sender-sorted, as nets deliver them, and one in four starts with a
+   sender whose first frame is malformed and whose second is a valid
+   vote. *)
+let gen_inbox rng roster ~tag ~values =
+  let hot () =
+    tag, if Rng.int rng 4 = 0 then Rng.choose rng values else List.hd values
+  in
+  let msgs =
+    if Rng.bool rng then
+      List.filter_map
+        (fun src ->
+          if Rng.int rng 8 = 0 then None
+          else if Rng.int rng 4 = 0 then Some (src, gen_vote_payload rng ~hot:(hot ()))
+          else begin
+            let _, v = hot () in
+            Some (src, tag_byte tag ^ varint (String.length v) ^ v)
+          end)
+        roster
+    else List.init (Rng.int rng 12) (fun _ -> Rng.choose rng roster, gen_vote_payload rng ~hot:(hot ()))
+  in
+  let msgs =
+    if Rng.int rng 4 = 0 then begin
+      let src = Rng.choose rng roster in
+      let _, v = hot () in
+      (src, tag_byte tag ^ varint (String.length v + 2) ^ v)
+      :: (src, tag_byte tag ^ varint (String.length v) ^ v)
+      :: msgs
+    end
+    else msgs
+  in
+  if Rng.int rng 3 = 0 then msgs
+  else List.stable_sort (fun (a, _) (b, _) -> Party_id.compare a b) msgs
+
+let cell_value (m : _ B.Machine.t) i codec =
+  Wire.decode_exn codec ((List.nth m.B.Machine.cells i).Engine.cell_encode ())
+
+(* The value of [msg] if it is the case of [tag], by pattern. *)
+let case_value tag (msg : Msg.t) =
+  match msg with
+  | Msg.Value v when tag = Msg.value_tag -> Some v
+  | Msg.Propose v when tag = Msg.propose_tag -> Some v
+  | Msg.King v when tag = Msg.king_tag -> Some v
+  | Msg.Echo v when tag = Msg.echo_tag -> Some v
+  | Msg.Sender v when tag = Msg.sender_tag -> Some v
+  | Msg.Value _ | Msg.Propose _ | Msg.King _ | Msg.Echo _ | Msg.Sender _ -> None
+
+let show_outbox outbox =
+  List.concat_map
+    (fun (dsts, payload) -> List.map (fun d -> Party_id.to_string d, payload) dsts)
+    outbox
+
+let show_pairs pairs = List.map (fun (d, payload) -> Party_id.to_string d, payload) pairs
+let outbox_t = Alcotest.(list (pair string string))
+
+(* Every payload of an inbox against the codecs: [Votes.body] accepts it
+   for the tag of a case exactly when it decodes as that case, with the
+   value at that offset — under [Msg.codec] and under [Gradecast.codec],
+   whose cases share the layout. *)
+let check_accept_set inbox =
+  let check ~codec_name ~tags decoded_case payload =
+    List.iter
+      (fun tag ->
+        let expected = decoded_case tag in
+        let off = Votes.body ~tag payload in
+        let got =
+          if off < 0 then None else Some (String.sub payload off (String.length payload - off))
+        in
+        if got <> expected then
+          Alcotest.failf "%s tag %d of %S: reader %s, codec %s" codec_name tag payload
+            (Option.value got ~default:"none")
+            (Option.value expected ~default:"none"))
+      tags
+  in
+  List.iter
+    (fun (_, payload) ->
+      let msg = Wire.decode Msg.codec payload in
+      check ~codec_name:"phase king" ~tags:[ 0; 1; 2; 3; 4 ]
+        (fun tag -> Result.fold ~ok:(case_value tag) ~error:(fun _ -> None) msg)
+        payload;
+      let msg = Wire.decode B.Gradecast.codec payload in
+      check ~codec_name:"gradecast" ~tags:[ 0; 1; 2 ]
+        (fun tag ->
+          match msg with
+          | Ok (B.Gradecast.Value v) when tag = 0 -> Some v
+          | Ok (B.Gradecast.Echo v) when tag = 1 -> Some v
+          | Ok (B.Gradecast.Ready v) when tag = 2 -> Some v
+          | Ok (B.Gradecast.Value _ | B.Gradecast.Echo _ | B.Gradecast.Ready _) | Error _ -> None)
+        payload)
+    inbox
+
+(* One Π_BA machine (phase king with one king, then the echo round) per
+   case, driven through its four steps on generated inboxes; after each
+   step its outbox and registered state (value, locked, proposal, output)
+   must be what the decode-first reference computes. Each inbox's
+   payloads are also checked against the codec, and [Votes.pick] and
+   [Votes.first] against the reference under size thresholds that let
+   several groups qualify, so support ties are broken by value. 3,000
+   cases are 12,000 inboxes. *)
+let test_vote_readers_match_reference () =
+  let rng = Rng.make 2025 in
+  let participants = Party_id.side_members Side.Left ~k:7 in
+  let structure = B.Adversary_structure.Threshold 2 in
+  let possibly_corrupt = B.Adversary_structure.possibly_corrupt structure in
+  let everyone = Party_set.of_list participants in
+  let complement s = Party_set.diff everyone s in
+  let king = Party_id.left 0 and self = Party_id.left 3 in
+  let params = { (B.Phase_king.params ~structure ~participants) with kings = [ king ] } in
+  (* Votes from self (forged) and from a non-participant are possible. *)
+  let roster = Party_id.right 0 :: participants in
+  let others = List.filter (fun p -> not (Party_id.equal p self)) participants in
+  let fan_out msg = show_pairs (List.map (fun d -> d, Wire.encode Msg.codec msg) others) in
+  let check_votes ~what ~tag ~own inbox =
+    check_accept_set inbox;
+    let reference =
+      Reference.tally
+        ((match own with
+         | Some v -> [ self, v ]
+         | None -> [])
+        @ Reference.relevant (case_value tag) inbox)
+    in
+    let groups = Votes.tally ~tag ~self ~own inbox in
+    List.iter
+      (fun m ->
+        let pred s = Party_set.cardinal s >= m in
+        Alcotest.(check (option string)) (what ^ " pick") (Reference.pick pred reference)
+          (Votes.pick pred groups);
+        Alcotest.(check (option string)) (what ^ " first")
+          (List.find_map (fun (v, s) -> if pred s then Some v else None) reference)
+          (Votes.first pred groups))
+      [ 1; 2; 3 ]
+  in
+  (* How often the quorum branches fire, so a weaker generator shows. *)
+  let proposals = ref 0 and locks = ref 0 and outputs = ref 0 in
+  for case = 1 to 3_000 do
+    let what = Printf.sprintf "case %d" case in
+    let values = [ Rng.choose rng vote_pool; Rng.choose rng vote_pool ] in
+    let input = Rng.choose rng values in
+    let m = B.Pi_ba.make params ~self ~input in
+    (* Round 1: values in, proposal out. *)
+    let i1 = gen_inbox rng roster ~tag:Msg.value_tag ~values in
+    check_votes ~what ~tag:Msg.value_tag ~own:(Some input) i1;
+    let out = m.B.Machine.step ~round:1 ~inbox:i1 in
+    let proposal =
+      Reference.pick
+        (fun s -> possibly_corrupt (complement s))
+        (Reference.tally
+           ((self, input)
+           :: Reference.relevant (case_value Msg.value_tag) i1))
+    in
+    if Option.is_some proposal then incr proposals;
+    Alcotest.(check (option string)) (what ^ " proposal") proposal
+      (cell_value m 2 (Wire.option Wire.string));
+    Alcotest.check outbox_t (what ^ " round 1 outbox")
+      (match proposal with
+      | Some w -> fan_out (Msg.Propose w)
+      | None -> [])
+      (show_outbox out);
+    (* Round 2: proposals in, value adopted, lock decided. *)
+    let i2 = gen_inbox rng roster ~tag:Msg.propose_tag ~values in
+    check_votes ~what ~tag:Msg.propose_tag ~own:proposal i2;
+    let out = m.B.Machine.step ~round:2 ~inbox:i2 in
+    let tallied =
+      Reference.tally
+        ((match proposal with
+         | Some w -> [ self, w ]
+         | None -> [])
+        @ Reference.relevant (case_value Msg.propose_tag) i2)
+    in
+    let v1 =
+      Option.value (Reference.pick (fun s -> not (possibly_corrupt s)) tallied) ~default:input
+    in
+    let locked = Reference.locked possibly_corrupt complement tallied in
+    if locked then incr locks;
+    Alcotest.(check string) (what ^ " value") v1 (cell_value m 0 Wire.string);
+    Alcotest.(check bool) (what ^ " locked") locked (cell_value m 1 Wire.bool);
+    Alcotest.check outbox_t (what ^ " round 2 outbox") [] (show_outbox out);
+    (* Round 3: the king's value, adopted unless locked; the echo goes out. *)
+    let i3 = gen_inbox rng roster ~tag:Msg.king_tag ~values in
+    let i3 = if Rng.bool rng then List.map (fun (_, p) -> king, p) i3 else i3 in
+    check_accept_set i3;
+    let out = m.B.Machine.step ~round:3 ~inbox:i3 in
+    let v2 =
+      match Reference.king_value king i3 with
+      | Some x when not locked -> x
+      | Some _ | None -> v1
+    in
+    Alcotest.(check string) (what ^ " king round") v2 (cell_value m 0 Wire.string);
+    Alcotest.check outbox_t (what ^ " round 3 outbox") (fan_out (Msg.Echo v2)) (show_outbox out);
+    (* Round 4: Π_BA's echo rule. *)
+    let i4 = gen_inbox rng roster ~tag:Msg.echo_tag ~values in
+    check_votes ~what ~tag:Msg.echo_tag ~own:(Some v2) i4;
+    let out = m.B.Machine.step ~round:4 ~inbox:i4 in
+    Alcotest.check outbox_t (what ^ " round 4 outbox") [] (show_outbox out);
+    let output = Reference.echo possibly_corrupt everyone ~self ~own:v2 i4 in
+    if Option.is_some output then incr outputs;
+    Alcotest.(check (option string)) (what ^ " output") output (m.B.Machine.finish ())
+  done;
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s in %d cases >= 300" what n) true (n >= 300))
+    [ "proposal", !proposals; "lock", !locks; "output", !outputs ]
+
+(* Gradecast's rounds as they were written before the shared reader:
+   decode each sender's first message, group by decoded value, sort the
+   graded candidates. *)
+let reference_gradecast p ~self ~sender ~input (i1, i2, i3) =
+  let possibly_corrupt = B.Adversary_structure.possibly_corrupt p.B.Gradecast.structure in
+  let everyone = Party_set.of_list p.B.Gradecast.participants in
+  let complement s = Party_set.diff everyone s in
+  let extract shape inbox =
+    List.filter_map
+      (fun (src, payload) ->
+        match Wire.decode B.Gradecast.codec payload with
+        | Ok m -> Option.map (fun v -> src, v) (shape m)
+        | Error _ -> None)
+      (B.Machine.first_per_sender inbox)
+  in
+  let own v pairs =
+    match v with
+    | Some v -> (self, v) :: pairs
+    | None -> pairs
+  in
+  let echo =
+    if Party_id.equal self sender then Some input
+    else
+      List.find_map
+        (fun (src, v) -> if Party_id.equal src sender then Some v else None)
+        (extract
+           (function
+             | B.Gradecast.Value v -> Some v
+             | B.Gradecast.Echo _ | B.Gradecast.Ready _ -> None)
+           i1)
+  in
+  let echoes =
+    own echo
+      (extract
+         (function
+           | B.Gradecast.Echo v -> Some v
+           | B.Gradecast.Value _ | B.Gradecast.Ready _ -> None)
+         i2)
+  in
+  let ready =
+    List.find_map
+      (fun (v, senders) -> if possibly_corrupt (complement senders) then Some v else None)
+      (Reference.tally echoes)
+  in
+  let readies =
+    own ready
+      (extract
+         (function
+           | B.Gradecast.Ready v -> Some v
+           | B.Gradecast.Value _ | B.Gradecast.Echo _ -> None)
+         i3)
+  in
+  let graded =
+    List.filter_map
+      (fun (v, senders) ->
+        if possibly_corrupt (complement senders) then Some (v, 2)
+        else if not (possibly_corrupt senders) then Some (v, 1)
+        else None)
+      (Reference.tally readies)
+  in
+  let verdict =
+    match List.sort (fun (_, a) (_, b) -> Int.compare b a) graded with
+    | (v, g) :: _ -> Some v, g
+    | [] -> None, 0
+  in
+  echo, ready, verdict
+
+(* Gradecast on the shared reader against its decode-first rounds, 2,000
+   runs of three generated inboxes each (tags 3 and 4 of the phase-king
+   payloads are unknown tags here). *)
+let test_gradecast_matches_reference () =
+  let rng = Rng.make 11 in
+  let participants = Party_id.side_members Side.Left ~k:7 in
+  let p = { B.Gradecast.structure = B.Adversary_structure.Threshold 2; participants } in
+  let sender = Party_id.left 0 in
+  let roster = Party_id.right 0 :: participants in
+  let grades = Array.make 3 0 in
+  for run = 1 to 2_000 do
+    let what = Printf.sprintf "run %d" run in
+    let self = if run mod 5 = 0 then sender else Party_id.left 3 in
+    let values = [ Rng.choose rng vote_pool; Rng.choose rng vote_pool ] in
+    let input = Rng.choose rng values in
+    let i1 = gen_inbox rng roster ~tag:0 ~values in
+    let i2 = gen_inbox rng roster ~tag:1 ~values in
+    let i3 = gen_inbox rng roster ~tag:2 ~values in
+    let echo, ready, (value, grade) =
+      reference_gradecast p ~self ~sender ~input (i1, i2, i3)
+    in
+    let m = B.Gradecast.make p ~self ~sender ~input in
+    ignore (m.B.Machine.step ~round:1 ~inbox:i1);
+    Alcotest.(check (option string)) (what ^ " echo") echo
+      (cell_value m 0 (Wire.option Wire.string));
+    ignore (m.B.Machine.step ~round:2 ~inbox:i2);
+    Alcotest.(check (option string)) (what ^ " ready") ready
+      (cell_value m 1 (Wire.option Wire.string));
+    ignore (m.B.Machine.step ~round:3 ~inbox:i3);
+    let got = m.B.Machine.finish () in
+    Alcotest.(check (pair (option string) int)) (what ^ " verdict") (value, grade)
+      (got.B.Gradecast.value, got.B.Gradecast.grade);
+    grades.(grade) <- grades.(grade) + 1
+  done;
+  Array.iteri
+    (fun g n ->
+      Alcotest.(check bool) (Printf.sprintf "grade %d in %d runs >= 300" g n) true (n >= 300))
+    grades
+
+(* A Dolev–Strong payload for round [round]: mostly a chain of [round]
+   distinct signers, else a chain one short or one long, one not started
+   by the sender, one with a padded value length, a truncated or padded
+   frame, or noise. *)
+let gen_chain_payload rng pki ~participants ~sender ~round =
+  let value = Rng.choose rng [ "x"; "y"; "z"; "" ] in
+  let chain first length =
+    let rest = List.filter (fun p -> not (Party_id.equal p first)) participants in
+    let rec extend c n pool =
+      if n <= 1 || pool = [] then c
+      else begin
+        let q = Rng.choose rng pool in
+        extend
+          (Chain.sign_onto (Crypto.Pki.signer pki q) c)
+          (n - 1)
+          (List.filter (fun p -> not (Party_id.equal p q)) pool)
+      end
+    in
+    Wire.encode Chain.codec (extend (Chain.start (Crypto.Pki.signer pki first) value) length rest)
+  in
+  let valid () = chain sender round in
+  match Rng.int rng 10 with
+  | 0 | 1 | 2 | 3 -> valid ()
+  | 4 -> chain sender (max 1 (round + if Rng.bool rng then 1 else -1))
+  | 5 -> chain (Rng.choose rng participants) round
+  | 6 ->
+    (* The same chain with its value length padded: it decodes, and
+       verifies, as the unpadded one does. *)
+    let e = valid () in
+    let skip = String.length (varint (String.length value)) in
+    varint ~pad:(1 + Rng.int rng 3) (String.length value)
+    ^ String.sub e skip (String.length e - skip)
+  | 7 ->
+    let e = valid () in
+    if Rng.bool rng then e ^ "\x00" else String.sub e 0 (Rng.int rng (String.length e))
+  | 8 -> varint (String.length value + 40) ^ value
+  | _ -> random_bytes rng (Rng.int rng 12)
+
+(* A non-sender's Dolev–Strong machine over t + 1 = 4 rounds of
+   generated inboxes, 2,500 runs (10,000 inboxes): after every step the
+   relay outbox and the extracted list must be what decoding every chain
+   first gives. *)
+let test_dolev_strong_skip_matches_reference () =
+  let rng = Rng.make 77 in
+  let k = 3 in
+  let pki = ds_setup ~k ~seed:5 in
+  let participants = Party_id.all ~k in
+  let p = { B.Dolev_strong.participants; t = 3; verifier = Crypto.Pki.verifier pki } in
+  let sender = Party_id.left 0 and self = Party_id.left 1 in
+  let signer = Crypto.Pki.signer pki self in
+  let others = List.filter (fun q -> not (Party_id.equal q self)) participants in
+  let relays = ref 0 and doubles = ref 0 in
+  for run = 1 to 2_500 do
+    let m = B.Dolev_strong.make p ~signer ~sender ~input:"unused" ~default:"default" in
+    let extracted = ref [] in
+    for round = 1 to B.Dolev_strong.rounds p do
+      let what = Printf.sprintf "run %d round %d" run round in
+      let inbox =
+        List.init (Rng.int rng 7) (fun _ ->
+            ( Rng.choose rng participants,
+              gen_chain_payload rng pki ~participants ~sender ~round ))
+      in
+      let expected = Reference.ds_step p ~signer ~sender ~others ~round extracted inbox in
+      let got = m.B.Machine.step ~round ~inbox in
+      Alcotest.check outbox_t (what ^ " relay") (show_pairs expected) (show_outbox got);
+      Alcotest.(check (list string)) (what ^ " extracted") !extracted
+        (cell_value m 0 (Wire.list Wire.string));
+      if expected <> [] then incr relays
+    done;
+    if List.length !extracted = 2 then incr doubles
+  done;
+  List.iter
+    (fun (what, n) ->
+      Alcotest.(check bool) (Printf.sprintf "%s in %d >= 300" what n) true (n >= 300))
+    [ "steps that relay", !relays; "runs that extract two values", !doubles ]
+
+(* --- allocation and promotion guards ------------------------------------ *)
+
+(* Minor words of a value step of phase king with [votes] honest votes
+   for one value and the machine's own: reading and grouping in place
+   cost one supporter cell (3 words) per vote. Decoding every vote into a
+   string and grouping through a table took 1,054 words at 16 votes and
+   55 more per vote. *)
+let phase_king_step_words ~votes =
+  let k = (votes / 2) + 1 in
+  let participants = Party_id.all ~k in
+  let self = Party_id.left 0 in
+  let params =
+    B.Phase_king.params ~structure:(B.Adversary_structure.Threshold 1) ~participants
+  in
+  let value = "agreed value" in
+  let vote = Wire.encode Msg.codec (Msg.Value value) in
+  let voters = List.filteri (fun i _ -> i < votes) (List.tl participants) in
+  let inbox = List.map (fun q -> q, vote) voters in
+  let m = B.Phase_king.make params ~self ~input:value in
+  let before = Gc.minor_words () in
+  let out = m.B.Machine.step ~round:1 ~inbox in
+  let words = Gc.minor_words () -. before in
+  (match out with
+  | [ (dsts, _) ] -> Alcotest.(check int) "one fan-out to the others" (2 * k - 1) (List.length dsts)
+  | _ -> Alcotest.fail "expected one proposal fan-out");
+  words
+
+let test_phase_king_step_allocation () =
+  if Sys.backend_type = Sys.Native then begin
+    let w16 = phase_king_step_words ~votes:16 in
+    let w64 = phase_king_step_words ~votes:64 in
+    let per_vote = (w64 -. w16) /. 48. in
+    Alcotest.(check bool)
+      (Printf.sprintf "16 votes: %.0f words <= 200" w16)
+      true (w16 <= 200.);
+    Alcotest.(check bool)
+      (Printf.sprintf "16 -> 64 votes: %.1f words per vote <= 4" per_vote)
+      true (per_vote <= 4.)
+  end
+
+(* A session of phase-king machines keeps no vote state past its step
+   (DESIGN.md § 6, the park rule): eight parties run four instances each
+   over 17 kings (51 rounds) with 200-byte values, and L0 collects the
+   minor heap before every sync, so anything a machine still holds from
+   its last step is promoted there. The run promotes ~47k words; a
+   machine that keeps its last inbox's payloads in a per-machine array
+   promotes ~269k. *)
+let test_session_promotes_little () =
+  if Sys.backend_type = Sys.Native then begin
+    let k = 4 in
+    let participants = Party_id.all ~k in
+    let kings = List.init 17 (fun i -> List.nth participants (i mod (2 * k))) in
+    let params =
+      {
+        (B.Phase_king.params ~structure:(B.Adversary_structure.Threshold 2) ~participants) with
+        kings;
+      }
+    in
+    let programs p (env : Engine.env) =
+      let net = Net.direct env in
+      let net =
+        if Party_id.equal p (Party_id.left 0) then
+          {
+            net with
+            sync =
+              (fun () ->
+                Gc.minor ();
+                net.Net.sync ());
+          }
+        else net
+      in
+      let machines =
+        List.init 4 (fun i ->
+            ( Printf.sprintf "PK%d" i,
+              B.Phase_king.make params ~self:p ~input:(String.make 200 (Char.chr (97 + i))) ))
+      in
+      ignore (Sys.opaque_identity (B.Session.run_parallel net machines))
+    in
+    let cfg =
+      Engine.config ~k ~link:(Engine.Of_topology Bsm_topology.Topology.Fully_connected) ()
+    in
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.promoted_words in
+    ignore (Engine.run cfg ~programs);
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "promoted %.0f words <= 100000" promoted)
+      true (promoted <= 100_000.)
+  end
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1024,6 +1634,16 @@ let () =
             test_session_routing_matches_reference;
           Alcotest.test_case "first per sender matches the table" `Quick
             test_first_per_sender_matches_reference;
+          Alcotest.test_case "vote readers match the reference" `Quick
+            test_vote_readers_match_reference;
+          Alcotest.test_case "gradecast matches the reference" `Quick
+            test_gradecast_matches_reference;
+          Alcotest.test_case "dolev-strong skip matches the reference" `Quick
+            test_dolev_strong_skip_matches_reference;
+          Alcotest.test_case "phase-king step allocation" `Quick
+            test_phase_king_step_allocation;
+          Alcotest.test_case "session promotes no vote state" `Quick
+            test_session_promotes_little;
         ] );
       ( "phase-king",
         [
