@@ -8,12 +8,6 @@ type t =
     }
   | Explicit of Party_set.t list
 
-let pp ppf = function
-  | Threshold t -> Format.fprintf ppf "threshold(%d)" t
-  | Two_sided { t_left; t_right } ->
-    Format.fprintf ppf "two-sided(tL=%d, tR=%d)" t_left t_right
-  | Explicit sets -> Format.fprintf ppf "explicit(%d maximal sets)" (List.length sets)
-
 let possibly_corrupt t s =
   match t with
   | Threshold bound -> Party_set.cardinal s <= bound
@@ -21,8 +15,6 @@ let possibly_corrupt t s =
     Party_set.count_side Side.Left s <= t_left
     && Party_set.count_side Side.Right s <= t_right
   | Explicit sets -> List.exists (fun z -> Party_set.subset s z) sets
-
-let admissible = possibly_corrupt
 
 (* Maximal corruptible subsets of [participants], for the cover checks. *)
 let maximal_within t participants =

@@ -23,15 +23,9 @@ type t =
   | Explicit of Party_set.t list
       (** the maximal corruptible sets; closed downward implicitly *)
 
-val pp : Format.formatter -> t -> unit
-
 (** [possibly_corrupt t s] — may the adversary corrupt (a superset of)
     exactly the parties in [s]? *)
 val possibly_corrupt : t -> Party_set.t -> bool
-
-(** [admissible t s] is [possibly_corrupt t s] — alias used when [s] is an
-    actual corruption set being validated. *)
-val admissible : t -> Party_set.t -> bool
 
 (** [q3 t ~participants] — the Q3 condition of Theorem 10: no three
     corruptible sets cover [participants]. For [Two_sided] over the full

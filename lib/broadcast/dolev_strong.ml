@@ -57,17 +57,15 @@ module Chain = struct
     verify_links [] c.links
 end
 
-(* Is the value field of [payload] — the varint length and the bytes that
-   [Chain.codec]'s first field decodes — one of [extracted]? Read in
-   place; an unreadable field is not. *)
+(* Is the value field of [payload], [Chain.codec]'s first field read in
+   place with [Wire.Dec.peek_string], one of [extracted]? An unreadable
+   field is not. *)
 let holds_extracted pos extracted payload =
-  let limit = String.length payload in
   pos := 0;
-  let len = Wire.Dec.peek_uint payload pos ~limit in
-  len >= 0
-  && len <= limit - !pos
+  let off = Wire.Dec.peek_string payload pos ~limit:(String.length payload) in
+  off >= 0
   &&
-  let field = Wire.Slice.make payload ~off:!pos ~len in
+  let field = Wire.Slice.make payload ~off ~len:(!pos - off) in
   List.exists (fun v -> Wire.Slice.equal (Wire.Slice.of_string v) field) extracted
 
 let make p ~signer ~sender ~input ~default =

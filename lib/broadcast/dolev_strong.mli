@@ -14,11 +14,10 @@
 
     {b Skip rule.} A step drops a chain it has no use for before
     decoding it: every chain once two values are extracted, and a chain
-    whose value field — the length varint and the bytes that
-    [Chain.codec]'s first field decodes, read in place — equals an
-    extracted value. Decoding such a chain would have changed nothing.
-    A value field that cannot be read (a malformed varint, a length past
-    the end) falls through to the decode, which rejects it. *)
+    whose value field, [Chain.codec]'s first field read in place with
+    [Wire.Dec.peek_string], equals an extracted value. Decoding such a
+    chain would have changed nothing. A value field that cannot be read
+    falls through to the decode, which rejects it. *)
 
 open Bsm_prelude
 

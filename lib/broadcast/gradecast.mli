@@ -27,9 +27,6 @@ type params = {
   participants : Party_id.t list;
 }
 
-(** Virtual rounds consumed: 3. *)
-val rounds : int
-
 (** Output: the value (if any) and its grade; grade 0 always carries
     [None]. *)
 type verdict = {

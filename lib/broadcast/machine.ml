@@ -30,15 +30,6 @@ let to_all codec ~self participants =
   let enc = Wire.Enc.create () in
   fun msg -> [ others, Wire.encode_into enc codec msg ]
 
-let silent ~rounds out =
-  {
-    initial = [];
-    rounds;
-    step = (fun ~round:_ ~inbox:_ -> []);
-    finish = (fun () -> out);
-    cells = [];
-  }
-
 module Senders = Hashtbl.Make (Party_id)
 
 let first_per_sender_table inbox =

@@ -47,10 +47,6 @@ val map : ('a -> 'b) -> 'a t -> 'b t
     exactly [m.rounds] calls to [Net.sync]. *)
 val run : Bsm_runtime.Net.t -> 'out t -> 'out
 
-(** [silent ~rounds out] participates without ever sending; used for
-    default/placeholder roles. *)
-val silent : rounds:int -> 'out -> 'out t
-
 (** [to_all codec ~self participants] is a machine's broadcast: each call
     encodes its message once, with an encoder owned by this [to_all] (a
     machine is single-fiber, so no two encodes overlap), and returns the

@@ -53,17 +53,15 @@ module Msg = struct
 end
 
 module Votes = struct
-  (* A vote is [tag byte][varint length][value], nothing after: what
-     [Wire.variant]'s reader and [Wire.string] accept, read with
-     [peek_uint], which applies [Dec.uint]'s checks. [pos] is the
-     caller's cursor, so a scan allocates one, not one per vote. *)
+  (* The tag byte, then [Wire.Dec.peek_last_string]: the offset of the
+     value, or -1. [pos] is the caller's cursor, so a scan allocates one,
+     not one per vote. *)
   let read pos ~tag payload =
     let limit = String.length payload in
     if limit = 0 || Char.code (String.unsafe_get payload 0) <> tag then -1
     else begin
       pos := 1;
-      let len = Wire.Dec.peek_uint payload pos ~limit in
-      if len >= 0 && len = limit - !pos then !pos else -1
+      Wire.Dec.peek_last_string payload pos ~limit
     end
 
   let body ~tag payload = read (ref 0) ~tag payload

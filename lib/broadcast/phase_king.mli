@@ -48,13 +48,9 @@ end
 
     {b Accept set.} A payload is a vote for tag [c] exactly when
     [Wire.decode Msg.codec] would decode it as the case of tag [c]: the
-    byte [c], then a length varint that {!Bsm_wire.Wire.Dec.peek_uint}
-    accepts (so padded, non-minimal varints count and over-long or
-    overflowing ones do not), then a value of that length that ends the
-    payload — no byte may trail it. Every other payload (another case, an
-    unknown tag, an empty frame, a length past the end) is no vote. The
-    same holds for any variant whose cases are all [Wire.string], e.g.
-    {!Gradecast.codec}.
+    byte [c], then a value {!Bsm_wire.Wire.Dec.peek_last_string} reads.
+    Every other payload is no vote. The same holds for any variant whose
+    cases are all [Wire.string], e.g. {!Gradecast.codec}.
 
     A round's groups live for one step: they point into that step's
     payloads and are dropped with them, and only a chosen value is

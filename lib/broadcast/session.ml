@@ -5,13 +5,12 @@ let tagged = Wire.pair Wire.string Wire.string
 
 let wrap tag payload = Wire.encode tagged (tag, payload)
 
-(* Routing reads a wrapped message in place. [wrap]'s bytes are
-   varint(tag length), the tag, varint(payload length), the payload, and
-   nothing after; a view of the tag's bytes is looked up in a table of
-   the session's tags built once, so a message costs one scan, no tag
-   string and, when a machine takes it, the copy of its payload.
-   Malformed framing or an unknown tag drops the message, as decoding
-   with [tagged] and finding no machine did. *)
+(* Routing reads a wrapped message in place, [tagged]'s two fields with
+   [Wire.Dec.peek_string] and [Wire.Dec.peek_last_string]; a view of the
+   tag's bytes is looked up in a table of the session's tags built once,
+   so a message costs one scan, no tag string and, when a machine takes
+   it, the copy of its payload. Malformed framing or an unknown tag drops
+   the message, as decoding with [tagged] and finding no machine did. *)
 module Tags = Hashtbl.Make (Wire.Slice)
 
 (* [route tags pos msg] is the index of the machine [msg] is tagged for,
@@ -19,17 +18,18 @@ module Tags = Hashtbl.Make (Wire.Slice)
 let route tags pos msg =
   let limit = String.length msg in
   pos := 0;
-  let tag_len = Wire.Dec.peek_uint msg pos ~limit in
-  if tag_len < 0 || tag_len > limit - !pos then -1
+  let tag_off = Wire.Dec.peek_string msg pos ~limit in
+  if tag_off < 0 then -1
   else begin
-    let tag_off = !pos in
-    pos := tag_off + tag_len;
-    let len = Wire.Dec.peek_uint msg pos ~limit in
-    if len < 0 || len <> limit - !pos then -1
-    else
+    let tag_len = !pos - tag_off in
+    let off = Wire.Dec.peek_last_string msg pos ~limit in
+    if off < 0 then -1
+    else begin
+      pos := off;
       match Tags.find tags (Wire.Slice.make msg ~off:tag_off ~len:tag_len) with
       | i -> i
       | exception Not_found -> -1
+    end
   end
 
 let run_parallel (net : Net.t) machines =

@@ -30,18 +30,3 @@ let noise ~seed ~rounds ~burst ~targets (env : Engine.env) =
     ignore (env.next_round ());
     blast ()
   done
-
-let garble ~seed ~honest (env : Engine.env) =
-  let rng = Rng.make (seed lxor Party_id.hash env.self) in
-  let env' =
-    {
-      env with
-      send = (fun dst msg -> env.send dst (random_bytes rng (String.length msg)));
-    }
-  in
-  honest env'
-
-let equivocate ~per_dest (env : Engine.env) =
-  List.iter
-    (fun (dst, msg) -> if not (Party_id.equal dst env.self) then env.send dst msg)
-    per_dest

@@ -28,14 +28,3 @@ val crash_at : round:int -> honest:Engine.program -> Engine.program
 val noise :
   seed:int -> rounds:int -> burst:int -> targets:Party_id.t list -> Engine.program
 
-(** Runs [honest] but with every payload it sends through [env.send]
-    replaced by a fresh random byte string of the same length
-    (shape-preserving garbling). Only [send] is wrapped: payloads sent
-    with [send_w], [send_multi_w] or [send_slice] — the virtual channels
-    of [Bsm_core.Channels] and Π_bSM's own messages — go out unchanged. *)
-val garble : seed:int -> honest:Engine.program -> Engine.program
-
-(** [equivocate_value ~codec ~per_dest] sends, in round 0 only, a
-    personalized value to each destination (classic equivocation). *)
-val equivocate :
-  per_dest:(Party_id.t * string) list -> Engine.program

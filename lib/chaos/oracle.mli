@@ -25,7 +25,6 @@ type verdict =
       (** properties broken {e within} budget — a real bug *)
 
 val verdict_to_string : verdict -> string
-val pp_verdict : Format.formatter -> verdict -> unit
 
 (** Convergence after state corruption — the self-stabilization reading
     of a scrambled run ({!Schedule.corrupt_state}). Only computed when

@@ -50,9 +50,6 @@ val to_file : string -> t -> unit
 
 val of_file : string -> (t, string) result
 
-(** Re-execute the repro's oracle run. *)
-val run : t -> Oracle.report
-
 (** [check t] re-executes and compares fingerprints: [Ok report] on a
     bit-identical reproduction, [Error] describing the mismatch
     otherwise. *)

@@ -27,6 +27,8 @@ type payload = {
   signature : Crypto.Signature.t option;
 }
 
+let signature_codec = Wire.option Crypto.Signature.codec
+
 let payload_codec =
   Wire.map
     ~inject:(fun ((src, dst), (vround, id), (body, signature)) ->
@@ -35,7 +37,7 @@ let payload_codec =
     (Wire.triple
        (Wire.pair Wire.party_id Wire.party_id)
        (Wire.pair Wire.uint Wire.uint)
-       (Wire.pair Wire.string (Wire.option Crypto.Signature.codec)))
+       (Wire.pair Wire.string signature_codec))
 
 type relay =
   | Direct of string
@@ -75,9 +77,9 @@ let forward_tag = '\002'
 (* [src], [dst], [vround] and [id] sit at a fixed position right after
    the variant tag, so relays and receivers can read them without paying
    for the body (the expensive field: a preference list, a broadcast
-   round's worth of votes). [read] scans the same varints the
-   [payload_codec] prefix decodes, in the same order, straight out of the
-   slice into a reusable record: no decoder, no exception, no
+   round's worth of votes). [read] reads them with one
+   [Wire.Dec.peek_fields] call over [layout], the payload codec's
+   prefix, into a reusable record: no decoder, no exception, no
    allocation. Each copy of a relayed message costs this byte scan, not
    a parse. *)
 module Header = struct
@@ -89,7 +91,13 @@ module Header = struct
     mutable vround : int;
     mutable id : int;
     pos : int ref;
+    values : int array;
   }
+
+  let layout = Wire.Dec.[| Side; Uint; Side; Uint; Uint; Uint |]
+
+  (* The side of each code a [Side] field can hold. *)
+  let sides = Array.init 2 Side.of_int
 
   let create () =
     {
@@ -100,151 +108,81 @@ module Header = struct
       vround = 0;
       id = 0;
       pos = ref 0;
+      values = Array.make (Array.length layout) 0;
     }
 
-  (* [Wire.Dec.peek_uint]: a one-byte varint (a side, an index below 128)
-     is read here, a longer one by the codec's scanner. *)
-  let[@inline] uint base pos ~limit =
-    let p = !pos in
-    if p < limit && Char.code (String.unsafe_get base p) < 0x80 then begin
-      pos := p + 1;
-      Char.code (String.unsafe_get base p)
-    end
-    else Wire.Dec.peek_uint base pos ~limit
-
-  (* [Wire.side]'s decoding: a uint that must be 0 or 1; -1 otherwise. *)
-  let side_code base h ~limit =
-    match uint base h.pos ~limit with
-    | (0 | 1) as c -> c
-    | _ -> -1
-
-  let side_of_code c = if c = 0 then Side.Left else Side.Right
-
+  (* [values] is as long as [layout] and a [Side] field's value is 0 or
+     1, so the reads below need no bounds checks. *)
   let read h (s : Wire.Slice.t) =
-    let base = s.base and limit = s.off + s.len in
+    let v = h.values in
     h.pos := s.off + 1;
-    s.len > 0
-    &&
-    let src_side = side_code base h ~limit in
-    src_side >= 0
-    &&
-    let src_index = uint base h.pos ~limit in
-    src_index >= 0
-    &&
-    let dst_side = side_code base h ~limit in
-    dst_side >= 0
-    &&
-    let dst_index = uint base h.pos ~limit in
-    dst_index >= 0
-    &&
-    let vround = uint base h.pos ~limit in
-    vround >= 0
-    &&
-    let id = uint base h.pos ~limit in
-    id >= 0
+    Wire.Dec.peek_fields s.base h.pos ~limit:(s.off + s.len) layout v >= 0
     && begin
-      h.src_side <- side_of_code src_side;
-      h.src_index <- src_index;
-      h.dst_side <- side_of_code dst_side;
-      h.dst_index <- dst_index;
-      h.vround <- vround;
-      h.id <- id;
+      h.src_side <- Array.unsafe_get sides (Array.unsafe_get v 0);
+      h.src_index <- Array.unsafe_get v 1;
+      h.dst_side <- Array.unsafe_get sides (Array.unsafe_get v 2);
+      h.dst_index <- Array.unsafe_get v 3;
+      h.vround <- Array.unsafe_get v 4;
+      h.id <- Array.unsafe_get v 5;
       true
     end
 
-  let is_party side index p =
-    Side.equal side (Party_id.side p) && index = Party_id.index p
+  let is_party side index (p : Party_id.t) = side = p.side && index = p.index
 end
 
 (* --- the request writer ----------------------------------------------------- *)
 
-(* A byte buffer holding one relay frame, reused by a virtual net for
+(* One relay frame at a time, written through [Wire.Enc] in
+   [relay_codec]'s field order into an encoder a virtual net reuses for
    every request it sends and every signed copy it checks. [unsigned]
-   writes [relay_codec]'s bytes of a [Request] or [Forward] whose
-   signature is [None] — the tag, both party ids, [vround], [id], the body
-   and the [None] byte — so bytes [1 .. len) are the payload codec's
-   encoding of the payload with its signature blanked: exactly what a
-   signature covers. The sender signs them where they lie and [sign]
-   turns [None] into [Some] and appends the signature. A signed receiver
-   rebuilds them with the same [unsigned] from the values it parsed out of
-   a copy, so a forged copy with padded, non-minimal varints is judged by
-   the canonical bytes, as re-encoding the decoded payload judged it. *)
+   writes a [Request] or [Forward] whose signature is [None], so bytes
+   [1 .. length) are the payload codec's encoding of the payload with its
+   signature blanked: exactly what a signature covers. The sender signs
+   them where they lie, and [sign] turns [None] into [Some] and appends
+   the signature. A signed receiver rebuilds them with the same
+   [unsigned] from the values it parsed out of a copy, so a forged copy
+   with padded, non-minimal varints is judged by the canonical bytes, as
+   re-encoding the decoded payload judged it. *)
 module Writer = struct
-  type t = {
-    mutable bytes : Bytes.t;
-    mutable len : int;
-  }
+  let unsigned e ~tag ~src_side ~src_index ~dst_side ~dst_index ~vround ~id body =
+    Wire.Enc.reset e;
+    Wire.Enc.tag e (Char.code tag);
+    Wire.Enc.uint e (Side.to_int src_side);
+    Wire.Enc.uint e src_index;
+    Wire.Enc.uint e (Side.to_int dst_side);
+    Wire.Enc.uint e dst_index;
+    Wire.Enc.uint e vround;
+    Wire.Enc.uint e id;
+    Wire.Enc.string e body;
+    signature_codec.write e None
 
-  let create () = { bytes = Bytes.create 256; len = 0 }
+  (* The range a signature covers: everything after the tag. *)
+  let signed_len e = Wire.Enc.length e - 1
 
-  let char t c =
-    Bytes.set t.bytes t.len c;
-    t.len <- t.len + 1
+  (* Sign, then replace the one [None] byte with the [Some] signature. *)
+  let sign e signer =
+    let signature = Crypto.Signer.sign_sub signer e ~off:1 ~len:(signed_len e) in
+    Wire.Enc.truncate e (Wire.Enc.length e - 1);
+    signature_codec.write e (Some signature)
 
-  (* [Wire.Enc.uint]'s LEB128 bytes, and its error on a negative value
-     (a scrambled counter that wrapped around). *)
-  let rec leb128 t n =
-    if n < 0x80 then char t (Char.unsafe_chr n)
-    else begin
-      char t (Char.unsafe_chr (0x80 lor (n land 0x7f)));
-      leb128 t (n lsr 7)
-    end
+  let verify e verifier ~signer signature =
+    Crypto.Verifier.verify_sub verifier ~signer e ~off:1 ~len:(signed_len e) signature
 
-  let uint t n = if n < 0 then invalid_arg "Wire.Enc.uint: negative" else leb128 t n
-
-  (* [Wire.Enc.string]'s bytes of [s.[off .. off+len)]. *)
-  let sub t s ~off ~len =
-    uint t len;
-    Bytes.blit_string s off t.bytes t.len len;
-    t.len <- t.len + len
-
-  (* Room for the tag, seven varints of at most 10 bytes (four header
-     fields, two counters, the body length), the option byte and a
-     signature with its length. *)
-  let overhead = 1 + (7 * 10) + 1 + 1 + Crypto.Signature.byte_length
-
-  let unsigned t ~tag ~src_side ~src_index ~dst_side ~dst_index ~vround ~id body ~off
-      ~len =
-    if Bytes.length t.bytes < overhead + len then
-      t.bytes <- Bytes.create (max (overhead + len) (2 * Bytes.length t.bytes));
-    t.len <- 0;
-    char t tag;
-    uint t (Side.to_int src_side);
-    uint t src_index;
-    uint t (Side.to_int dst_side);
-    uint t dst_index;
-    uint t vround;
-    uint t id;
-    sub t body ~off ~len;
-    char t '\000'
-
-  (* The range the signature covers: everything after the tag. *)
-  let signed_off = 1
-  let signed_len t = t.len - 1
-
-  let sign t signer =
-    let signature =
-      (Crypto.Signer.sign_sub signer t.bytes ~off:signed_off ~len:(signed_len t) :> string)
-    in
-    Bytes.set t.bytes (t.len - 1) '\001';
-    sub t signature ~off:0 ~len:(String.length signature)
-
-  (* The written frame, copied into the sender's arena as one span. *)
-  let codec : t Wire.t =
+  (* The written frame, copied into the sender's arena in one piece. *)
+  let codec : Wire.Enc.t Wire.t =
     {
-      Wire.write = (fun e t -> Wire.Enc.append_subbytes e t.bytes ~off:0 ~len:t.len);
+      Wire.write = Wire.Enc.append_enc;
       read = (fun _ -> raise (Wire.Malformed "Channels.Writer.codec is write-only"));
     }
 end
 
-(* A [Direct] frame is the tag byte, a varint length and exactly that many
-   body bytes: [relay_codec]'s decoding of it, read in place. [None]
-   exactly where that decoding fails. [s] must hold at least the tag. *)
+(* A [Direct] frame's body, read in place: [Wire.Dec.peek_last_string]
+   after the tag byte, so [None] exactly where [relay_codec]'s decoding
+   fails. [s] must hold at least the tag. *)
 let direct_body pos (s : Wire.Slice.t) =
-  let limit = s.off + s.len in
   pos := s.off + 1;
-  let len = Wire.Dec.peek_uint s.base pos ~limit in
-  if len >= 0 && len = limit - !pos then Some (String.sub s.base !pos len) else None
+  let off = Wire.Dec.peek_last_string s.base pos ~limit:(s.off + s.len) in
+  if off < 0 then None else Some (String.sub s.base off (!pos - off))
 
 (* A [Forward] differs from the [Request] it answers only in the leading
    variant tag, so a forwarder can reuse the received bytes wholesale —
@@ -387,14 +325,13 @@ let virtual_net (env : Engine.env) ~topology ~auth =
   env.register_state Wire.uint vround;
   env.register_state Wire.uint next_id;
   let reachable dst = Topology.connected topology self dst in
-  let writer = Writer.create () in
+  let writer = Wire.Enc.create () in
   let request dst body =
     let id = !next_id in
     incr next_id;
     Writer.unsigned writer ~tag:request_tag ~src_side:(Party_id.side self)
       ~src_index:(Party_id.index self) ~dst_side:(Party_id.side dst)
-      ~dst_index:(Party_id.index dst) ~vround:!vround ~id body ~off:0
-      ~len:(String.length body);
+      ~dst_index:(Party_id.index dst) ~vround:!vround ~id body;
     (match auth with
     | Majority -> ()
     | Signed { signer; _ } -> Writer.sign writer signer);
@@ -435,36 +372,29 @@ let virtual_net (env : Engine.env) ~topology ~auth =
     Delivered.add delivered (Party_id.side p.src) (Party_id.index p.src) p.id;
     p.src, p.body
   in
-  (* A [Forward] copy whose header [h] holds, judged in place: the rest
-     of the frame — body length, body, the [Some] byte, the signature and
-     the end of the frame — is accepted and rejected exactly as
-     [relay_codec]'s decoder does, and the signature is checked over the
-     bytes [Writer.unsigned] rebuilds from the parsed values. Only an
-     accepted copy allocates: its body and its signature. *)
+  (* A [Forward] copy whose header [h] holds, judged in place: its body
+     is a [Wire.Dec.peek_string], and the rest of the frame must decode
+     as [signature_codec]'s [Some], as [relay_codec]'s decoder reads it.
+     The signature is checked over the bytes [Writer.unsigned] rebuilds
+     from the parsed values. *)
   let signed_copy verifier (frame : Wire.Slice.t) =
     let base = frame.base and limit = frame.off + frame.len in
-    let len = Header.uint base h.pos ~limit in
-    let off = !(h.pos) in
-    if len < 0 || len > limit - off || off + len >= limit || base.[off + len] <> '\001'
-    then None
+    let off = Wire.Dec.peek_string base h.pos ~limit in
+    if off < 0 then None
     else
-      let rest = off + len + 1 in
+      let rest = !(h.pos) in
       match
-        Wire.decode_slice Crypto.Signature.codec
-          (Wire.Slice.make base ~off:rest ~len:(limit - rest))
+        Wire.decode_slice signature_codec (Wire.Slice.make base ~off:rest ~len:(limit - rest))
       with
-      | Error _ -> None
-      | Ok signature ->
-        Writer.unsigned writer ~tag:forward_tag ~src_side:h.src_side
-          ~src_index:h.src_index ~dst_side:h.dst_side ~dst_index:h.dst_index
-          ~vround:h.vround ~id:h.id base ~off ~len;
+      | Ok None | Error _ -> None
+      | Ok (Some signature) ->
+        let body = String.sub base off (rest - off) in
+        Writer.unsigned writer ~tag:forward_tag ~src_side:h.src_side ~src_index:h.src_index
+          ~dst_side:h.dst_side ~dst_index:h.dst_index ~vround:h.vround ~id:h.id body;
         let src = Party_id.make h.src_side h.src_index in
-        if
-          Crypto.Verifier.verify_sub verifier ~signer:src writer.bytes
-            ~off:Writer.signed_off ~len:(Writer.signed_len writer) signature
-        then begin
+        if Writer.verify writer verifier ~signer:src signature then begin
           Delivered.add delivered h.src_side h.src_index h.id;
-          Some (src, String.sub base off len)
+          Some (src, body)
         end
         else None
   in

@@ -15,10 +15,10 @@
       are the request frame's bytes after its tag up to and including
       the [None] byte. One writer produces those bytes for the signer
       and, from a received copy's parsed values, for the verifier: the
-      sender signs them where they lie in its frame buffer, and a
-      receiver judges each copy in place — header, body, signature and
-      frame end read without a decode, exactly as {!relay_codec} accepts
-      them — then verifies over the rebuilt canonical bytes, so a copy
+      sender signs them where they lie in its encoder, and a receiver
+      judges each copy in place with [Wire]'s cursor readers and the
+      payload codec's signature codec, exactly as {!relay_codec} accepts
+      it, then verifies over the rebuilt canonical bytes, so a copy
       with padded varints is judged as decoding and re-encoding it would
       judge it. The virtual-round stamp [vround] is the
       paper's timestamp τ: a forward arriving outside the immediately
@@ -94,7 +94,8 @@ val relay_codec : relay Bsm_wire.Wire.t
     duplicate copies before any body decode or signature check. *)
 module Header : sig
   (** A reusable reader: {!read} overwrites the fields. [pos] is the
-      scan cursor. *)
+      scan cursor and [values] the run {!Bsm_wire.Wire.Dec.peek_fields}
+      fills. *)
   type t = {
     mutable src_side : Bsm_prelude.Side.t;
     mutable src_index : int;
@@ -103,13 +104,15 @@ module Header : sig
     mutable vround : int;
     mutable id : int;
     pos : int ref;
+    values : int array;
   }
 
   val create : unit -> t
 
-  (** [read h frame] is [true] exactly when {!relay_codec}'s decoder
-      gets through the tag byte (any value), both party ids and both
-      uints of [frame] without raising [Malformed]; it then leaves the
+  (** [read h frame] skips the tag byte (any value) and reads both party
+      ids and both uints of [frame] with one
+      {!Bsm_wire.Wire.Dec.peek_fields} call, so it is [true] exactly when
+      {!relay_codec}'s decoder gets through them; it then leaves the
       decoded values in [h]'s fields. The body is neither read nor
       checked, and nothing is allocated. Indices are not checked against
       any roster: a forged frame may name a party outside it. *)

@@ -16,10 +16,6 @@ let validate ~n ~self_dense prefs =
   List.length prefs = n - 1
   && List.sort_uniq compare prefs = default_prefs ~n ~self_dense
 
-let engine_rounds ~k ~t =
-  ignore k;
-  t + 1
-
 let roommates_instance ~k ~inputs =
   let n = 2 * k in
   SM.Roommates.make_exn

@@ -46,9 +46,6 @@ val default_prefs : n:int -> self_dense:int -> prefs
     dense indices. *)
 val validate : n:int -> self_dense:int -> prefs -> bool
 
-(** Engine rounds of an honest execution. *)
-val engine_rounds : k:int -> t:int -> int
-
 (** [program ~k ~t ~pki ~input ~self] — the honest fiber. [t] is the
     global corruption bound (any [t < 2k] works). Output wire format:
     {!Bsm_core.Problem.decision_codec} ([None] = nobody). *)

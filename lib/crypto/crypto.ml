@@ -25,21 +25,19 @@ let scratch_key = Domain.DLS.new_key (fun () -> ref (Bytes.create 256))
    lifetime. *)
 let retain_limit = 1 lsl 16
 
-(* The one digest routine: [prefix ^ msg.[off .. off+len)], where the
-   message is read in place from the caller's bytes (a whole string is
-   the full range of itself; nothing here writes to [msg]). *)
-let digest prefix msg ~off ~len =
-  if off < 0 || len < 0 || off > Bytes.length msg - len then
-    invalid_arg "Crypto: message range out of bounds";
+(* The one digest routine: [prefix ^ msg.[off .. off+len)]. [blit]
+   copies the message range straight out of [msg] — a string, or the
+   bytes of a [Wire.Enc.t] — into the scratch after the prefix, and
+   raises [Invalid_argument] if the range is not within [msg]. *)
+let digest prefix blit msg ~off ~len =
   let scratch = Domain.DLS.get scratch_key in
-  let total = String.length prefix + len in
+  let plen = String.length prefix in
+  let total = plen + len in
   let raw = if Bytes.length !scratch >= total then !scratch else Bytes.create total in
   if total <= retain_limit then scratch := raw;
-  Bytes.blit_string prefix 0 raw 0 (String.length prefix);
-  Bytes.blit msg off raw (String.length prefix) len;
+  Bytes.blit_string prefix 0 raw 0 plen;
+  blit msg off raw plen len;
   Digest.subbytes raw 0 total
-
-let whole msg = Bytes.unsafe_of_string msg
 
 module Signer = struct
   type t = {
@@ -48,21 +46,24 @@ module Signer = struct
   }
 
   let id t = t.id
-  let sign_sub t msg ~off ~len = digest t.prefix msg ~off ~len
-  let sign t msg = sign_sub t (whole msg) ~off:0 ~len:(String.length msg)
+  let sign_sub t e ~off ~len = digest t.prefix Wire.Enc.blit e ~off ~len
+  let sign t msg = digest t.prefix Bytes.blit_string msg ~off:0 ~len:(String.length msg)
 end
 
 module Verifier = struct
   (* The signer's digest prefix; [None] for a party outside the setup. *)
   type t = { prefix_of : Party_id.t -> string option }
 
-  let verify_sub t ~signer msg ~off ~len signature =
+  let check t ~signer blit msg ~off ~len signature =
     match t.prefix_of signer with
-    | Some prefix -> Signature.equal signature (digest prefix msg ~off ~len)
+    | Some prefix -> Signature.equal signature (digest prefix blit msg ~off ~len)
     | None -> false
 
+  let verify_sub t ~signer e ~off ~len signature =
+    check t ~signer Wire.Enc.blit e ~off ~len signature
+
   let verify t ~signer ~msg signature =
-    verify_sub t ~signer (whole msg) ~off:0 ~len:(String.length msg) signature
+    check t ~signer Bytes.blit_string msg ~off:0 ~len:(String.length msg) signature
 end
 
 module Pki = struct

@@ -34,12 +34,12 @@ module Signer : sig
   (** [sign t msg] signs the raw bytes [msg] as [id t]. *)
   val sign : t -> string -> Signature.t
 
-  (** [sign_sub t b ~off ~len] is [sign t (Bytes.sub_string b off len)]
-      without the copy: the range digest reads the message where it lies
-      ({!sign} is its full-range case, so both give the same signature for
-      the same bytes). Raises [Invalid_argument] if the range is not
-      within [b]. *)
-  val sign_sub : t -> Bytes.t -> off:int -> len:int -> Signature.t
+  (** [sign_sub t e ~off ~len] is [sign t] of bytes [off .. off+len) of
+      the encoder [e], without a copy of them: the one digest routine
+      {!sign} uses copies them straight out of [e], so both give the
+      same signature for the same bytes. Raises [Invalid_argument] if
+      the range is not within [e]. *)
+  val sign_sub : t -> Bsm_wire.Wire.Enc.t -> off:int -> len:int -> Signature.t
 end
 
 module Verifier : sig
@@ -51,11 +51,17 @@ module Verifier : sig
       as [false]. *)
   val verify : t -> signer:Bsm_prelude.Party_id.t -> msg:string -> Signature.t -> bool
 
-  (** [verify_sub t ~signer b ~off ~len signature] is {!verify} of the
-      message [b.[off .. off+len)], read in place by the same range digest
-      as {!Signer.sign_sub}. The range must lie within [b]. *)
+  (** [verify_sub t ~signer e ~off ~len signature] is {!verify} of bytes
+      [off .. off+len) of the encoder [e], read by the same digest as
+      {!Signer.sign_sub}. The range must lie within [e]. *)
   val verify_sub :
-    t -> signer:Bsm_prelude.Party_id.t -> Bytes.t -> off:int -> len:int -> Signature.t -> bool
+    t ->
+    signer:Bsm_prelude.Party_id.t ->
+    Bsm_wire.Wire.Enc.t ->
+    off:int ->
+    len:int ->
+    Signature.t ->
+    bool
 end
 
 module Pki : sig

@@ -38,9 +38,10 @@ val lying :
   Engine.program
 
 (** Equivocates at the input-dissemination stage: runs the honest protocol
-    but with [garble]d outgoing bytes after [from_round]. Like
-    {!Bsm_broadcast.Strategies.garble}, it wraps only [env.send]; what the
-    protocol sends with the other send functions is not garbled. *)
+    but with every payload it sends through [env.send] after
+    [from_round] replaced by random bytes of the same length. It wraps
+    only [env.send]; what the protocol sends with the other send
+    functions is not garbled. *)
 val garble_after :
   setting:Bsm_core.Setting.t ->
   seed:int ->

@@ -15,12 +15,15 @@ let to_int = function
   | Left -> 0
   | Right -> 1
 
+let of_int = function
+  | 0 -> Left
+  | 1 -> Right
+  | n -> invalid_arg (Printf.sprintf "Side.of_int %d" n)
+
 let compare a b = Int.compare (to_int a) (to_int b)
 
 let to_string = function
   | Left -> "L"
   | Right -> "R"
-
-let pp ppf s = Format.pp_print_string ppf (to_string s)
 
 let all = [ Left; Right ]

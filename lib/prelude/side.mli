@@ -18,10 +18,12 @@ val compare : t -> t -> int
     side is absorbed into a hash chain or indexes an array pair. *)
 val to_int : t -> int
 
+(** The inverse of {!to_int}; raises [Invalid_argument] on any other
+    int. *)
+val of_int : int -> t
+
 (** One-letter tag used in identifiers and wire encodings: ["L"] or ["R"]. *)
 val to_string : t -> string
-
-val pp : Format.formatter -> t -> unit
 
 (** Both sides, in order [Left; Right]. *)
 val all : t list

@@ -34,7 +34,3 @@ let percentile p xs =
 
 let rate hits total =
   if total = 0 then 0. else 100. *. float_of_int hits /. float_of_int total
-
-let pp_summary ppf s =
-  Format.fprintf ppf "n=%d mean=%.2f sd=%.2f min=%.2f max=%.2f" s.n s.mean s.stddev
-    s.min s.max

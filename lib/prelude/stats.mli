@@ -17,4 +17,3 @@ val percentile : float -> float list -> float
 (** [rate hits total] as a percentage. *)
 val rate : int -> int -> float
 
-val pp_summary : Format.formatter -> summary -> unit

@@ -6,9 +6,6 @@
     are small. *)
 val most_common : equal:('a -> 'a -> bool) -> 'a list -> ('a * int) option
 
-(** [count ~equal x xs] is the multiplicity of [x] in [xs]. *)
-val count : equal:('a -> 'a -> bool) -> 'a -> 'a list -> int
-
 (** [strict_majority ~equal ~total xs] is [Some x] when some value occurs
     strictly more than [total / 2] times in [xs]. *)
 val strict_majority : equal:('a -> 'a -> bool) -> total:int -> 'a list -> 'a option

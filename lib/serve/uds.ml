@@ -3,49 +3,27 @@ module Wire = Bsm_wire.Wire
 (* Frames above this many payload bytes are rejected. *)
 let max_frame_bytes = 1 lsl 20
 
-(* --- varint stream framing ----------------------------------------------- *)
+(* --- stream framing ------------------------------------------------------- *)
 
-let add_varint buf n =
-  let n = ref n in
-  let continue = ref true in
-  while !continue do
-    let b = !n land 0x7f in
-    n := !n lsr 7;
-    if !n = 0 then begin
-      Buffer.add_char buf (Char.chr b);
-      continue := false
-    end
-    else Buffer.add_char buf (Char.chr (b lor 0x80))
-  done
-
-let frame_bytes payload =
-  let buf = Buffer.create (String.length payload + 4) in
-  add_varint buf (String.length payload);
-  Buffer.add_string buf payload;
-  Buffer.contents buf
+(* A frame is [Wire.string]'s bytes of its payload. *)
+let frame_bytes payload = Wire.encode Wire.string payload
 
 (* Parse one frame out of [s] starting at [pos]: [`Frame (payload, next)],
-   [`More] (incomplete), or [`Bad reason]. *)
+   [`More] (cut short), or [`Bad reason] — a length prefix [Wire.uint]
+   rejects for a reason other than running out of input, or one above
+   the cap. *)
 let parse_frame s pos =
-  let len = String.length s in
-  let rec varint acc shift i =
-    if i >= len then `More
-    else if i - pos >= 10 then `Bad "varint too long"
-    else begin
-      let b = Char.code s.[i] in
-      let acc = acc lor ((b land 0x7f) lsl shift) in
-      if b land 0x80 = 0 then
-        if acc < 0 then `Bad "negative frame length" else `Len (acc, i + 1)
-      else varint acc (shift + 7) (i + 1)
-    end
-  in
-  match varint 0 0 pos with
-  | `More -> `More
-  | `Bad _ as bad -> bad
-  | `Len (flen, body) ->
-    if flen > max_frame_bytes then `Bad "frame too large"
-    else if len - body < flen then `More
-    else `Frame (String.sub s body flen, body + flen)
+  let limit = String.length s in
+  let cursor = ref pos in
+  match Wire.Dec.peek_uint_partial s cursor ~limit with
+  | -2 -> `More
+  | -1 -> `Bad "malformed frame length"
+  | len when len > max_frame_bytes -> `Bad "frame too large"
+  | _ -> (
+    cursor := pos;
+    match Wire.Dec.peek_string s cursor ~limit with
+    | -1 -> `More
+    | off -> `Frame (String.sub s off (!cursor - off), !cursor))
 
 let rec write_all fd bytes pos len =
   if len > 0 then begin
@@ -203,26 +181,30 @@ let send c request =
 
 let read_byte c =
   let b = Bytes.create 1 in
-  match Unix.read c.cfd b 0 1 with 0 -> None | _ -> Some (Char.code (Bytes.get b 0))
+  match Unix.read c.cfd b 0 1 with 0 -> None | _ -> Some (Bytes.get b 0)
 
 let recv c =
   if c.eof then None
   else begin
-    let rec varint acc shift count =
-      if count >= 10 then failwith "Uds.recv: varint too long"
-      else
-        match read_byte c with
-        | None -> None
-        | Some b ->
-          let acc = acc lor ((b land 0x7f) lsl shift) in
-          if b land 0x80 = 0 then Some acc else varint acc (shift + 7) (count + 1)
+    (* The length prefix, a byte at a time until [Wire] can read it. *)
+    let prefix = Buffer.create 10 in
+    let rec length () =
+      match read_byte c with
+      | None -> None
+      | Some b -> (
+        Buffer.add_char prefix b;
+        let s = Buffer.contents prefix in
+        match Wire.Dec.peek_uint_partial s (ref 0) ~limit:(String.length s) with
+        | -2 -> length ()
+        | -1 -> failwith "Uds.recv: malformed frame length"
+        | len -> Some len)
     in
-    match varint 0 0 0 with
+    match length () with
     | None ->
       c.eof <- true;
       None
     | Some len ->
-      if len < 0 || len > max_frame_bytes then failwith "Uds.recv: bad frame length";
+      if len > max_frame_bytes then failwith "Uds.recv: bad frame length";
       let buf = Bytes.create len in
       let rec fill pos =
         if pos < len then begin

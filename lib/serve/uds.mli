@@ -1,7 +1,8 @@
 (** Unix-domain-socket transport for the serve daemon.
 
-    Stream framing is one {!Bsm_wire.Wire} varint length prefix
-    followed by that many payload bytes; the payload is a
+    Each frame on the stream is [Bsm_wire.Wire.string]'s bytes of its
+    payload, its length prefix read with Wire's cursor readers; the
+    payload is a
     {!Frame.request} (client → daemon) or {!Frame.response}
     (daemon → client). The listener is non-blocking and poll-driven
     (via {!Readiness}, so it survives more than [FD_SETSIZE] open
@@ -10,10 +11,12 @@
     blocking (they are either humans' tools or the load generator,
     which wants backpressure).
 
-    Decoder hardening carries over from the wire layer: length prefixes
-    are capped (a forged 8 EiB prefix is a [Bad_frame], not an
-    allocation), and any [Malformed] payload drops the connection with
-    a [Bad_frame] event — byzantine clients are a first-class case. *)
+    Decoder hardening carries over from the wire layer: a length prefix
+    that [Wire.uint] rejects, other than one cut short, is a
+    [Bad_frame]; prefixes are capped (a forged 8 EiB prefix is a
+    [Bad_frame], not an allocation); and any [Malformed] payload drops
+    the connection with a [Bad_frame] event — byzantine clients are a
+    first-class case. *)
 
 module Frame := Frame
 

@@ -4,6 +4,10 @@ exception Malformed of string
 
 let malformed fmt = Format.kasprintf (fun s -> raise (Malformed s)) fmt
 
+(* The side rule, written once: side [s] travels as the uint
+   [Side.to_int s], so a side field holds 0 or 1 and nothing else. *)
+let is_side_code n = n = 0 || n = 1
+
 module Enc = struct
   type t = Buffer.t
 
@@ -15,16 +19,14 @@ module Enc = struct
   let reset = Buffer.clear
 
   (* LEB128 over the full word, treating it as unsigned ([lsr], no sign
-     check) so that zigzagged extreme values survive. *)
-  let raw t n =
-    let rec go n =
-      if n land lnot 0x7f = 0 then Buffer.add_char t (Char.chr n)
-      else begin
-        Buffer.add_char t (Char.chr (0x80 lor (n land 0x7f)));
-        go (n lsr 7)
-      end
-    in
-    go n
+     check) so that zigzagged extreme values survive. A top-level loop,
+     so a call allocates no closure. *)
+  let rec raw t n =
+    if n land lnot 0x7f = 0 then Buffer.add_char t (Char.unsafe_chr n)
+    else begin
+      Buffer.add_char t (Char.unsafe_chr (0x80 lor (n land 0x7f)));
+      raw t (n lsr 7)
+    end
 
   let uint t n =
     if n < 0 then invalid_arg "Wire.Enc.uint: negative";
@@ -49,7 +51,8 @@ module Enc = struct
   let length = Buffer.length
   let append t s = Buffer.add_string t s
   let append_sub t s ~off ~len = Buffer.add_substring t s off len
-  let append_subbytes t b ~off ~len = Buffer.add_subbytes t b off len
+  let append_enc t e = Buffer.add_buffer t e
+  let blit = Buffer.blit
 
   (* Roll back a failed in-place encode: a codec that raises mid-write
      must not leave half a frame in the arena. *)
@@ -128,35 +131,36 @@ module Dec = struct
      accumulator unnoticed. *)
   let max_varint_bytes = 10
 
-  let raw t =
-    let rec go n shift acc =
-      if n >= max_varint_bytes then malformed "varint longer than 10 bytes";
-      let b = byte t in
-      let bits = b land 0x7f in
-      let acc =
-        if shift >= Sys.int_size then
-          if bits = 0 then acc else malformed "varint overflows the word"
-        else begin
-          if bits lsr (Sys.int_size - shift) <> 0 then
-            malformed "varint overflows the word";
-          acc lor (bits lsl shift)
-        end
-      in
-      if b land 0x80 = 0 then acc else go (n + 1) (shift + 7) acc
+  let rec raw_from t n shift acc =
+    if n >= max_varint_bytes then malformed "varint longer than 10 bytes";
+    let b = byte t in
+    let bits = b land 0x7f in
+    let acc =
+      if shift >= Sys.int_size then
+        if bits = 0 then acc else malformed "varint overflows the word"
+      else begin
+        if bits lsr (Sys.int_size - shift) <> 0 then malformed "varint overflows the word";
+        acc lor (bits lsl shift)
+      end
     in
-    go 0 0 0
+    if b land 0x80 = 0 then acc else raw_from t (n + 1) (shift + 7) acc
+
+  (* A top-level loop, so a call allocates no closure. *)
+  let raw t = raw_from t 0 0 0
 
   let uint t =
     let n = raw t in
     if n < 0 then malformed "varint overflow";
     n
 
-  (* [uint] without a decoder or an exception, for scanners that read a
-     frame's header fields in place: the same bound, overflow and sign
-     checks as [raw] and [uint], with [-1] standing for [Malformed]. A
-     top-level loop, so a call allocates no closure. *)
-  let rec peek_loop s pos limit p n shift acc =
-    if n >= max_varint_bytes || p >= limit then -1
+  (* --- cursor readers (contract in the interface) ----------------------- *)
+
+  (* [raw] and [uint]'s checks, with [-1] where they raise [Malformed]
+     for a malformed varint and [-2] where they raise it only because
+     the input ends at [limit]. *)
+  let rec varint_from s pos limit p n shift acc =
+    if n >= max_varint_bytes then -1
+    else if p >= limit then -2
     else begin
       let b = Char.code (String.unsafe_get s p) in
       let bits = b land 0x7f in
@@ -164,7 +168,7 @@ module Dec = struct
       else if shift < Sys.int_size && bits lsr (Sys.int_size - shift) <> 0 then -1
       else begin
         let acc = if shift >= Sys.int_size then acc else acc lor (bits lsl shift) in
-        if b land 0x80 <> 0 then peek_loop s pos limit (p + 1) (n + 1) (shift + 7) acc
+        if b land 0x80 <> 0 then varint_from s pos limit (p + 1) (n + 1) (shift + 7) acc
         else if acc < 0 then -1
         else begin
           pos := p + 1;
@@ -173,14 +177,96 @@ module Dec = struct
       end
     end
 
-  let peek_uint s pos ~limit =
+  (* A varint that is not one byte. Two bytes cannot overflow, so they
+     skip the loop's checks: the common long case, ids and lengths below
+     16,384. *)
+  let long_varint s pos limit p =
+    if p + 1 < limit && Char.code (String.unsafe_get s (p + 1)) < 0x80 then begin
+      pos := p + 2;
+      Char.code (String.unsafe_get s p) land 0x7f
+      lor (Char.code (String.unsafe_get s (p + 1)) lsl 7)
+    end
+    else varint_from s pos limit p 0 0 0
+
+  let[@inline] varint s pos limit =
     let p = !pos in
     if p < limit && Char.code (String.unsafe_get s p) < 0x80 then begin
       (* A one-byte varint: the value is the byte. *)
       pos := p + 1;
       Char.code (String.unsafe_get s p)
     end
-    else peek_loop s pos limit p 0 0 0
+    else long_varint s pos limit p
+
+  let peek_uint_partial s pos ~limit = varint s pos limit
+
+  let peek_uint s pos ~limit =
+    let n = varint s pos limit in
+    if n = -2 then -1 else n
+
+  (* [string]'s checks; [last] adds [expect_end]'s. *)
+  let[@inline] span s pos limit ~last =
+    let start = !pos in
+    let len = varint s pos limit in
+    let off = !pos in
+    if len < 0 || len > limit - off || (last && len < limit - off) then begin
+      pos := start;
+      -1
+    end
+    else begin
+      pos := off + len;
+      off
+    end
+
+  let peek_string s pos ~limit = span s pos limit ~last:false
+  let peek_last_string s pos ~limit = span s pos limit ~last:true
+
+  type field =
+    | Uint
+    | Side
+
+  (* Whether [v], what [uint] read or [-1], is a value of [field]. *)
+  let[@inline] field_ok field v =
+    match field with
+    | Uint -> v >= 0
+    | Side -> is_side_code v
+
+  (* Field [i] onwards from [p], [n] fields in all. A one-byte varint is
+     read in the loop; a longer one leaves it through a tail call, so the
+     loop keeps its state in registers. *)
+  let rec fields_from s pos limit fields values n start i p =
+    if i = n then begin
+      pos := p;
+      p
+    end
+    else if p < limit && Char.code (String.unsafe_get s p) < 0x80 then begin
+      let v = Char.code (String.unsafe_get s p) in
+      if field_ok (Array.unsafe_get fields i) v then begin
+        Array.unsafe_set values i v;
+        fields_from s pos limit fields values n start (i + 1) (p + 1)
+      end
+      else begin
+        pos := start;
+        -1
+      end
+    end
+    else long_field s pos limit fields values n start i p
+
+  and long_field s pos limit fields values n start i p =
+    pos := p;
+    let v = long_varint s pos limit p in
+    if field_ok (Array.unsafe_get fields i) v then begin
+      Array.unsafe_set values i v;
+      fields_from s pos limit fields values n start (i + 1) !pos
+    end
+    else begin
+      pos := start;
+      -1
+    end
+
+  let peek_fields s pos ~limit fields values =
+    if Array.length values < Array.length fields then
+      invalid_arg "Wire.Dec.peek_fields: values shorter than fields"
+    else fields_from s pos limit fields values (Array.length fields) !pos 0 !pos
 
   let int t =
     let n = raw t in
@@ -404,16 +490,8 @@ let variant ~name cases =
   { write; read }
 
 let side =
-  let inject = function
-    | 0 -> Side.Left
-    | 1 -> Side.Right
-    | n -> malformed "invalid side %d" n
-  in
-  let project = function
-    | Side.Left -> 0
-    | Side.Right -> 1
-  in
-  map ~inject ~project uint
+  let inject n = if is_side_code n then Side.of_int n else malformed "invalid side %d" n in
+  map ~inject ~project:Side.to_int uint
 
 let party_id =
   map

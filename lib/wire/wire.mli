@@ -50,9 +50,15 @@ module Enc : sig
   (** Raw append of [s.[off .. off+len)], no length prefix. *)
   val append_sub : t -> string -> off:int -> len:int -> unit
 
-  (** Raw append of [b.[off .. off+len)], no length prefix: a frame
-      written elsewhere, copied into the arena as it stands. *)
-  val append_subbytes : t -> Bytes.t -> off:int -> len:int -> unit
+  (** [append_enc t e] appends [e]'s bytes, no length prefix: a frame
+      written in its own encoder, copied into the arena in one piece. *)
+  val append_enc : t -> t -> unit
+
+  (** [blit e src_off dst dst_off len] copies bytes [src_off ..
+      src_off+len) of [e] into [dst] at [dst_off], so a digest can read
+      written bytes without a [to_string] copy. Raises [Invalid_argument]
+      on a range outside [e] or [dst]. *)
+  val blit : t -> int -> Bytes.t -> int -> int -> unit
 
   (** [truncate e n] rolls the encoder back to [n] bytes: a codec that
       raises mid-write must not leave half a frame in the arena. *)
@@ -114,18 +120,50 @@ module Dec : sig
 
   val uint : t -> int
 
-  (** [peek_uint s pos ~limit] reads the varint {!uint} would read from
-      [s] at [!pos] with the input ending at [limit], without a decoder:
-      it returns the value and moves [pos] past it, or returns [-1]
-      (leaving [pos] alone) where {!uint} raises [Malformed]. It
-      allocates nothing, so a scanner can read a few header fields of a
-      frame in place. Requires [0 <= !pos] and [limit <= String.length s]. *)
-  val peek_uint : string -> int ref -> limit:int -> int
-
   val int : t -> int
   val bool : t -> bool
   val string : t -> string
   val tag : t -> int
+
+  (** {2 Cursor readers}
+
+      A cursor reader reads [s] from [!pos], with the input ending at
+      [limit], without a decoder or an exception: it returns [-1]
+      exactly where its decoder counterpart raises [Malformed], leaving
+      [pos] alone, and otherwise moves [pos] past what it read, just as
+      the decoder would. It allocates nothing, so a scanner can judge a
+      frame where its bytes lie with the codec's own accept set.
+      Requires [0 <= !pos] and [limit <= String.length s]. *)
+
+  (** [peek_uint s pos ~limit] is {!uint}: the value. *)
+  val peek_uint : string -> int ref -> limit:int -> int
+
+  (** [peek_uint_partial] is {!peek_uint} for a stream read so far: it
+      returns [-2], not [-1], where {!uint} raises only because the
+      input ends at [limit], so more bytes may yet complete the varint. *)
+  val peek_uint_partial : string -> int ref -> limit:int -> int
+
+  (** [peek_string s pos ~limit] is {!string}: the offset of the
+      string's first byte. The string is [s.[off .. !pos)]. *)
+  val peek_string : string -> int ref -> limit:int -> int
+
+  (** [peek_last_string] is {!peek_string} for a string that must end
+      the input, as {!decode} requires of a frame's last field: [-1]
+      also where a byte trails it. *)
+  val peek_last_string : string -> int ref -> limit:int -> int
+
+  (** A field of a fixed run read by {!peek_fields}. *)
+  type field =
+    | Uint  (** read as {!uint} *)
+    | Side  (** read as {!Wire.side}: a uint that is 0 or 1 *)
+
+  (** [peek_fields s pos ~limit fields values] reads [fields] in order,
+      as the decoders named there would, and leaves field [i]'s value in
+      [values.(i)]: a [Side] field's is [Side.to_int] of the side. It
+      returns the end of the run; after [-1], [values] may hold part of
+      it. Raises [Invalid_argument] if [values] is shorter than
+      [fields]. *)
+  val peek_fields : string -> int ref -> limit:int -> field array -> int array -> int
 end
 
 (** A two-way codec for ['a]. *)

@@ -148,9 +148,25 @@ let decisions_string ~k (o : Core.Problem.outcome) =
          | Some (Core.Problem.Matched q) -> string_of_int (Party_id.index q))
        (Party_id.all ~k))
 
+(* A fault model that drops and corrupts nothing: its [corrupt] hook
+   absorbs the round, source, destination and bytes of every delivered
+   frame into a buffer and returns [None]. The row's frame digest is the
+   MD5 of that buffer, so it pins what every frame contains, not only how
+   many frames and bytes there are. *)
+let frame_recorder () =
+  let frames = Buffer.create 4096 in
+  let corrupt ~round ~src ~dst ~prev:_ bytes =
+    Printf.bprintf frames "%d %s %s %d:" round (Party_id.to_string src)
+      (Party_id.to_string dst) (String.length bytes);
+    Buffer.add_string frames bytes;
+    None
+  in
+  Engine.fault_model ~corrupt (fun ~round:_ ~src:_ ~dst:_ -> false), frames
+
 (* (k, adversary, (rounds_used, messages_sent, messages_delivered,
-   bytes_delivered, decisions)). Seeds are a function of (k, mechanism
-   index), so the rows are reproducible from this table alone. *)
+   bytes_delivered, decisions, frame digest)). Seeds are a function of
+   (k, mechanism index), so the rows are reproducible from this table
+   alone. *)
 let check_pinned ~index name rows () =
   List.iter
     (fun (k, adversary, expected) ->
@@ -159,7 +175,8 @@ let check_pinned ~index name rows () =
         H.Sweep.case ~profile_seed:(seed + 1) ~scenario_seed:(seed + 2) ~adversary
           (mechanism_setting name ~k)
       in
-      let r = H.Scenario.run (H.Sweep.scenario_of_case case) in
+      let faults, frames = frame_recorder () in
+      let r = H.Scenario.run ~faults (H.Sweep.scenario_of_case case) in
       let m = r.H.Scenario.metrics in
       let label =
         Printf.sprintf "k=%d %s" k
@@ -167,65 +184,66 @@ let check_pinned ~index name rows () =
           | H.Sweep.Honest -> "honest"
           | H.Sweep.Random_coalition | H.Sweep.Scripted _ -> "coalition")
       in
-      Alcotest.(check (pair (pair int int) (pair (pair int int) string)))
+      let digest = String.sub (Digest.to_hex (Digest.string (Buffer.contents frames))) 0 16 in
+      Alcotest.(check (pair (pair int int) (pair (pair int int) (pair string string))))
         label expected
         ( (m.Engine.rounds_used, m.Engine.messages_sent),
           ( (m.Engine.messages_delivered, m.Engine.bytes_delivered),
-            decisions_string ~k r.H.Scenario.outcome ) ))
+            (decisions_string ~k r.H.Scenario.outcome, digest) ) ))
     rows
 
-let pin (rounds, sent, delivered, bytes, decisions) =
-  (rounds, sent), ((delivered, bytes), decisions)
+let pin (rounds, sent, delivered, bytes, decisions, frames) =
+  (rounds, sent), ((delivered, bytes), (decisions, frames))
 
 let honest = H.Sweep.Honest
 let coalition = H.Sweep.Random_coalition
 
 let pinned_phase_king =
   [
-    4, honest, pin (8, 2408, 2408, 31304, "21032103");
-    4, coalition, pin (60, 2262, 2262, 37987, "2x13xxxx");
-    6, honest, pin (8, 8316, 8316, 124740, "420513241503");
-    6, coalition, pin (60, 7285, 7285, 117783, "x20543xxxxxx");
-    8, honest, pin (11, 27840, 27840, 473280, "2563471076034125");
-    8, coalition, pin (60, 22418, 22418, 402264, "27530xx1xxxxxxxx");
+    4, honest, pin (8, 2408, 2408, 31304, "21032103", "317e0409bf652232");
+    4, coalition, pin (60, 2262, 2262, 37987, "2x13xxxx", "3a7b8eef74f1a8c9");
+    6, honest, pin (8, 8316, 8316, 124740, "420513241503", "8c84548913fb013a");
+    6, coalition, pin (60, 7285, 7285, 117783, "x20543xxxxxx", "9b574980108a0779");
+    8, honest, pin (11, 27840, 27840, 473280, "2563471076034125", "a1b66310c783573d");
+    8, coalition, pin (60, 22418, 22418, 402264, "27530xx1xxxxxxxx", "da9119799112b6a6");
   ]
 
 let pinned_dolev_strong =
   [
-    4, honest, pin (9, 448, 448, 21784, "13022031");
-    4, coalition, pin (60, 1375, 1375, 45538, "xxxxxxxx");
-    6, honest, pin (13, 1584, 1584, 81444, "250341250341");
-    6, coalition, pin (60, 1345, 1345, 60013, "xxxxxxxxxxxx");
-    8, honest, pin (17, 3840, 3840, 206640, "7615032442657310");
-    8, coalition, pin (60, 2102, 2102, 81909, "xxxxxxxxxxxxxxxx");
+    4, honest, pin (9, 448, 448, 21784, "13022031", "5917f89383f5e578");
+    4, coalition, pin (60, 1375, 1375, 45538, "xxxxxxxx", "643a98244c285da9");
+    6, honest, pin (13, 1584, 1584, 81444, "250341250341", "f1677edca4443dbf");
+    6, coalition, pin (60, 1345, 1345, 60013, "xxxxxxxxxxxx", "e2e09ccc4e584f60");
+    8, honest, pin (17, 3840, 3840, 206640, "7615032442657310", "e998205fde48f2d5");
+    8, coalition, pin (60, 2102, 2102, 81909, "xxxxxxxxxxxxxxxx", "dd01c09c471ab07f");
   ]
 
 let pinned_pi_bsm =
   [
-    4, honest, pin (18, 4352, 4352, 173280, "20131203");
-    4, coalition, pin (60, 3379, 2807, 106968, "10x3xxxx");
-    6, honest, pin (18, 23472, 23472, 997452, "042531052413");
-    6, coalition, pin (60, 19064, 18661, 788033, "42x531xxxxxx");
-    8, honest, pin (24, 106752, 106752, 4782656, "5036147214725036");
-    8, coalition, pin (60, 69669, 69458, 3108172, "56x314x2xxxxxxxx");
+    4, honest, pin (18, 4352, 4352, 173280, "20131203", "c98aaaa11cd403ec");
+    4, coalition, pin (60, 3379, 2807, 106968, "10x3xxxx", "0377bed5b60d1002");
+    6, honest, pin (18, 23472, 23472, 997452, "042531052413", "bfb99b0b08123ae1");
+    6, coalition, pin (60, 19064, 18661, 788033, "42x531xxxxxx", "292909cb9db13629");
+    8, honest, pin (24, 106752, 106752, 4782656, "5036147214725036", "42a17c77a5c39a0c");
+    8, coalition, pin (60, 69669, 69458, 3108172, "56x314x2xxxxxxxx", "4202f3c751e8befc");
   ]
 
 let pinned_majority_proxy =
   [
-    4, honest, pin (10, 3724, 3724, 66556, "23103201");
-    4, coalition, pin (10, 3724, 3724, 66556, "2310x201");
-    6, honest, pin (10, 17886, 17886, 371394, "321504421053");
-    6, coalition, pin (10, 17886, 17886, 371394, "3215044x10x3");
+    4, honest, pin (10, 3724, 3724, 66556, "23103201", "b7f6584b121c7bea");
+    4, coalition, pin (10, 3724, 3724, 66556, "2310x201", "b7f6584b121c7bea");
+    6, honest, pin (10, 17886, 17886, 371394, "321504421053", "bddb3ec165ce1aed");
+    6, coalition, pin (10, 17886, 17886, 371394, "3215044x10x3", "55157910a6c1e596");
   ]
 
 let pinned_signature_proxy =
   [
-    4, honest, pin (10, 1120, 1120, 72892, "21303102");
-    4, coalition, pin (10, 1120, 1120, 72892, "2x303xxx");
-    6, honest, pin (14, 5544, 5544, 388734, "125430501432");
-    6, coalition, pin (60, 3371, 3159, 209955, "1x4352xx5xxx");
-    8, honest, pin (20, 17280, 17280, 1273944, "5437602157621043");
-    8, coalition, pin (60, 10591, 10394, 714324, "2x3x5641xxx2xxxx");
+    4, honest, pin (10, 1120, 1120, 72892, "21303102", "d17f37ca36b151b0");
+    4, coalition, pin (10, 1120, 1120, 72892, "2x303xxx", "207ab89b61a41224");
+    6, honest, pin (14, 5544, 5544, 388734, "125430501432", "120bea89dfd0077d");
+    6, coalition, pin (60, 3371, 3159, 209955, "1x4352xx5xxx", "bf73d96cf6426947");
+    8, honest, pin (20, 17280, 17280, 1273944, "5437602157621043", "0cb4ba69403d6781");
+    8, coalition, pin (60, 10591, 10394, 714324, "2x3x5641xxx2xxxx", "b7cea9b994625877");
   ]
 
 (* --- report rendering ------------------------------------------------------ *)

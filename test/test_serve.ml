@@ -516,33 +516,60 @@ let test_uds_end_to_end () =
   Alcotest.(check int) "all matched over the socket" n matched
 
 let test_uds_rejects_bad_frames () =
-  (* A byzantine client: a giant length prefix must be a Bad_frame
-     event, not an allocation or a crash. *)
+  (* A byzantine client: a giant length prefix, or one that [Wire.uint]
+     rejects because it overflows the word, must be a Bad_frame event,
+     not an allocation, a crash or a request. A valid request written one
+     byte per [write] must still arrive as one request. *)
   let path = Filename.temp_file "bsm-serve" ".sock" in
   Sys.remove path;
   let listener = Serve.Uds.listen ~path in
-  let writer =
-    Domain.spawn (fun () ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX path);
-        let junk = Bytes.of_string "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f" in
-        ignore (Unix.write fd junk 0 (Bytes.length junk));
-        fd)
+  let first_event ?(bytewise = false) bytes =
+    let writer =
+      Domain.spawn (fun () ->
+          let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+          Unix.connect fd (Unix.ADDR_UNIX path);
+          let b = Bytes.of_string bytes in
+          if bytewise then
+            Bytes.iteri
+              (fun i _ ->
+                ignore (Unix.write fd b i 1);
+                Unix.sleepf 0.002)
+              b
+          else ignore (Unix.write fd b 0 (Bytes.length b));
+          fd)
+    in
+    let deadline = Unix.gettimeofday () +. 5. in
+    let rec wait () =
+      if Unix.gettimeofday () > deadline then Alcotest.fail "no Request or Bad_frame event"
+      else
+        match
+          List.find_opt
+            (function
+              | Serve.Uds.Bad_frame _ | Serve.Uds.Request _ -> true
+              | Serve.Uds.Connect _ | Serve.Uds.Disconnect _ -> false)
+            (Serve.Uds.poll listener ~timeout_s:0.05)
+        with
+        | Some event -> event
+        | None -> wait ()
+    in
+    let event = wait () in
+    Unix.close (Domain.join writer);
+    event
   in
-  let deadline = Unix.gettimeofday () +. 5. in
-  let rec wait_bad () =
-    if Unix.gettimeofday () > deadline then Alcotest.fail "no Bad_frame event"
-    else
-      match
-        List.find_opt
-          (function Serve.Uds.Bad_frame _ -> true | _ -> false)
-          (Serve.Uds.poll listener ~timeout_s:0.05)
-      with
-      | Some _ -> ()
-      | None -> wait_bad ()
+  let bad name bytes =
+    match first_event bytes with
+    | Serve.Uds.Bad_frame _ -> ()
+    | _ -> Alcotest.failf "%s: expected a Bad_frame event" name
   in
-  wait_bad ();
-  Unix.close (Domain.join writer);
+  bad "giant prefix" "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x7f";
+  bad "prefix overflowing the word"
+    ("\x81\x80\x80\x80\x80\x80\x80\x80\x80\x02" ^ Wire.encode Frame.request_codec Frame.Bye);
+  let spec = gs_spec 7 in
+  let request = Wire.encode Frame.request_codec (Frame.Submit spec) in
+  (match first_event ~bytewise:true (Wire.encode Wire.string request) with
+  | Serve.Uds.Request (_, Frame.Submit got) ->
+    Alcotest.(check bool) "the request arrives whole" true (got = spec)
+  | _ -> Alcotest.fail "a request written byte by byte did not arrive");
   Serve.Uds.shutdown listener
 
 (* --- frame codecs -------------------------------------------------------- *)

@@ -186,11 +186,15 @@ let test_hex_rejects_junk () =
   rejects "zz";
   rejects "0A Z"
 
-(* [Dec.peek_uint] against [Dec.uint] on the same bytes: every clean
-   varint, every truncation, overlong and overflowing forms, and random
-   bytes, at a random offset inside a padded string with a random limit.
-   Agreement means the same value and the same end position, or [-1]
-   exactly where [uint] raises. *)
+(* Each cursor reader against its decoder on the same bytes: every clean
+   varint, string and header run, every truncation, overlong and
+   overflowing forms, and random bytes, at a random offset inside a
+   padded string with a random limit. Agreement means the same value or
+   span and the same end position, or [-1] exactly where the decoder
+   raises; [peek_uint_partial] answers [-2] exactly where [uint] raises
+   only because the input ends. *)
+let header_fields = Wire.Dec.[| Side; Uint; Side; Uint; Uint; Uint |]
+
 let test_peek_uint_matches_uint () =
   let rng = Rng.make 77 in
   let encoded n =
@@ -198,43 +202,152 @@ let test_peek_uint_matches_uint () =
     Wire.Enc.uint e n;
     Wire.Enc.to_string e
   in
-  let clean =
-    List.map encoded
-      [ 0; 1; 127; 128; 300; 16383; 16384; 1 lsl 35; max_int - 1; max_int ]
-  in
+  let ints = [ 0; 1; 2; 127; 128; 300; 16383; 16384; 1 lsl 35; max_int - 1; max_int ] in
+  let clean = List.map encoded ints in
   let odd =
-    [ "\x80\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\x7f"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00";
-      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01"; "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00";
-      "\xff\xff\xff\xff\xff\xff\xff\xff\x40"; "" ]
+    [ "\x80\x00"; "\x81\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\x7f";
+      "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x00"; "\xff\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+      "\x80\x80\x80\x80\x80\x80\x80\x80\x80\x80\x00";
+      "\x81\x80\x80\x80\x80\x80\x80\x80\x80\x02"; "\xff\xff\xff\xff\xff\xff\xff\xff\x40"; "" ]
+  in
+  let strings =
+    List.map (Wire.encode Wire.string) [ ""; "a"; "abc"; String.make 130 's' ]
+    @ [ "\x83\x00abc"; "\x03abcd"; "\x05ab"; "\xff\xff\xff\xff\xff\xff\xff\xff\x7fx" ]
+  in
+  let runs =
+    List.init 40 (fun _ ->
+        String.concat ""
+          (List.map
+             (fun _ ->
+               match Rng.int rng 5 with
+               | 0 -> encoded (Rng.int rng 3)
+               | 1 -> "\x81\x00"
+               | _ -> List.nth clean (Rng.int rng (List.length clean)))
+             (Array.to_list header_fields)))
   in
   let random = List.init 400 (fun _ -> String.init (Rng.int rng 12) (fun _ -> Char.chr (Rng.int rng 256))) in
   let cases =
     List.concat_map
       (fun f -> f :: List.init (String.length f) (fun n -> String.sub f 0 n))
-      (clean @ odd)
+      (clean @ odd @ strings @ runs)
     @ random
   in
+  (* The decoder's answer on [bytes] inside [s]: [Some (value, end)], or
+     [None] where it raises. *)
+  let decode s ~off bytes read =
+    let d = Wire.Dec.of_slice (Wire.Slice.make s ~off ~len:(String.length bytes)) in
+    match read d with
+    | v -> Some (v, off + String.length bytes - Wire.Dec.remaining d)
+    | exception Wire.Malformed _ -> None
+  in
+  (* A reject must leave the cursor where it was. *)
+  let rejected pos ~off =
+    if !pos <> off then Alcotest.failf "a cursor reader moved the cursor on a reject";
+    None
+  in
+  let peek s ~off ~limit read =
+    let pos = ref off in
+    match read s pos ~limit with
+    | -1 -> rejected pos ~off
+    | v -> Some (v, !pos)
+  in
+  let span s ~off ~limit read =
+    let pos = ref off in
+    match read s pos ~limit with
+    | -1 -> rejected pos ~off
+    | o -> Some (String.sub s o (!pos - o), !pos)
+  in
+  let outcomes = Hashtbl.create 8 in
+  let seen name v = Hashtbl.replace outcomes (name, Option.is_some v) () in
   List.iter
     (fun bytes ->
       let pad = String.make (Rng.int rng 3) '\x81' in
       let s = pad ^ bytes ^ "\x05" in
       let off = String.length pad in
       let limit = off + String.length bytes in
-      let expected =
+      let agree name expected got =
+        seen name got;
+        if expected <> got then
+          Alcotest.failf "%s disagrees with its decoder on %s" name (Wire.to_hex bytes)
+      in
+      agree "peek_uint" (decode s ~off bytes Wire.Dec.uint)
+        (peek s ~off ~limit Wire.Dec.peek_uint);
+      let partial =
+        let pos = ref off in
+        match Wire.Dec.peek_uint_partial s pos ~limit with
+        | -1 -> `Bad
+        | -2 -> `Short
+        | v -> `Value (v, !pos)
+      in
+      let expected_partial =
         let d = Wire.Dec.of_slice (Wire.Slice.make s ~off ~len:(String.length bytes)) in
         match Wire.Dec.uint d with
-        | v -> Some (v, limit - Wire.Dec.remaining d)
-        | exception Wire.Malformed _ -> None
+        | v -> `Value (v, limit - Wire.Dec.remaining d)
+        | exception Wire.Malformed "unexpected end of input" -> `Short
+        | exception Wire.Malformed _ -> `Bad
       in
-      let pos = ref off in
-      let got =
-        match Wire.Dec.peek_uint s pos ~limit with
-        | -1 -> None
-        | v -> Some (v, !pos)
-      in
-      if expected <> got then
-        Alcotest.failf "peek_uint disagrees with uint on %s" (Wire.to_hex bytes))
-    cases
+      if partial <> expected_partial then
+        Alcotest.failf "peek_uint_partial disagrees with uint on %s" (Wire.to_hex bytes);
+      agree "peek_string"
+        (decode s ~off bytes Wire.Dec.string)
+        (span s ~off ~limit Wire.Dec.peek_string);
+      agree "peek_last_string"
+        (decode s ~off bytes (fun d ->
+             let v = Wire.Dec.string d in
+             if Wire.Dec.remaining d <> 0 then raise (Wire.Malformed "trailing bytes");
+             v))
+        (span s ~off ~limit Wire.Dec.peek_last_string);
+      let values = Array.make (Array.length header_fields) (-1) in
+      agree "peek_fields"
+        (decode s ~off bytes (fun d ->
+             Array.to_list
+               (Array.map
+                  (function
+                    | Wire.Dec.Uint -> Wire.Dec.uint d
+                    | Wire.Dec.Side -> Side.to_int (Wire.side.Wire.read d))
+                  header_fields)))
+        (match peek s ~off ~limit (fun s pos ~limit -> Wire.Dec.peek_fields s pos ~limit header_fields values) with
+        | Some (stop, pos) when stop = pos -> Some (Array.to_list values, pos)
+        | Some _ -> Alcotest.failf "peek_fields returned an end that is not its cursor"
+        | None -> None))
+    cases;
+  List.iter
+    (fun name ->
+      Alcotest.(check bool) (name ^ " accepts and rejects") true
+        (Hashtbl.mem outcomes (name, true) && Hashtbl.mem outcomes (name, false)))
+    [ "peek_uint"; "peek_string"; "peek_last_string"; "peek_fields" ]
+
+(* [Enc.uint] into a reused encoder and every cursor reader allocate
+   nothing: a varint write or a field read on the message path costs no
+   minor words. *)
+let test_cursor_readers_allocate_nothing () =
+  let e = Wire.Enc.create () in
+  let pair = Wire.encode (Wire.pair Wire.string Wire.string) ("tag", String.make 200 'p') in
+  let run = Wire.encode (Wire.pair Wire.party_id Wire.party_id) (Party_id.right 3, Party_id.left 300) in
+  let header = run ^ Wire.encode (Wire.pair Wire.uint Wire.uint) (70_000, 12) in
+  let values = Array.make (Array.length header_fields) 0 in
+  let pos = ref 0 in
+  let pass () =
+    for i = 0 to 999 do
+      Wire.Enc.reset e;
+      Wire.Enc.uint e (i * 1_000_003);
+      Wire.Enc.uint e max_int;
+      pos := 0;
+      ignore (Wire.Dec.peek_uint header pos ~limit:(String.length header));
+      pos := 0;
+      ignore (Wire.Dec.peek_uint_partial pair pos ~limit:1);
+      pos := 0;
+      ignore (Wire.Dec.peek_string pair pos ~limit:(String.length pair));
+      ignore (Wire.Dec.peek_last_string pair pos ~limit:(String.length pair));
+      pos := 0;
+      ignore (Wire.Dec.peek_fields header pos ~limit:(String.length header) header_fields values)
+    done
+  in
+  pass ();
+  let before = Gc.minor_words () in
+  pass ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check (float 0.)) "minor words over 1000 passes" 0. words
 
 (* --- random fuzzing ---------------------------------------------------------- *)
 
@@ -307,6 +420,8 @@ let () =
           Alcotest.test_case "overflowing varint rejected" `Quick
             test_overflowing_varint_rejected;
           Alcotest.test_case "peek_uint matches uint" `Quick test_peek_uint_matches_uint;
+          Alcotest.test_case "cursor readers allocate nothing" `Quick
+            test_cursor_readers_allocate_nothing;
           Alcotest.test_case "10-byte boundary still decodes" `Quick
             test_noncanonical_varint_roundtrip_boundary;
           Alcotest.test_case "forged string length rejected" `Quick
