@@ -22,9 +22,15 @@ bench:
 # and the recommended domain count are >= 2 (on one core that check is
 # skipped with a notice). The development host has 2 vCPUs shared with
 # other tenants, so the speedup line also prints host_parallel: near 1
-# the host, not the program, failed the check.
+# the host, not the program, failed the check. Runs at --jobs 1 and at
+# --jobs 2 (where each lane domain keeps its own engine planes); each
+# run's BENCH_chaos.quick.json must equal test/golden/chaos_quick.json
+# but for its "jobs" field.
 bench-quick:
-	dune exec bench/main.exe -- --quick
+	dune exec bench/main.exe -- --quick --jobs 1
+	cmp BENCH_chaos.quick.json test/golden/chaos_quick.json
+	dune exec bench/main.exe -- --quick --jobs 2
+	sed 's/^  "jobs": 2,$$/  "jobs": 1,/' BENCH_chaos.quick.json | cmp - test/golden/chaos_quick.json
 
 # Diff two bench files of the same schema — BENCH_sweeps, BENCH_scale,
 # BENCH_serve, BENCH_plane or BENCH_chaos — record by record, failing on

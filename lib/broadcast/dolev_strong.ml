@@ -68,10 +68,15 @@ let holds_extracted pos extracted payload =
   let field = Wire.Slice.make payload ~off ~len:(!pos - off) in
   List.exists (fun v -> Wire.Slice.equal (Wire.Slice.of_string v) field) extracted
 
-let make p ~signer ~sender ~input ~default =
+let make ?others p ~signer ~sender ~input ~default =
   let self = Crypto.Signer.id signer in
+  let others =
+    match others with
+    | Some others -> others
+    | None -> Machine.others ~self p.participants
+  in
   let extracted = ref [] in
-  let to_all = Machine.to_all Chain.codec ~self p.participants in
+  let to_all = Machine.to_all Chain.codec others in
   let initial =
     if Party_id.equal self sender then begin
       let chain = Chain.start signer input in

@@ -29,9 +29,13 @@ type params = {
 
 val rounds : params -> int
 
-(** [make p ~signer ~sender ~input ~default] — [input] is consulted only by
-    the sender. *)
+(** [make p ?others ~signer ~sender ~input ~default] — [input] is
+    consulted only by the sender; [others] defaults to {!Machine.others}
+    [~self p.participants] for the signer's [self], and a party making
+    several machines over one participant set passes that one list to
+    each. *)
 val make :
+  ?others:Party_id.t list ->
   params ->
   signer:Bsm_crypto.Crypto.Signer.t ->
   sender:Party_id.t ->

@@ -54,7 +54,7 @@ let make p ~self ~sender ~input =
   let everyone = Party_set.of_list p.participants in
   let possibly_corrupt = Adversary_structure.possibly_corrupt p.structure in
   let complement s = Party_set.diff everyone s in
-  let to_all = Machine.to_all codec ~self p.participants in
+  let to_all = Machine.to_all codec (Machine.others ~self p.participants) in
   let my_echo = ref None in
   let my_ready = ref None in
   let result = ref { value = None; grade = 0 } in

@@ -25,8 +25,10 @@ let run (net : Net.t) m =
   done;
   m.finish ()
 
-let to_all codec ~self participants =
-  let others = List.filter (fun dst -> not (Party_id.equal dst self)) participants in
+let others ~self participants =
+  List.filter (fun dst -> not (Party_id.equal dst self)) participants
+
+let to_all codec others =
   let enc = Wire.Enc.create () in
   fun msg -> [ others, Wire.encode_into enc codec msg ]
 

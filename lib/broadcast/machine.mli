@@ -22,7 +22,8 @@ open Bsm_prelude
     [List.concat_map (fun (dsts, p) -> List.map (fun d -> d, p) dsts)],
     and both drivers send exactly those, through one [Net.send_many] per
     fan-out. A broadcast is one fan-out whose destination list is built
-    once per machine and shared by every round ({!to_all}), so a step
+    once per party and participant set and shared by every machine of
+    that party and every round ({!others}, {!to_all}), so a step
     allocates nothing per receiver. *)
 type outbox = (Party_id.t list * string) list
 
@@ -47,13 +48,18 @@ val map : ('a -> 'b) -> 'a t -> 'b t
     exactly [m.rounds] calls to [Net.sync]. *)
 val run : Bsm_runtime.Net.t -> 'out t -> 'out
 
-(** [to_all codec ~self participants] is a machine's broadcast: each call
-    encodes its message once, with an encoder owned by this [to_all] (a
-    machine is single-fiber, so no two encodes overlap), and returns the
-    one fan-out [[others, payload]], where [others] — [participants]
-    without [self], in order — is computed once, here. *)
-val to_all :
-  'a Bsm_wire.Wire.t -> self:Party_id.t -> Party_id.t list -> 'a -> outbox
+(** [others ~self participants] is [participants] without [self], in
+    order: where [self] broadcasts in that participant set. Build it once
+    per party and participant set, where the party's machines are made,
+    and pass it to each of them, so the party's machines share one list
+    for the whole run. *)
+val others : self:Party_id.t -> Party_id.t list -> Party_id.t list
+
+(** [to_all codec others] is a machine's broadcast to [others] (see
+    {!others}): each call encodes its message once, with an encoder owned
+    by this [to_all] (a machine is single-fiber, so no two encodes
+    overlap), and returns the one fan-out [[others, payload]]. *)
+val to_all : 'a Bsm_wire.Wire.t -> Party_id.t list -> 'a -> outbox
 
 (** Keep at most the first message of each sender (protocol steps must
     count each sender once, or byzantine floods would inflate quorums). *)

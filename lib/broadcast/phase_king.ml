@@ -167,14 +167,14 @@ let params ~structure ~participants =
 
 let rounds p = 3 * List.length p.kings
 
-let make_with_peek p ~self ~input =
+let make_with_peek p ~self ~others ~input =
   let v = ref input in
   let locked = ref false in
   let my_proposal = ref None in
   let everyone_set = Party_set.of_list p.participants in
   let complement s = Party_set.diff everyone_set s in
   let possibly_corrupt = Adversary_structure.possibly_corrupt p.structure in
-  let to_all = Machine.to_all Msg.codec ~self p.participants in
+  let to_all = Machine.to_all Msg.codec others in
   let num_kings = List.length p.kings in
   let step ~round ~inbox =
     (* Rounds are grouped in threes per king iteration:
@@ -231,4 +231,5 @@ let make_with_peek p ~self ~input =
   in
   machine, fun () -> !v
 
-let make p ~self ~input = fst (make_with_peek p ~self ~input)
+let make p ~self ~input =
+  fst (make_with_peek p ~self ~others:(Machine.others ~self p.participants) ~input)

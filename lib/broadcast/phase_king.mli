@@ -107,10 +107,17 @@ val params :
 (** Virtual rounds consumed: [3 · #kings]. *)
 val rounds : params -> int
 
-(** [make p ~self ~input] is one party's machine; output is the agreed
-    value. [peek] (second component) reads the party's current value — used
-    by {!Pi_ba} to bolt on the echo round. *)
+(** [make_with_peek p ~self ~others ~input] is one party's machine;
+    output is the agreed value. [others] is {!Machine.others} [~self
+    p.participants]. [peek] (second component) reads the party's current
+    value — used by {!Pi_ba} to bolt on the echo round. *)
 val make_with_peek :
-  params -> self:Party_id.t -> input:string -> string Machine.t * (unit -> string)
+  params ->
+  self:Party_id.t ->
+  others:Party_id.t list ->
+  input:string ->
+  string Machine.t * (unit -> string)
 
+(** [make p ~self ~input] is the machine alone, broadcasting to its own
+    {!Machine.others}. *)
 val make : params -> self:Party_id.t -> input:string -> string Machine.t

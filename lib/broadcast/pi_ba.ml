@@ -5,13 +5,18 @@ module Votes = Phase_king.Votes
 
 let rounds p = Phase_king.rounds p + 1
 
-let make (p : Phase_king.params) ~self ~input =
-  let king_machine, peek = Phase_king.make_with_peek p ~self ~input in
+let make ?others (p : Phase_king.params) ~self ~input =
+  let others =
+    match others with
+    | Some others -> others
+    | None -> Machine.others ~self p.participants
+  in
+  let king_machine, peek = Phase_king.make_with_peek p ~self ~others ~input in
   let king_rounds = king_machine.Machine.rounds in
   let output = ref None in
   let everyone_set = Party_set.of_list p.participants in
   let possibly_corrupt = Adversary_structure.possibly_corrupt p.structure in
-  let to_all = Machine.to_all Msg.codec ~self p.participants in
+  let to_all = Machine.to_all Msg.codec others in
   let step ~round ~inbox =
     if round <= king_rounds then begin
       let outbox = king_machine.Machine.step ~round ~inbox in

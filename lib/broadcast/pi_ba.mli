@@ -15,5 +15,12 @@ open Bsm_prelude
 (** [rounds p] — virtual rounds consumed. *)
 val rounds : Phase_king.params -> int
 
+(** [make p ~self ?others ~input]; [others] defaults to {!Machine.others}
+    [~self p.participants], and a party making several machines over one
+    participant set passes that one list to each. *)
 val make :
-  Phase_king.params -> self:Party_id.t -> input:string -> string option Machine.t
+  ?others:Party_id.t list ->
+  Phase_king.params ->
+  self:Party_id.t ->
+  input:string ->
+  string option Machine.t

@@ -3,11 +3,16 @@ module Msg = Phase_king.Msg
 
 let rounds p = 1 + Pi_ba.rounds p
 
-let make (p : Phase_king.params) ~self ~sender ~input ~default =
+let make ?others (p : Phase_king.params) ~self ~sender ~input ~default =
+  let others =
+    match others with
+    | Some others -> others
+    | None -> Machine.others ~self p.participants
+  in
   let ba = ref None in
   let initial =
     if Party_id.equal self sender then
-      Machine.to_all Msg.codec ~self p.participants (Msg.Sender input)
+      Machine.to_all Msg.codec others (Msg.Sender input)
     else []
   in
   let step ~round ~inbox =
@@ -20,7 +25,7 @@ let make (p : Phase_king.params) ~self ~sender ~input ~default =
             (Phase_king.Votes.first_from ~tag:Msg.sender_tag sender inbox)
             ~default
       in
-      let machine = Pi_ba.make p ~self ~input:ba_input in
+      let machine = Pi_ba.make p ~self ~others ~input:ba_input in
       ba := Some machine;
       machine.Machine.initial
     end

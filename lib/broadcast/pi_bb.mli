@@ -9,9 +9,10 @@ open Bsm_prelude
 
 val rounds : Phase_king.params -> int
 
-(** [make p ~self ~sender ~input ~default] — [input] is only consulted when
-    [self = sender]. *)
+(** [make p ~self ?others ~sender ~input ~default] — [input] is only
+    consulted when [self = sender]; [others] is as for {!Pi_ba.make}. *)
 val make :
+  ?others:Party_id.t list ->
   Phase_king.params ->
   self:Party_id.t ->
   sender:Party_id.t ->

@@ -20,16 +20,18 @@ let engine_rounds (setting : Setting.t) =
 
 let default_prefs k = SM.Prefs.identity k
 
-(* One broadcast machine per sender; output normalized to [string option]. *)
+(* One broadcast machine per sender, all sharing [self]'s destination
+   list; output normalized to [string option]. *)
 let machines (setting : Setting.t) ~pki ~self ~input_bytes =
   let k = setting.k in
   let senders = Party_id.all ~k in
+  let others = B.Machine.others ~self senders in
   let default = Wire.encode SM.Prefs.codec (default_prefs k) in
   let machine_for sender =
     let input = if Party_id.equal sender self then input_bytes else "" in
     match setting.auth with
     | Setting.Unauthenticated ->
-      B.Pi_bb.make (pk_params setting) ~self ~sender ~input ~default
+      B.Pi_bb.make (pk_params setting) ~self ~others ~sender ~input ~default
     | Setting.Authenticated ->
       let params =
         {
@@ -38,8 +40,8 @@ let machines (setting : Setting.t) ~pki ~self ~input_bytes =
           verifier = Crypto.Pki.verifier pki;
         }
       in
-      B.Dolev_strong.make params ~signer:(Crypto.Pki.signer pki self) ~sender ~input
-        ~default
+      B.Dolev_strong.make params ~others ~signer:(Crypto.Pki.signer pki self) ~sender
+        ~input ~default
       |> B.Machine.map Option.some
   in
   List.map (fun sender -> Party_id.to_string sender, machine_for sender) senders

@@ -202,26 +202,49 @@ let forward_slice_codec : Wire.Slice.t Wire.t =
     read = (fun _ -> raise (Wire.Malformed "forward_slice_codec is write-only"));
   }
 
+(* A party's channels, read off the topology once per net: whether
+   [self] has a channel to a party of each side other than itself, as
+   [Engine.run]'s [side_links] reads them. [reaches] then judges a
+   destination by its fields, with no call into [Topology] or
+   [Party_id]. *)
+type links = {
+  self : Party_id.t;
+  to_left : bool;
+  to_right : bool;
+}
+
+let links topology self =
+  let to_side side =
+    Topology.connected topology (Party_id.make self.Party_id.side 0) (Party_id.make side 1)
+  in
+  { self; to_left = to_side Side.Left; to_right = to_side Side.Right }
+
+let reaches l side index =
+  (match (side : Side.t) with
+  | Left -> l.to_left
+  | Right -> l.to_right)
+  && not (Header.is_party side index l.self)
+
 (* Forwarding needs only the header: a relay replays the claimed-[src]
    frame towards [dst] verbatim (body and all), and the receiver is the
    one who judges the payload — signature check or majority vote. A
    frame whose body is garbage is forwarded like any other and dies at
    the receiver's decode, exactly as a byzantine relay could arrange
    anyway. *)
-let forward_payload (env : Engine.env) h ~topology ~from ~(data : Wire.Slice.t) =
-  if Header.read h data && Header.is_party h.src_side h.src_index from then begin
-    let dst = Party_id.make h.dst_side h.dst_index in
-    if Topology.connected topology env.self dst && not (Party_id.equal dst env.self)
-    then env.send_w forward_slice_codec dst data
-  end
+let forward_payload (env : Engine.env) h l ~from ~(data : Wire.Slice.t) =
+  if
+    Header.read h data
+    && Header.is_party h.src_side h.src_index from
+    && reaches l h.dst_side h.dst_index
+  then env.send_w forward_slice_codec (Party_id.make h.dst_side h.dst_index) data
 
 let forward_duty (env : Engine.env) ~topology =
-  let h = Header.create () in
+  let h = Header.create () and l = links topology env.self in
   fun (e : Engine.envelope) ->
     (* Only Request frames matter here, and most traffic is Direct — check
        the leading tag byte before paying for any parsing. *)
     if Wire.Slice.length e.data > 0 && Wire.Slice.get e.data 0 = request_tag then
-      forward_payload env h ~topology ~from:e.src ~data:e.data
+      forward_payload env h l ~from:e.src ~data:e.data
 
 (* --- replay suppression ----------------------------------------------------- *)
 
@@ -262,7 +285,11 @@ module Delivered = struct
       stray = Hashtbl.create 1;
     }
 
-  let sender t side index = t.roster.((Side.to_int side * t.k) + index)
+  let sender t (side : Side.t) index =
+    t.roster.((match side with
+              | Left -> 0
+              | Right -> t.k)
+              + index)
 
   let mem t side index id =
     if index < t.k then begin
@@ -324,7 +351,8 @@ let virtual_net (env : Engine.env) ~topology ~auth =
      arbitrary-initial-state start can. *)
   env.register_state Wire.uint vround;
   env.register_state Wire.uint next_id;
-  let reachable dst = Topology.connected topology self dst in
+  let l = links topology self in
+  let reachable (dst : Party_id.t) = reaches l dst.side dst.index in
   let writer = Wire.Enc.create () in
   let request dst body =
     let id = !next_id in
@@ -471,7 +499,7 @@ let virtual_net (env : Engine.env) ~topology ~auth =
       in
       if tag = request_tag then begin
         (* Relay duty never needs the body — header scan only. *)
-        forward_payload env h ~topology ~from:e.src ~data:e.data;
+        forward_payload env h l ~from:e.src ~data:e.data;
         scan n direct forwards rest
       end
       else if tag = forward_tag then scan n direct ((e.src, e.data) :: forwards) rest

@@ -65,6 +65,7 @@ let computing_program (setting : Setting.t) ~pki ~computing_side ~input ~self
   let c_members = Party_id.side_members computing_side ~k in
   let o_members = Party_id.side_members other_side ~k in
   let params = pk_params setting computing_side in
+  let others = B.Machine.others ~self params.B.Phase_king.participants in
   let default = default_bytes k in
   (* Round 0 → 1: collect the preference lists the O-side sent. *)
   let o_prefs_received =
@@ -91,14 +92,14 @@ let computing_program (setting : Setting.t) ~pki ~computing_side ~input ~self
         let input_bytes =
           if Party_id.equal c self then Wire.encode SM.Prefs.codec input else ""
         in
-        tag, B.Pi_bb.make params ~self ~sender:c ~input:input_bytes ~default)
+        tag, B.Pi_bb.make params ~self ~others ~sender:c ~input:input_bytes ~default)
       c_members
   in
   let ba_machines =
     List.map
       (fun o ->
         let tag = "BA:" ^ Party_id.to_string o in
-        tag, B.Pi_ba.make params ~self ~input:(o_input o))
+        tag, B.Pi_ba.make params ~self ~others ~input:(o_input o))
       o_members
   in
   let net =

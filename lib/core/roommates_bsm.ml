@@ -32,12 +32,13 @@ let program ~k ~t ~pki ~input ~self (env : Engine.env) =
   let params =
     { B.Dolev_strong.participants; t; verifier = Crypto.Pki.verifier pki }
   in
+  let others = B.Machine.others ~self participants in
   let machines =
     List.map
       (fun sender ->
         let bytes = if Party_id.equal sender self then Wire.encode prefs_codec input else "" in
         ( Party_id.to_string sender,
-          B.Dolev_strong.make params ~signer:(Crypto.Pki.signer pki self) ~sender
+          B.Dolev_strong.make params ~others ~signer:(Crypto.Pki.signer pki self) ~sender
             ~input:bytes ~default:"" ))
       participants
   in

@@ -179,13 +179,18 @@ type fiber_state =
    [bytes_sent], so a running fiber writes only its own cell. Delivery
    freezes the arena into one immutable base string and hands out
    [(offset, len)] views of it; the encoder's storage is then reset and
-   reused next round. *)
+   reused next round. [arena_cap] is the arena's storage in bytes (it
+   grows as {!Wire.Enc.create} says), and the [*_peak] fields are the
+   most the current run has used: what {!give_back} trims to. *)
 type outbox = {
-  arena : Wire.Enc.t;
+  mutable arena : Wire.Enc.t;
+  mutable arena_cap : int;
+  mutable arena_peak : int;
   mutable out_dsts : Party_id.t array;
   mutable out_offs : int array;
   mutable out_lens : int array;
   mutable out_len : int;
+  mutable out_peak : int;
   mutable last_data : payload; (* last string appended via [Send] this round *)
   mutable last_off : int;
 }
@@ -206,9 +211,19 @@ type inbox = {
   mutable in_off : int array;
   mutable in_len : int array;
   mutable in_count : int;
+  mutable in_peak : int;
   mutable run_base : string array;
   mutable run_start : int array;
   mutable runs : int;
+  mutable runs_peak : int;
+}
+
+(* A party's message-plane storage. A plane belongs to one run from
+   [take_planes] to [give_back]; between runs it sits in its domain's
+   free list, empty and trimmed. *)
+type plane = {
+  outbox : outbox;
+  inbox : inbox;
 }
 
 type cell = {
@@ -222,11 +237,102 @@ type cell = {
 }
 
 let no_strings : string array = [||]
+let min_arena = 64
+let min_rows = 8
+
+let fresh_plane () =
+  {
+    outbox =
+      {
+        arena = Wire.Enc.create ~size:min_arena ();
+        arena_cap = min_arena;
+        arena_peak = 0;
+        out_dsts = [||];
+        out_offs = [||];
+        out_lens = [||];
+        out_len = 0;
+        out_peak = 0;
+        last_data = "";
+        last_off = 0;
+      };
+    inbox =
+      {
+        in_src = [||];
+        in_off = [||];
+        in_len = [||];
+        in_count = 0;
+        in_peak = 0;
+        run_base = no_strings;
+        run_start = [||];
+        runs = 0;
+        runs_peak = 0;
+      };
+  }
+
+(* The planes the last run on this domain gave back, by dense party
+   index. A run empties the list when it starts, so a nested run (a
+   fiber that runs an engine) finds none of its caller's planes, and a
+   run that raises gives nothing back. *)
+let free_planes : plane array Domain.DLS.key = Domain.DLS.new_key (fun () -> [||])
+
+let take_planes n =
+  let free = Domain.DLS.get free_planes in
+  Domain.DLS.set free_planes [||];
+  Array.init n (fun i -> if i < Array.length free then free.(i) else fresh_plane ())
+
+(* A vector whose run used [peak] rows keeps at most twice [max peak
+   min_rows] of them; its rows past the run's are never read. *)
+let trim v peak =
+  let keep = max peak min_rows in
+  if Array.length v > 2 * keep then Array.sub v 0 keep else v
+
+let note_arena ob =
+  let used = Wire.Enc.length ob.arena in
+  if used > ob.arena_peak then ob.arena_peak <- used
+
+(* An arena of [cap] bytes that has held [used] doubles until they fit
+   ({!Wire.Enc.create}). *)
+let rec grown cap used = if used <= cap then cap else grown (2 * cap) used
+
+(* Clear each plane of every payload reference and trim it to twice what
+   this run used, then make the planes this domain's free list: it keeps
+   storage of about the next run's size and nothing that pins a frozen
+   arena or a payload string. The run's final delivery pass has already
+   emptied every outbox (and its [last_data]); an inbox may still hold
+   rows for a party that ran out of rounds. *)
+let give_back planes =
+  Array.iter
+    (fun ({ outbox = ob; inbox = ib } : plane) ->
+      let cap = grown ob.arena_cap ob.arena_peak in
+      let keep = max ob.arena_peak min_arena in
+      if cap > 2 * keep then begin
+        ob.arena <- Wire.Enc.create ~size:keep ();
+        ob.arena_cap <- keep
+      end
+      else ob.arena_cap <- cap;
+      ob.out_dsts <- trim ob.out_dsts ob.out_peak;
+      ob.out_offs <- trim ob.out_offs ob.out_peak;
+      ob.out_lens <- trim ob.out_lens ob.out_peak;
+      ob.arena_peak <- 0;
+      ob.out_peak <- 0;
+      Array.fill ib.run_base 0 ib.runs "";
+      let in_peak = max ib.in_peak ib.in_count and runs_peak = max ib.runs_peak ib.runs in
+      ib.in_src <- trim ib.in_src in_peak;
+      ib.in_off <- trim ib.in_off in_peak;
+      ib.in_len <- trim ib.in_len in_peak;
+      ib.run_base <- trim ib.run_base runs_peak;
+      ib.run_start <- trim ib.run_start runs_peak;
+      ib.in_count <- 0;
+      ib.runs <- 0;
+      ib.in_peak <- 0;
+      ib.runs_peak <- 0)
+    planes;
+  Domain.DLS.set free_planes planes
 
 let outbox_record ob dst ~off ~len =
   let cap = Array.length ob.out_dsts in
   if ob.out_len = cap then begin
-    let cap' = max 8 (2 * cap) in
+    let cap' = max min_rows (2 * cap) in
     let dsts' = Array.make cap' dst
     and offs' = Array.make cap' 0
     and lens' = Array.make cap' 0 in
@@ -245,7 +351,7 @@ let outbox_record ob dst ~off ~len =
 let inbox_push ib ~src_dense ~base ~off ~len =
   let cap = Array.length ib.in_src in
   if ib.in_count = cap then begin
-    let cap' = max 8 (2 * cap) in
+    let cap' = max min_rows (2 * cap) in
     let src' = Array.make cap' 0
     and off' = Array.make cap' 0
     and len' = Array.make cap' 0 in
@@ -259,7 +365,7 @@ let inbox_push ib ~src_dense ~base ~off ~len =
   if ib.runs = 0 || ib.run_base.(ib.runs - 1) != base then begin
     let cap = Array.length ib.run_base in
     if ib.runs = cap then begin
-      let cap' = max 8 (2 * cap) in
+      let cap' = max min_rows (2 * cap) in
       let base' = Array.make cap' "" and start' = Array.make cap' 0 in
       Array.blit ib.run_base 0 base' 0 ib.runs;
       Array.blit ib.run_start 0 start' 0 ib.runs;
@@ -291,36 +397,12 @@ let run ?pool cfg ~programs =
           Topology.connected t (Party_id.make sides.(i / 2) 0) (Party_id.make sides.(i mod 2) 1))
     | Custom _ -> [||]
   in
+  let planes = take_planes (Array.length roster_arr) in
   let cells =
-    Array.map
-      (fun id ->
-        {
-          id;
-          outbox =
-            {
-              arena = Wire.Enc.create ();
-              out_dsts = [||];
-              out_offs = [||];
-              out_lens = [||];
-              out_len = 0;
-              last_data = "";
-              last_off = 0;
-            };
-          inbox =
-            {
-              in_src = [||];
-              in_off = [||];
-              in_len = [||];
-              in_count = 0;
-              run_base = no_strings;
-              run_start = [||];
-              runs = 0;
-            };
-          state = Finished;
-          out = None;
-          scells = [];
-          finished = None;
-        })
+    Array.mapi
+      (fun i id ->
+        let ({ outbox; inbox } : plane) = planes.(i) in
+        { id; outbox; inbox; state = Finished; out = None; scells = []; finished = None })
       roster_arr
   in
   let iter_cells f = Array.iter f cells in
@@ -414,6 +496,7 @@ let run ?pool cfg ~programs =
       (match c.Wire.write arena v with
       | () -> ()
       | exception exn ->
+        note_arena ob;
         Wire.Enc.truncate arena start;
         raise exn);
       start
@@ -442,7 +525,10 @@ let run ?pool cfg ~programs =
     let send_multi_w c dsts v =
       let start = write c v in
       let len = Wire.Enc.length arena - start in
-      if dsts = [] then Wire.Enc.truncate arena start
+      if dsts = [] then begin
+        note_arena ob;
+        Wire.Enc.truncate arena start
+      end
       else List.iter (fun dst -> outbox_record ob dst ~off:start ~len) dsts
     in
     let send_slice dst (s : Wire.Slice.t) =
@@ -489,11 +575,20 @@ let run ?pool cfg ~programs =
     let started = List.map (fun cell -> cell, programs cell.id) (Array.to_list cells) in
     ignore (Pool.map p (fun (cell, program) -> start cell program) started));
 
+  let is_waiting c =
+    match c.state with
+    | Waiting _ -> true
+    | Finished | Failed _ -> false
+  in
+
   (* Deliver this round's traffic: freeze each sender's arena into one
      immutable base string and fan its [(offset, len)] spans out to the
      recipients' span vectors — one pass per sender, zero copies on the
      clean path. Drop precedence is unchanged: topology > fault-drop >
-     corrupt. *)
+     corrupt. A recipient that has returned or crashed is counted,
+     traced and staged like any other but gets no inbox row: no fiber
+     would ever collect it, and it would pin the sender's arena until
+     the run ends. *)
   let deliver () =
     iter_cells (fun cell ->
         let ob = cell.outbox in
@@ -501,6 +596,8 @@ let run ?pool cfg ~programs =
           let src = cell.id in
           let src_dense = Party_id.to_dense ~k src in
           let src_side = Side.to_int (Party_id.side src) in
+          note_arena ob;
+          if ob.out_len > ob.out_peak then ob.out_peak <- ob.out_len;
           let base = Wire.Enc.to_string ob.arena in
           messages_sent := !messages_sent + ob.out_len;
           for i = 0 to ob.out_len - 1 do
@@ -559,7 +656,7 @@ let run ?pool cfg ~programs =
                   bytes_delivered := !bytes_delivered + len;
                   if tracing then record src dst len `Delivered;
                   staged_prev := (link_idx, data) :: !staged_prev;
-                  inbox_push target.inbox ~src_dense ~base ~off ~len
+                  if is_waiting target then inbox_push target.inbox ~src_dense ~base ~off ~len
                 | Some (data', l) ->
                   incr messages_corrupted;
                   count_label l;
@@ -568,13 +665,14 @@ let run ?pool cfg ~programs =
                   bytes_delivered := !bytes_delivered + len';
                   record ~label:(Some l) src dst len' `Corrupted;
                   staged_prev := (link_idx, data') :: !staged_prev;
-                  inbox_push target.inbox ~src_dense ~base:data' ~off:0 ~len:len'
+                  if is_waiting target then
+                    inbox_push target.inbox ~src_dense ~base:data' ~off:0 ~len:len'
               end
               else begin
                 incr messages_delivered;
                 bytes_delivered := !bytes_delivered + len;
                 if tracing then record src dst len `Delivered;
-                inbox_push target.inbox ~src_dense ~base ~off ~len
+                if is_waiting target then inbox_push target.inbox ~src_dense ~base ~off ~len
               end
             end
           done;
@@ -612,17 +710,14 @@ let run ?pool cfg ~programs =
       (* Drop the base-string references so arenas from this round are
          not retained past it by the reused vector. *)
       Array.fill ib.run_base 0 ib.runs "";
+      if ib.in_count > ib.in_peak then ib.in_peak <- ib.in_count;
+      if ib.runs > ib.runs_peak then ib.runs_peak <- ib.runs;
       ib.in_count <- 0;
       ib.runs <- 0;
       !acc
     end
   in
 
-  let is_waiting c =
-    match c.state with
-    | Waiting _ -> true
-    | Finished | Failed _ -> false
-  in
   let some_waiting () = Array.exists is_waiting cells in
 
   (* State scrambling runs between rounds — after the previous round's
@@ -689,6 +784,7 @@ let run ?pool cfg ~programs =
       | e :: older -> e.event_round <= bound && monotone e.event_round older
     in
     monotone !round !trace);
+  give_back planes;
 
   let party_result cell =
     let status =

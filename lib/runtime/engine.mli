@@ -20,14 +20,15 @@
     round trip. Byzantine parties are simply fibers running arbitrary
     programs. Execution is deterministic.
 
-    Concurrency: [run] touches no global mutable state — every counter,
-    fiber, inbox and trace lives in the call's own frame — so
+    Concurrency: every counter, fiber, inbox and trace of a run lives in
+    the call's own frame, and the only state a run leaves behind is
+    storage capacity in a domain-local free list (see {!run}), so
     independent runs may execute on different domains simultaneously
     (this is what {!Pool} and the harness sweep layer rely on). One run
     can also use several domains: [run ~pool] resumes each round's
     fibers as one pool batch, so a party may continue on a different
     domain from the one it last ran on (see {!run} for the contract).
-    The only module-level value is the [Logs] source, which is created
+    The other module-level value is the [Logs] source, which is created
     once at load time; the default nop reporter makes concurrent [log]
     calls safe, but a custom reporter must itself be domain-safe when
     runs or their fibers execute in parallel. *)
@@ -366,7 +367,19 @@ type result = {
     programs of one run share no mutable state (immutable inputs such as
     a profile or a PKI may be shared). Do not call [run ~pool] from
     inside a task of any pool: {!Pool.map} raises [Invalid_argument]
-    there. *)
+    there.
+
+    Storage is reused per domain. A party's {e plane} — its frame
+    arena, outbox vectors and inbox vectors — comes from the calling
+    domain's free list when the run starts; the list is emptied then,
+    so a run nested in a fiber takes planes of its own. When the run
+    returns, its planes are cleared of every payload reference and
+    become the domain's list, each vector trimmed to at most twice the
+    rows it held at its peak in this run (at least 8) and each arena to
+    at most twice its peak bytes (at least 64): a domain keeps at most
+    the planes of its last run, bounded by what that run used. A run
+    that raises gives nothing back. No result — parties, metrics,
+    trace — depends on that storage. *)
 val run : ?pool:Pool.t -> config -> programs:(Party_id.t -> program) -> result
 
 (** [find_result res p] looks up one party's result. Raises

@@ -1,9 +1,10 @@
 (** Persistent domain pool for deterministic parallel sweeps.
 
     The benchmark and attack harnesses replay many independent protocol
-    executions ([Engine.run] is pure given its inputs: it touches no
-    global mutable state, and each run owns its fibers, counters and
-    trace). This pool spreads such runs across OCaml 5 domains while
+    executions ([Engine.run] is pure given its inputs: each run owns its
+    fibers, counters and trace, and the only state it keeps is storage
+    capacity — its message planes — in a domain-local free list, which
+    no result depends on). This pool spreads such runs across OCaml 5 domains while
     keeping the results {e bit-identical} to the sequential path. One
     execution can use it too: [Engine.run ~pool] runs each round's
     party fibers as one {!map} batch (one task per fiber start or

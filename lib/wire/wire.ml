@@ -11,7 +11,7 @@ let is_side_code n = n = 0 || n = 1
 module Enc = struct
   type t = Buffer.t
 
-  let create () = Buffer.create 64
+  let create ?(size = 64) () = Buffer.create size
   let to_string = Buffer.contents
 
   (* Forget the written bytes but keep the underlying storage, so one

@@ -17,7 +17,11 @@ exception Malformed of string
 module Enc : sig
   type t
 
-  val create : unit -> t
+  (** [create ?size ()] is an empty encoder whose storage starts at
+      [size] bytes (default 64) and doubles whenever a write does not
+      fit: once it has held at most [n > size] bytes, its storage is the
+      least [size * 2{^j}] at or above [n]. *)
+  val create : ?size:int -> unit -> t
 
   (** Encoded bytes so far. *)
   val to_string : t -> string

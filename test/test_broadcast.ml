@@ -1611,6 +1611,49 @@ let test_session_promotes_little () =
       true (promoted <= 100_000.)
   end
 
+(* Every Dolev–Strong machine of a party broadcasts to the same parties,
+   so the party builds that list once and its 2k machines share it
+   ([Machine.others]). The honest Dolev–Strong mechanism runs at k = 12
+   after a warm-up run on this domain, with L0 collecting the minor heap
+   before every round, so what the parties keep across rounds is
+   promoted there: ~125k words, and ~163k when each machine filters its
+   own list, 24 × 24 lists of 23 cells that live the whole run. *)
+let test_dolev_strong_session_promotes_little () =
+  if Sys.backend_type = Sys.Native then begin
+    let k = 12 in
+    let setting =
+      Bsm_core.Setting.make_exn ~k ~topology:Bsm_topology.Topology.Fully_connected
+        ~auth:Bsm_core.Setting.Authenticated ~t_left:k ~t_right:k
+    in
+    let pki = Crypto.Pki.setup ~k ~seed:1 in
+    let input = Bsm_stable_matching.Prefs.identity k in
+    let programs ~collect p (env : Engine.env) =
+      let env =
+        if collect && Party_id.equal p (Party_id.left 0) then
+          {
+            env with
+            next_round =
+              (fun () ->
+                Gc.minor ();
+                env.Engine.next_round ());
+          }
+        else env
+      in
+      Bsm_core.Bb_based.program setting ~pki ~input ~self:p env
+    in
+    let cfg =
+      Engine.config ~k ~link:(Engine.Of_topology Bsm_topology.Topology.Fully_connected) ()
+    in
+    ignore (Engine.run cfg ~programs:(programs ~collect:false));
+    Gc.full_major ();
+    let before = (Gc.quick_stat ()).Gc.promoted_words in
+    ignore (Engine.run cfg ~programs:(programs ~collect:true));
+    let promoted = (Gc.quick_stat ()).Gc.promoted_words -. before in
+    Alcotest.(check bool)
+      (Printf.sprintf "promoted %.0f words <= 140000" promoted)
+      true (promoted <= 140_000.)
+  end
+
 let qcheck = QCheck_alcotest.to_alcotest
 
 let () =
@@ -1640,6 +1683,8 @@ let () =
             test_gradecast_matches_reference;
           Alcotest.test_case "dolev-strong skip matches the reference" `Quick
             test_dolev_strong_skip_matches_reference;
+          Alcotest.test_case "dolev-strong session shares its lists" `Quick
+            test_dolev_strong_session_promotes_little;
           Alcotest.test_case "phase-king step allocation" `Quick
             test_phase_king_step_allocation;
           Alcotest.test_case "session promotes no vote state" `Quick

@@ -1128,19 +1128,27 @@ let test_trace_off_by_default () =
 
 let test_nested_engines () =
   (* A fiber may itself run an inner engine (the attack constructions do
-     exactly this); effects of inner fibers must not leak outward. *)
-  let inner_ok = ref false in
+     exactly this); effects of inner fibers must not leak outward. The
+     inner run takes planes of its own: L0 sends one frame before and one
+     after it, and the inner L0 sends many, so an inner run handed the
+     outer L0's outbox would deliver "before" inside itself and reset it.
+     The warm-up run leaves planes on this domain's free list first. *)
+  ignore (run ~k:1 (fun _ env -> env.Engine.send (Party_id.right 0) "warm-up"));
+  let inner_got = ref [] in
   let programs id env =
     if Party_id.equal id (Party_id.left 0) then begin
+      env.Engine.send (Party_id.right 0) "before";
       let inner =
         run ~k:1 (fun iid ienv ->
             if Party_id.equal iid (Party_id.left 0) then
-              ienv.Engine.send (Party_id.right 0) "inner"
-            else inner_ok := ienv.Engine.next_round () <> [])
+              for i = 1 to 100 do
+                ienv.Engine.send (Party_id.right 0) (Printf.sprintf "inner %d" i)
+              done
+            else inner_got := List.map data_str (ienv.Engine.next_round ()))
       in
       ignore inner;
       (* outer fiber still works after the nested run *)
-      env.Engine.send (Party_id.right 0) "outer"
+      env.Engine.send (Party_id.right 0) "after"
     end
     else begin
       let inbox = env.Engine.next_round () in
@@ -1148,9 +1156,150 @@ let test_nested_engines () =
     end
   in
   let res = run ~k:1 programs in
-  Alcotest.(check bool) "inner delivered" true !inner_ok;
+  Alcotest.(check (list string))
+    "inner delivered"
+    (List.init 100 (fun i -> Printf.sprintf "inner %d" (i + 1)))
+    !inner_got;
   let r0 = Engine.find_result res (Party_id.right 0) in
-  Alcotest.(check (option string)) "outer delivered" (Some "outer") r0.Engine.out
+  Alcotest.(check (option string)) "outer delivered" (Some "before,after") r0.Engine.out
+
+(* A party that has returned gets no inbox rows: R0 returns at round 0,
+   and L0 sends it 64 KB every round for 100 rounds. Each row would keep
+   that round's frozen arena alive until the run ends (6.4 MB here); the
+   messages are still delivered, counted and traced. *)
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+let test_stopped_party_gets_no_rows () =
+  let payload = String.make 65_536 'x' in
+  let base = ref 0 and last = ref 0 in
+  let programs id env =
+    if Party_id.equal id (Party_id.left 0) then
+      for r = 1 to 100 do
+        env.Engine.send (Party_id.right 0) payload;
+        if r = 2 then base := live_words ();
+        if r = 100 then last := live_words ();
+        ignore (env.Engine.next_round ())
+      done
+  in
+  let res = run ~k:1 programs in
+  let grown = !last - !base in
+  Alcotest.(check bool)
+    (Printf.sprintf "live words grew by %d <= 131072 (1 MB)" grown)
+    true (grown <= 131_072);
+  Alcotest.(check int) "messages delivered" 100 res.Engine.metrics.messages_delivered;
+  Alcotest.(check int) "bytes delivered" (100 * 65_536) res.Engine.metrics.bytes_delivered
+
+(* --- plane reuse --------------------------------------------------------- *)
+
+(* Each check runs on a fresh domain, whose free list of planes starts
+   empty. *)
+let on_fresh_domain f = Domain.join (Domain.spawn f)
+
+(* Words [f ()] allocates straight into the major heap on this domain:
+   arrays over 256 words and arenas over 2 KB, the storage a plane
+   regrows when it starts empty. Counted exactly, unlike minor words:
+   OCaml 5.1's count for one op moves in steps of ~115k words with the
+   minor collections that fall inside it (one honest Dolev–Strong k=8
+   op reads 293k, 408k, 522k or 637k). *)
+let direct_major_words f =
+  let _, promoted0, major0 = Gc.counters () in
+  f ();
+  let _, promoted1, major1 = Gc.counters () in
+  major1 -. promoted1 -. (major0 -. promoted0)
+
+(* The second honest Π_bSM k=8 op on a domain starts from the planes the
+   first one gave back, instead of regrowing every outbox, inbox and
+   arena from empty: ~628k words straight into the major heap for the
+   first op, ~337k for the second. *)
+let test_planes_reused () =
+  let setting =
+    Bsm_core.Setting.make_exn ~k:8 ~topology:Topology.Bipartite
+      ~auth:Bsm_core.Setting.Authenticated ~t_left:2 ~t_right:8
+  in
+  let op () =
+    let case = Bsm_harness.Sweep.case ~profile_seed:1 ~scenario_seed:1 setting in
+    ignore
+      (Sys.opaque_identity (Bsm_harness.Scenario.run (Bsm_harness.Sweep.scenario_of_case case)))
+  in
+  let first, second =
+    on_fresh_domain (fun () ->
+        let first = direct_major_words op in
+        first, direct_major_words op)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "second op allocates %.0f major words, first %.0f: >= 100k fewer" second
+       first)
+    true
+    (first -. second >= 100_000.)
+
+(* k = 4 parties that each send [frames] frames of [bytes] bytes to every
+   other party for three rounds. *)
+let chatter ~frames ~bytes _ env =
+  let payload = String.make bytes 'p' in
+  for _ = 1 to 3 do
+    List.iter
+      (fun dst ->
+        if not (Party_id.equal dst env.Engine.self) then
+          for _ = 1 to frames do
+            env.Engine.send_w Wire.string dst payload
+          done)
+      (Party_id.all ~k:4);
+    ignore (env.Engine.next_round ())
+  done
+
+(* What a domain keeps after a run is bounded by that run's use
+   (engine.mli): after a large run, the domain holds its planes (~2 MB
+   of arenas and span vectors); after a small run that follows it, only
+   storage of the small run's size, so a pool that kept the large
+   planes untrimmed fails. *)
+let test_kept_planes_bounded () =
+  let large, small =
+    on_fresh_domain (fun () ->
+        let l0 = live_words () in
+        ignore (run ~k:4 (chatter ~frames:64 ~bytes:512));
+        let l1 = live_words () in
+        ignore (run ~k:4 (chatter ~frames:1 ~bytes:8));
+        let l2 = live_words () in
+        l1 - l0, l2 - l0)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "after the large run the domain keeps %d words >= 200000" large)
+    true (large >= 200_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "after the small run the domain keeps %d words <= 4000" small)
+    true (small <= 4_000)
+
+(* A run that raises gives its planes back to no one: L0 sends R0 a frame
+   and then a frame to a corrupt destination, so delivery raises with
+   R0's inbox row and L0's outbox half-swept. The next run on the domain
+   starts clean. *)
+let test_raising_run_keeps_nothing () =
+  let evil : Party_id.t = Obj.magic (Side.Left, -3) in
+  on_fresh_domain (fun () ->
+      ignore (run ~k:1 (fun _ env -> env.Engine.send (Party_id.right 0) "warm-up"));
+      let raising id env =
+        if Party_id.equal id (Party_id.left 0) then begin
+          env.Engine.send (Party_id.right 0) "stale";
+          env.Engine.send evil "junk"
+        end
+        else ignore (env.Engine.next_round ())
+      in
+      (match run ~k:1 raising with
+      | _ -> Alcotest.fail "expected Invalid_argument"
+      | exception Invalid_argument _ -> ());
+      let res =
+        run ~k:1 (fun id env ->
+            if Party_id.equal id (Party_id.left 0) then
+              env.Engine.send (Party_id.right 0) "fresh"
+            else
+              env.Engine.output (String.concat "," (List.map data_str (env.Engine.next_round ()))))
+      in
+      Alcotest.(check (option string))
+        "only this run's frame" (Some "fresh")
+        (Engine.find_result res (Party_id.right 0)).Engine.out;
+      Alcotest.(check int) "messages sent" 1 res.Engine.metrics.messages_sent)
 
 let () =
   Alcotest.run "runtime"
@@ -1213,6 +1362,8 @@ let () =
           Alcotest.test_case "metrics accounting" `Quick test_metrics_accounting;
           Alcotest.test_case "raising codec rolls back" `Quick test_raising_codec_rolls_back;
           Alcotest.test_case "nested engines" `Quick test_nested_engines;
+          Alcotest.test_case "stopped party gets no inbox rows" `Quick
+            test_stopped_party_gets_no_rows;
           Alcotest.test_case "find_result out of roster" `Quick
             test_find_result_out_of_roster;
         ] );
@@ -1231,5 +1382,12 @@ let () =
             test_trace_final_flush_round;
           Alcotest.test_case "monotone through out-of-rounds cutoff" `Quick
             test_trace_rounds_monotone_at_cutoff;
+        ] );
+      ( "planes",
+        [
+          Alcotest.test_case "reuse happens" `Quick test_planes_reused;
+          Alcotest.test_case "what is kept is bounded" `Quick test_kept_planes_bounded;
+          Alcotest.test_case "a raising run keeps nothing" `Quick
+            test_raising_run_keeps_nothing;
         ] );
     ]
