@@ -613,6 +613,44 @@ let test_repro_rejects_scripted_adversary () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "scripted adversaries must not serialize"
 
+(* The bytes of a repro record and of a schedule with a corrupt atom and
+   a bernoulli rate, pinned as hex: repro files written earlier must
+   keep decoding to the same record. *)
+let test_repro_bytes_pinned () =
+  let schedule =
+    Schedule.union
+      (Schedule.during ~from_round:1 ~until_round:9
+         (Schedule.corrupt ~rate:0.3 ~kind:Mutation.Equivocate (Party_id.right 1)))
+      (Schedule.bernoulli ~rate:0.125)
+  in
+  let repro =
+    {
+      Repro.case =
+        H.Sweep.case ~label:"pinned" ~profile_seed:202 ~scenario_seed:(-3)
+          ~adversary:H.Sweep.Random_coalition
+          (setting ~k:3 ~topology:Topology.Bipartite ~auth:Core.Setting.Authenticated
+             ~tl:1 ~tr:2);
+      schedule;
+      seed = 9;
+      max_rounds = Some 150;
+      expected = Oracle.Expected_degradation;
+      fingerprint = "fp";
+    }
+  in
+  let schedule_hex = "0203010a0106010103b3e6cc9903b3e6ccfe030000010000808080fe030000" in
+  let repro_hex =
+    "0670696e6e65640302010102940305010203010a0106010103b3e6cc9903b3e6ccfe03000001"
+    ^ "0000808080fe0300001201960101026670"
+  in
+  Alcotest.(check string) "schedule bytes" schedule_hex
+    (Wire.to_hex (Wire.encode Schedule.codec schedule));
+  Alcotest.(check bool) "schedule decodes" true
+    (Wire.decode_exn Schedule.codec (Wire.of_hex schedule_hex) = schedule);
+  Alcotest.(check string) "repro bytes" repro_hex
+    (Wire.to_hex (Wire.encode Repro.codec repro));
+  Alcotest.(check bool) "repro decodes" true
+    (Wire.decode_exn Repro.codec (Wire.of_hex repro_hex) = repro)
+
 let test_repro_file_rejects_garbage () =
   let rejects content =
     let path = Filename.temp_file "bsm-repro" ".bad" in
@@ -965,6 +1003,7 @@ let () =
             test_repro_roundtrip_and_replay;
           Alcotest.test_case "scripted adversary rejected" `Quick
             test_repro_rejects_scripted_adversary;
+          Alcotest.test_case "repro bytes pinned" `Quick test_repro_bytes_pinned;
           Alcotest.test_case "garbage repro files rejected" `Quick
             test_repro_file_rejects_garbage;
           Alcotest.test_case "corrupt-state shrink and replay" `Quick

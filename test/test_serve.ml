@@ -609,6 +609,78 @@ let test_frame_codecs_roundtrip () =
   Alcotest.(check bool) "over-budget setting rejected" true
     (Result.is_error (Wire.decode Frame.workload_codec invalid))
 
+(* Every frame shape's bytes, pinned as hex: each value must encode to
+   its pinned bytes and decode back from them. The bSM submissions come
+   from the fuzz generator, whose draws are fixed by its seed. *)
+let check_pinned_hex name codec pins =
+  List.iteri
+    (fun i (v, hex) ->
+      let what = Printf.sprintf "%s %d" name i in
+      Alcotest.(check string) what hex (Wire.to_hex (Wire.encode codec v));
+      Alcotest.(check bool) (what ^ " decodes") true
+        (Wire.decode_exn codec (Wire.of_hex hex) = v))
+    pins
+
+let pinned_bsm_submits =
+  let rng = Rng.make 3 in
+  List.init 24 (fun _ -> Frame.gen_workload rng)
+  |> List.filter (function Frame.Bsm _ -> true | Frame.Gs _ -> false)
+  |> List.mapi (fun i workload -> Frame.Submit { req_id = 10 + i; workload })
+
+let pinned_bsm_hex =
+  [
+    "000a010201010202cc4bd63d00";
+    "000b010601010301aa7ade2f00";
+    "000c0104020004029c03be0100";
+    "000d010201000102b67ed46301";
+    "000e010302010302ba098c6901";
+    "000f010502010300e442c88d0100";
+    "0010010102000101ec9101e66d01";
+    "0011010501000403f28301ac6900";
+    "0012010202010100bc29c8960101";
+    "0013010400010304c29601d63a00";
+    "00140101000100019270a21700";
+    "00150103020000039a35981901";
+    "0016010300000003f63bc83300";
+    "0017010501000500ec9a01e42a00";
+    "0018010600010501d02b842800";
+  ]
+
+let test_frame_bytes_pinned () =
+  let gs family =
+    Frame.Submit { req_id = 130; workload = Frame.Gs { k = 300; seed = -5; family } }
+  in
+  check_pinned_hex "request" Frame.request_codec
+    [
+      gs SM.Flat.Uniform, "00820100ac020900";
+      gs SM.Flat.Common_acceptors, "00820100ac020901";
+      Frame.Bye, "01";
+    ];
+  check_pinned_hex "bsm submit" Frame.request_codec
+    (List.combine pinned_bsm_submits pinned_bsm_hex);
+  (* The submissions cover every topology and every auth: bytes 4 and 5
+     of a bSM submission (tag, one-byte id, tag, k) are their tags. *)
+  let tags =
+    List.sort_uniq compare
+      (List.map (fun h -> String.sub h 8 2, String.sub h 10 2) pinned_bsm_hex)
+  in
+  Alcotest.(check int) "topology x auth covered" 6 (List.length tags);
+  let done_ outcome = Frame.Done { req_id = 77; outcome; arrival_tick = 3; done_tick = 900 } in
+  check_pinned_hex "response" Frame.response_codec
+    [
+      Frame.Accepted { req_id = 129 }, "008101";
+      Frame.Rejected { req_id = 5; reason = Frame.Queue_full }, "010500";
+      Frame.Rejected { req_id = 5; reason = Frame.Too_large }, "010501";
+      Frame.Rejected { req_id = 5; reason = Frame.Unsolvable }, "010502";
+      Frame.Rejected { req_id = 5; reason = Frame.Shutting_down }, "010503";
+      done_ (Frame.Matched { fingerprint = 0x8123_4567_89ab_cdefL; rounds = 12 }),
+      "024d00ef9bafcd08e78a8d89080c038407";
+      done_ (Frame.Matched { fingerprint = 7L; rounds = 0 }), "024d00070000038407";
+      done_ (Frame.Failed "unstable matching"),
+      "024d0111756e737461626c65206d61746368696e67038407";
+      done_ Frame.Timed_out, "024d02038407";
+    ]
+
 (* --- pool shutdown regression -------------------------------------------- *)
 
 let test_shutdown_waits_for_inflight_map () =
@@ -740,6 +812,7 @@ let () =
         [
           Alcotest.test_case "codec roundtrips and hardening" `Quick
             test_frame_codecs_roundtrip;
+          Alcotest.test_case "frame bytes pinned" `Quick test_frame_bytes_pinned;
         ] );
       ( "pool-shutdown",
         [
