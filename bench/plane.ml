@@ -100,8 +100,11 @@ let run_deliver w =
   let targets = roster w.k in
   let received = Atomic.make 0 in
   let programs _id (env : Engine.env) =
+    let others =
+      List.filter (fun p -> not (Party_id.equal p env.Engine.self)) targets
+    in
     for _ = 1 to w.rounds do
-      Engine.broadcast_w env Wire.string targets payload;
+      env.Engine.send_multi_w Wire.string others payload;
       let inbox = env.Engine.next_round () in
       (* Touch every span without materializing: the receiver-side cost
          of the zero-copy path alone. *)

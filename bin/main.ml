@@ -336,17 +336,11 @@ let shrink_violation ~repro_path (o : Chaos.Chaos_sweep.outcome) =
     Format.printf "shrunk %d -> %d component(s) in %d oracle run(s): %s@."
       n_before n_after out.Chaos.Shrink.attempts
       (Chaos.Schedule.describe out.Chaos.Shrink.shrunk);
-    (match
-       Chaos.Repro.make ~case ~schedule:out.Chaos.Shrink.shrunk ~seed
-         out.Chaos.Shrink.report
-     with
-    | Error msg ->
-      Printf.eprintf "repro: %s\n" msg;
-      exit 1
-    | Ok repro ->
-      Chaos.Repro.to_file repro_path repro;
-      Format.printf "repro written to %s (re-execute with: bsm replay %s)@."
-        repro_path repro_path);
+    Chaos.Repro.to_file repro_path
+      (Chaos.Repro.make ~case ~schedule:out.Chaos.Shrink.shrunk ~seed
+         out.Chaos.Shrink.report);
+    Format.printf "repro written to %s (re-execute with: bsm replay %s)@." repro_path
+      repro_path;
     if n_after >= n_before && n_before > 1 then begin
       Printf.eprintf "shrink: failed to reduce the schedule\n";
       exit 1
@@ -754,10 +748,10 @@ let bsr_cmd =
           else
             Some
               ( r.Bsm_runtime.Engine.id,
-                match r.Bsm_runtime.Engine.status, r.Bsm_runtime.Engine.out with
-                | Bsm_runtime.Engine.Terminated, Some payload ->
-                  Some (Bsm_wire.Wire.decode_exn Core.Problem.decision_codec payload)
-                | _ -> None ))
+                match Core.Problem.decision_of_result r with
+                | Core.Problem.Matched q -> Some (Some q)
+                | Core.Problem.Nobody -> Some None
+                | Core.Problem.No_output -> None ))
         res.Bsm_runtime.Engine.parties
     in
     List.iter

@@ -17,17 +17,7 @@ let run ~topology ~k ~favorites ~byzantine (protocol : Protocol_under_test.t) =
     List.filter_map
       (fun (r : Engine.party_result) ->
         if Party_set.mem r.Engine.id byz then None
-        else
-          Some
-            ( r.Engine.id,
-              match r.Engine.status, r.Engine.out with
-              | Engine.Terminated, Some payload -> (
-                match Protocol_under_test.decode_decision payload with
-                | Some q -> Core.Problem.Matched q
-                | None -> Core.Problem.Nobody)
-              | Engine.Terminated, None -> Core.Problem.No_output
-              | (Engine.Out_of_rounds | Engine.Crashed _), _ -> Core.Problem.No_output
-            ))
+        else Some (r.Engine.id, Core.Problem.decision_of_result r))
       res.Engine.parties
   in
   let outcome =
@@ -38,11 +28,6 @@ let run ~topology ~k ~favorites ~byzantine (protocol : Protocol_under_test.t) =
     }
   in
   Core.Problem.check_simplified ~favorites outcome
-
-let run_batch ?pool ~topology ~k ~cases protocol =
-  Bsm_harness.Sweep.map ?pool
-    (fun (favorites, byzantine) -> run ~topology ~k ~favorites ~byzantine protocol)
-    cases
 
 let random_favorites rng ~k =
   let table =

@@ -16,20 +16,6 @@ val run :
   Protocol_under_test.t ->
   Bsm_core.Problem.violation list
 
-(** [run_batch ?pool ~topology ~k ~cases protocol] evaluates the
-    protocol against every [(favorites, byzantine)] case, returning the
-    violation lists in input order. Cases are independent engine runs,
-    so with [pool] they execute across domains with results identical to
-    the sequential path. *)
-val run_batch :
-  ?pool:Bsm_runtime.Pool.t ->
-  topology:Bsm_topology.Topology.t ->
-  k:int ->
-  cases:
-    ((Party_id.t -> Party_id.t) * (Party_id.t * Engine.program) list) list ->
-  Protocol_under_test.t ->
-  Bsm_core.Problem.violation list list
-
 (** [random_favorites rng ~k] assigns each party a uniform favorite on the
     other side. *)
 val random_favorites : Rng.t -> k:int -> Party_id.t -> Party_id.t

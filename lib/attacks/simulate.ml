@@ -64,7 +64,6 @@ let run env ~instances ~rounds ~route_out ~route_in ~on_output =
             dsts);
       next_round = (fun () -> Effect.perform (Sim_next inst.tag));
       output = (fun payload -> Effect.perform (Sim_output (inst.tag, payload)));
-      log = (fun _ -> ());
       (* Simulated instances run inside a byzantine party's fiber; their
          state is the adversary's own and never exposed to the
          state-corruption plane. *)

@@ -19,23 +19,7 @@ let to_string = function
 
 let equal_kind (a : kind) b = a = b
 
-let codec =
-  let inject = function
-    | 0 -> Bit_flip
-    | 1 -> Truncate
-    | 2 -> Replay
-    | 3 -> Equivocate
-    | 4 -> Forge_sender
-    | n -> raise (Wire.Malformed (Printf.sprintf "unknown mutation kind %d" n))
-  in
-  let project = function
-    | Bit_flip -> 0
-    | Truncate -> 1
-    | Replay -> 2
-    | Equivocate -> 3
-    | Forge_sender -> 4
-  in
-  Wire.map ~inject ~project Wire.uint
+let codec = Wire.enum ~name:"mutation kind" all_kinds
 
 (* Derived draws from the component hash: [draw h i bound] is uniform-ish
    in [0 .. bound-1], independent across [i] (each draw re-mixes). *)

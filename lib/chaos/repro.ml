@@ -3,7 +3,6 @@ module Core = Bsm_core
 module Engine = Bsm_runtime.Engine
 module Sweep = Bsm_harness.Sweep
 module Wire = Bsm_wire.Wire
-module Topology = Bsm_topology.Topology
 
 type t = {
   case : Sweep.case;
@@ -40,63 +39,16 @@ let fingerprint_of_report (r : Oracle.report) =
     m.Engine.bytes_delivered m.Engine.rounds_used
 
 let make ?max_rounds ~case ~schedule ~seed report =
-  match case.Sweep.adversary with
-  | Sweep.Scripted _ ->
-    Error
-      "repro files cannot serialize a Scripted adversary (closures); script the \
-       fault through the schedule instead"
-  | Sweep.Honest | Sweep.Random_coalition ->
-    Ok
-      {
-        case;
-        schedule;
-        seed;
-        max_rounds;
-        expected = report.Oracle.verdict;
-        fingerprint = fingerprint_of_report report;
-      }
+  {
+    case;
+    schedule;
+    seed;
+    max_rounds;
+    expected = report.Oracle.verdict;
+    fingerprint = fingerprint_of_report report;
+  }
 
 (* --- codec --------------------------------------------------------------- *)
-
-let tagged ~name pairs =
-  Wire.map
-    ~inject:(fun n ->
-      match List.find_opt (fun (i, _) -> i = n) pairs with
-      | Some (_, v) -> v
-      | None -> raise (Wire.Malformed (Printf.sprintf "%s: unknown tag %d" name n)))
-    ~project:(fun v ->
-      match List.find_opt (fun (_, w) -> w = v) pairs with
-      | Some (i, _) -> i
-      | None -> invalid_arg name)
-    Wire.uint
-
-let topology_codec =
-  tagged ~name:"topology"
-    [ 0, Topology.Fully_connected; 1, Topology.One_sided; 2, Topology.Bipartite ]
-
-let auth_codec =
-  tagged ~name:"auth"
-    [ 0, Core.Setting.Unauthenticated; 1, Core.Setting.Authenticated ]
-
-let verdict_codec =
-  tagged ~name:"verdict"
-    [ 0, Oracle.Ok; 1, Oracle.Expected_degradation; 2, Oracle.Violation ]
-
-let adversary_codec =
-  tagged ~name:"adversary" [ 0, Sweep.Honest; 1, Sweep.Random_coalition ]
-
-let setting_codec =
-  Wire.map
-    ~inject:(fun ((k, topology, auth), (t_left, t_right)) ->
-      match Core.Setting.make ~k ~topology ~auth ~t_left ~t_right with
-      | Ok s -> s
-      | Error e -> raise (Wire.Malformed ("invalid setting: " ^ e)))
-    ~project:(fun (s : Core.Setting.t) ->
-      ( (s.Core.Setting.k, s.Core.Setting.topology, s.Core.Setting.auth),
-        (s.Core.Setting.t_left, s.Core.Setting.t_right) ))
-    (Wire.pair
-       (Wire.triple Wire.uint topology_codec auth_codec)
-       (Wire.pair Wire.uint Wire.uint))
 
 let case_codec =
   Wire.map
@@ -106,8 +58,9 @@ let case_codec =
       ( (c.Sweep.label, c.Sweep.setting),
         (c.Sweep.profile_seed, c.Sweep.scenario_seed, c.Sweep.adversary) ))
     (Wire.pair
-       (Wire.pair Wire.string setting_codec)
-       (Wire.triple Wire.int Wire.int adversary_codec))
+       (Wire.pair Wire.string Core.Setting.codec)
+       (Wire.triple Wire.int Wire.int
+          (Wire.enum ~name:"adversary" [ Sweep.Honest; Sweep.Random_coalition ])))
 
 let codec =
   Wire.map
@@ -120,7 +73,10 @@ let codec =
        (Wire.pair case_codec Schedule.codec)
        (Wire.pair
           (Wire.pair Wire.int (Wire.option Wire.uint))
-          (Wire.pair verdict_codec Wire.string)))
+          (Wire.pair
+             (Wire.enum ~name:"verdict"
+                [ Oracle.Ok; Oracle.Expected_degradation; Oracle.Violation ])
+             Wire.string)))
 
 (* --- file format --------------------------------------------------------- *)
 

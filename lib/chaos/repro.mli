@@ -31,16 +31,14 @@ type t = {
 }
 
 (** [make ?max_rounds ~case ~schedule ~seed report] packs a repro for a
-    run that produced [report]. [Error] for a [Scripted] adversary —
-    closures don't serialize; script the fault through the schedule
-    instead. *)
+    run that produced [report]. *)
 val make :
   ?max_rounds:int ->
   case:Sweep.case ->
   schedule:Schedule.t ->
   seed:int ->
   Oracle.report ->
-  (t, string) result
+  t
 
 val codec : t Wire.t
 

@@ -1,6 +1,7 @@
 open Bsm_prelude
 module SM = Bsm_stable_matching
 module Wire = Bsm_wire.Wire
+module Engine = Bsm_runtime.Engine
 
 type decision =
   | No_output
@@ -8,6 +9,15 @@ type decision =
   | Matched of Party_id.t
 
 let decision_codec = Wire.option Wire.party_id
+
+let decision_of_result (r : Engine.party_result) =
+  match r.status, r.out with
+  | Engine.Terminated, Some bytes -> (
+    match Wire.decode decision_codec bytes with
+    | Ok (Some partner) -> Matched partner
+    | Ok None -> Nobody
+    | Error _ -> No_output)
+  | Engine.Terminated, None | (Engine.Out_of_rounds | Engine.Crashed _), _ -> No_output
 
 type outcome = {
   profile : SM.Profile.t;

@@ -19,6 +19,13 @@ type decision =
 val decision_codec : Party_id.t option Bsm_wire.Wire.t
 (** Wire format protocols use for their final output ([None] = nobody). *)
 
+(** [decision_of_result r] is the one reading of a party's engine
+    result: a terminated party whose output decodes with
+    {!decision_codec} decided [Matched] or [Nobody]; any other party —
+    out of rounds, crashed, terminated without an output or with bytes
+    that do not decode — gives [No_output]. *)
+val decision_of_result : Bsm_runtime.Engine.party_result -> decision
+
 type outcome = {
   profile : SM.Profile.t;  (** every party's (true) input *)
   byzantine : Party_set.t;  (** ground truth corruption set *)

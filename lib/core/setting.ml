@@ -1,10 +1,13 @@
+module Topology = Bsm_topology.Topology
+module Wire = Bsm_wire.Wire
+
 type auth =
   | Unauthenticated
   | Authenticated
 
 type t = {
   k : int;
-  topology : Bsm_topology.Topology.t;
+  topology : Topology.t;
   auth : auth;
   t_left : int;
   t_right : int;
@@ -21,6 +24,20 @@ let make_exn ~k ~topology ~auth ~t_left ~t_right =
   | Ok t -> t
   | Error msg -> invalid_arg ("Setting.make_exn: " ^ msg)
 
+let codec =
+  Wire.map
+    ~inject:(fun ((k, topology, auth), (t_left, t_right)) ->
+      match make ~k ~topology ~auth ~t_left ~t_right with
+      | Ok t -> t
+      | Error e -> raise (Wire.Malformed ("invalid setting: " ^ e)))
+    ~project:(fun t -> (t.k, t.topology, t.auth), (t.t_left, t.t_right))
+    (Wire.pair
+       (Wire.triple Wire.uint
+          (Wire.enum ~name:"topology"
+             [ Topology.Fully_connected; Topology.One_sided; Topology.Bipartite ])
+          (Wire.enum ~name:"auth" [ Unauthenticated; Authenticated ]))
+       (Wire.pair Wire.uint Wire.uint))
+
 let structure t =
   Bsm_broadcast.Adversary_structure.Two_sided { t_left = t.t_left; t_right = t.t_right }
 
@@ -29,5 +46,5 @@ let auth_to_string = function
   | Authenticated -> "authenticated"
 
 let pp ppf t =
-  Format.fprintf ppf "%a/%s k=%d tL=%d tR=%d" Bsm_topology.Topology.pp t.topology
+  Format.fprintf ppf "%a/%s k=%d tL=%d tR=%d" Topology.pp t.topology
     (auth_to_string t.auth) t.k t.t_left t.t_right

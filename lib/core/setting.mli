@@ -30,6 +30,14 @@ val make_exn :
   t_right:int ->
   t
 
+(** The one wire format of a setting, used by serve requests and chaos
+    repros: [k], the topology's tag (fully-connected 0, one-sided 1,
+    bipartite 2), the auth tag (unauthenticated 0, authenticated 1),
+    [t_left] and [t_right], each a uint. Decoding goes through {!make},
+    so a decoded setting is valid and an invalid one raises
+    [Wire.Malformed]. *)
+val codec : t Bsm_wire.Wire.t
+
 (** The paper's adversary structure [Z*] for this setting. *)
 val structure : t -> Bsm_broadcast.Adversary_structure.t
 

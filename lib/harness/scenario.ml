@@ -3,7 +3,6 @@ module SM = Bsm_stable_matching
 module Engine = Bsm_runtime.Engine
 module Core = Bsm_core
 module Crypto = Bsm_crypto.Crypto
-module Wire = Bsm_wire.Wire
 
 type t = {
   setting : Core.Setting.t;
@@ -57,18 +56,7 @@ let execute ?(max_rounds = 2000) ?faults t ~honest_program =
     List.filter_map
       (fun (r : Engine.party_result) ->
         if Party_set.mem r.id byz then None
-        else
-          Some
-            ( r.id,
-              match r.status, r.out with
-              | Engine.Terminated, Some bytes -> (
-                match Wire.decode Core.Problem.decision_codec bytes with
-                | Ok (Some partner) -> Core.Problem.Matched partner
-                | Ok None -> Core.Problem.Nobody
-                | Error _ -> Core.Problem.No_output)
-              | Engine.Terminated, None -> Core.Problem.No_output
-              | (Engine.Out_of_rounds | Engine.Crashed _), _ ->
-                Core.Problem.No_output ))
+        else Some (r.id, Core.Problem.decision_of_result r))
       res.Engine.parties
   in
   let outcome =
@@ -100,11 +88,6 @@ let run_ssm ?max_rounds ?faults ~favorites t =
     parties;
     plan;
   }
-
-let run_all ?pool ?max_rounds ts =
-  match pool with
-  | None -> List.map (fun t -> run ?max_rounds t) ts
-  | Some pool -> Bsm_runtime.Pool.map pool (fun t -> run ?max_rounds t) ts
 
 let ok report = report.violations = []
 

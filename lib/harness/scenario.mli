@@ -62,14 +62,6 @@ val run_ssm :
   t ->
   report
 
-(** [run_all ?pool scenarios] runs every scenario, in input order —
-    sequentially without [pool], across the pool's domains with it.
-    Scenarios are independent executions (each builds its own PKI and
-    engine state), so the parallel results are identical to the
-    sequential ones; {!Sweep} builds its cell sweeps on top of this. *)
-val run_all :
-  ?pool:Bsm_runtime.Pool.t -> ?max_rounds:int -> t list -> report list
-
 (** True iff the run achieved bSM (no violations). *)
 val ok : report -> bool
 

@@ -1,13 +1,11 @@
 open Bsm_prelude
 module SM = Bsm_stable_matching
 module Core = Bsm_core
-module Engine = Bsm_runtime.Engine
 module Pool = Bsm_runtime.Pool
 
 type adversary =
   | Honest
   | Random_coalition
-  | Scripted of (Party_id.t * Engine.program) list
 
 type case = {
   label : string;
@@ -48,7 +46,6 @@ let scenario_of_case c =
   let byzantine =
     match c.adversary with
     | Honest -> []
-    | Scripted coalition -> coalition
     | Random_coalition ->
       Adversaries.random_coalition rng ~setting:c.setting ~seed:c.scenario_seed
         ~profile
@@ -59,9 +56,6 @@ let map ?pool f xs =
   match pool with
   | None -> List.map f xs
   | Some pool -> Pool.map pool f xs
-
-let run_cases ?pool ?max_rounds cases =
-  map ?pool (fun c -> c, Scenario.run ?max_rounds (scenario_of_case c)) cases
 
 type measurement = {
   wall_ms : float;
@@ -140,10 +134,12 @@ module Fused = struct
     let wall = Array.make n 0. in
     let minor = Array.make n 0. in
     let major = Array.make n 0. in
-    (* Per-task Gc.quick_stat deltas are exact per-task attribution: a
-       task runs start-to-finish on one domain, and that domain runs
-       nothing else meanwhile, so the domain-local counters move only
-       for this task. *)
+    (* Per-task Gc.quick_stat deltas are attributed to the task alone: it
+       runs start-to-finish on one domain, and that domain runs nothing
+       else meanwhile, so the domain-local counters move only for this
+       task. Major words repeat exactly from run to run; minor words only
+       to a step of about 115k words on OCaml 5.1, which they move by
+       with the minor collections that fall inside the task. *)
     let run i =
       let g0 = Gc.quick_stat () in
       let t0 = Unix.gettimeofday () in

@@ -10,13 +10,11 @@
     bit-identical to a sequential [List.map] of the same cells (the
     tier-1 suite asserts this).
 
-    Layering: [Pool] (runtime) supplies ordered parallel map;
-    {!Scenario.run_all} batches scenario executions; this module adds
-    the cell vocabulary the benches sweep over. *)
+    Layering: [Pool] (runtime) supplies ordered parallel map; this
+    module adds the cell vocabulary the benches sweep over, and {!map}
+    runs any per-cell function over it. *)
 
-open Bsm_prelude
 module Core := Bsm_core
-module Engine := Bsm_runtime.Engine
 module Pool := Bsm_runtime.Pool
 
 (** Who corrupts the run. [Random_coalition] draws a maximal admissible
@@ -26,7 +24,6 @@ module Pool := Bsm_runtime.Pool
 type adversary =
   | Honest
   | Random_coalition
-  | Scripted of (Party_id.t * Engine.program) list
 
 type case = {
   label : string;
@@ -57,11 +54,6 @@ val scenario_of_case : case -> Scenario.t
     [List.map] when [pool] is absent, {!Pool.map} otherwise. [f] must be
     self-contained (own Rng per call, no shared mutable state). *)
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
-
-(** [run_cases ?pool ?max_rounds cases] executes every case and pairs it
-    with its report, in input order. *)
-val run_cases :
-  ?pool:Pool.t -> ?max_rounds:int -> case list -> (case * Scenario.report) list
 
 (** Wall-clock and GC cost of one sweep, from [Gc.quick_stat] deltas
     around the run. Words are OCaml words (8 bytes on 64-bit). On OCaml 5
@@ -97,10 +89,13 @@ val measure : (unit -> 'a) -> 'a * measurement
     asserts this per table).
 
     Instrumentation: every task is individually timed and its
-    domain-local GC counters delta'd — valid per-task attribution, since
+    domain-local GC counters delta'd, attributed to the task alone, since
     a task runs start-to-finish on one domain that runs nothing else
-    meanwhile. {!stats} aggregates per table; {!drain} reports the
-    whole-run wall clock plus the pool's steal counter delta. *)
+    meanwhile. Major words repeat exactly from run to run; minor words
+    only to a step of about 115k words on OCaml 5.1, which they move by
+    with the minor collections that fall inside the task. {!stats}
+    aggregates per table; {!drain} reports the whole-run wall clock plus
+    the pool's steal counter delta. *)
 module Fused : sig
   type t
 

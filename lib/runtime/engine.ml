@@ -47,15 +47,9 @@ type env = {
   send_multi_w : 'a. 'a Wire.t -> Party_id.t list -> 'a -> unit;
   next_round : unit -> envelope list;
   output : payload -> unit;
-  log : string -> unit;
   register_state : 'a. 'a Wire.t -> 'a ref -> unit;
   register_cell : state_cell -> unit;
 }
-
-let broadcast_w env c targets v =
-  env.send_multi_w c
-    (List.filter (fun p -> not (Party_id.equal p env.self)) targets)
-    v
 
 type program = env -> unit
 
@@ -547,8 +541,6 @@ let run ?pool cfg ~programs =
       send_multi_w;
       next_round = (fun () -> Effect.perform Next_round);
       output = (fun p -> cell.out <- Some p);
-      log =
-        (fun s -> Log.debug (fun m -> m "r%d %a: %s" !round Party_id.pp cell.id s));
       register_state = (fun c r -> register_cell (state_cell c r));
       register_cell;
     }

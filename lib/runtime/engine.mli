@@ -29,9 +29,9 @@
     fibers as one pool batch, so a party may continue on a different
     domain from the one it last ran on (see {!run} for the contract).
     The other module-level value is the [Logs] source, which is created
-    once at load time; the default nop reporter makes concurrent [log]
-    calls safe, but a custom reporter must itself be domain-safe when
-    runs or their fibers execute in parallel. *)
+    once at load time; the default nop reporter makes the engine's
+    concurrent debug messages safe, but a custom reporter must itself be
+    domain-safe when runs or their fibers execute in parallel. *)
 
 open Bsm_prelude
 
@@ -110,7 +110,6 @@ type env = {
       (** finish the current round; returns the next round's inbox, sorted
           by sender (send order preserved per sender) *)
   output : payload -> unit;  (** record this party's protocol output *)
-  log : string -> unit;
   register_state : 'a. 'a Bsm_wire.Wire.t -> 'a ref -> unit;
       (** [register_state codec r] exposes [r] to the state-corruption
           plane: between rounds, the fault model's [scramble] hook may
@@ -126,12 +125,6 @@ type env = {
           cells built elsewhere, e.g. broadcast machines registered by a
           session). *)
 }
-
-(** [broadcast_w env codec targets v] sends [v] to every party in
-    [targets] except [env.self], through {!type-env.send_multi_w}: one
-    in-place arena encode shared by every target, no intermediate
-    string. *)
-val broadcast_w : env -> 'a Bsm_wire.Wire.t -> Party_id.t list -> 'a -> unit
 
 (** A party's program. Returning terminates the party; a party that never
     returns within the round budget is reported as not terminated. *)

@@ -11,7 +11,6 @@
 open Bsm_prelude
 module SM := Bsm_stable_matching
 module Core := Bsm_core
-module Topology := Bsm_topology.Topology
 
 (** One matching instance, as data.
 
@@ -21,7 +20,9 @@ module Topology := Bsm_topology.Topology
     - [Bsm]: a full byzantine protocol execution: the setting's
       protocol is selected and run against [coalition] scripted
       byzantine parties (a maximal admissible random coalition) and,
-      in chaos mode, a fault schedule compiled onto the wire. *)
+      in chaos mode, a fault schedule compiled onto the wire. The
+      setting travels as {!Core.Setting.codec}, so a decoded one is
+      valid. *)
 type workload =
   | Gs of {
       k : int;
@@ -29,11 +30,7 @@ type workload =
       family : SM.Flat.family;
     }
   | Bsm of {
-      k : int;
-      topology : Topology.t;
-      auth : Core.Setting.auth;
-      t_left : int;
-      t_right : int;
+      setting : Core.Setting.t;
       profile_seed : int;
       scenario_seed : int;
       coalition : bool;
@@ -52,7 +49,9 @@ type request =
 type reject_reason =
   | Queue_full  (** backpressure — retry later *)
   | Too_large  (** k above the daemon's configured ceiling *)
-  | Unsolvable  (** invalid setting (budget/topology out of range) *)
+  | Unsolvable
+      (** a setting the paper's characterization rules out, or a
+          duplicate live request id *)
   | Shutting_down
 
 type outcome =

@@ -70,11 +70,9 @@ let spec_of ~params i : Frame.spec =
       let k = 2 + draw ~seed ~i ~lane:1 ~span:2 in
       Frame.Bsm
         {
-          k;
-          topology = Topology.Fully_connected;
-          auth = Core.Setting.Authenticated;
-          t_left = k / 3;
-          t_right = k;
+          setting =
+            Core.Setting.make_exn ~k ~topology:Topology.Fully_connected
+              ~auth:Core.Setting.Authenticated ~t_left:(k / 3) ~t_right:k;
           profile_seed = draw ~seed ~i ~lane:2 ~span:1_000_000;
           scenario_seed = draw ~seed ~i ~lane:3 ~span:1_000_000;
           coalition = false;

@@ -88,57 +88,54 @@ let live_schedules =
 
 let describe_violation v = Format.asprintf "%a" Core.Problem.pp_violation v
 
-let execute_bsm ~chaos ~chaos_seed ~max_rounds ~req_id ~k ~topology ~auth ~t_left
-    ~t_right ~profile_seed ~scenario_seed ~coalition =
-  match Core.Setting.make ~k ~topology ~auth ~t_left ~t_right with
-  | Error msg -> Frame.Failed ("invalid setting: " ^ msg), false
-  | Ok setting -> (
-    let adversary = if coalition then Sweep.Random_coalition else Sweep.Honest in
-    let case = Sweep.case ~profile_seed ~scenario_seed ~adversary setting in
-    match Core.Select.plan setting with
-    | Error _ -> Frame.Failed "unsolvable setting", false
-    | Ok _ ->
-      if chaos then begin
-        let h = Rng.mix64_absorb (Rng.mix64 (Int64.of_int chaos_seed)) req_id in
-        let pick =
-          Int64.to_int (Int64.rem (Int64.logand h Int64.max_int)
-                          (Int64.of_int (List.length live_schedules)))
+let execute_bsm ~chaos ~chaos_seed ~max_rounds ~req_id ~setting ~profile_seed
+    ~scenario_seed ~coalition =
+  let adversary = if coalition then Sweep.Random_coalition else Sweep.Honest in
+  let case = Sweep.case ~profile_seed ~scenario_seed ~adversary setting in
+  match Core.Select.plan setting with
+  | Error _ -> Frame.Failed "unsolvable setting", false
+  | Ok _ ->
+    if chaos then begin
+      let h = Rng.mix64_absorb (Rng.mix64 (Int64.of_int chaos_seed)) req_id in
+      let pick =
+        Int64.to_int (Int64.rem (Int64.logand h Int64.max_int)
+                        (Int64.of_int (List.length live_schedules)))
+      in
+      let schedule = List.nth live_schedules pick in
+      let seed = Int64.to_int (Int64.logand (Rng.mix64_absorb h 1) 0x3FFFFFFFL) in
+      let report = Oracle.run ?max_rounds ~seed ~schedule case in
+      match report.Oracle.verdict with
+      | Oracle.Violation ->
+        let detail =
+          match report.Oracle.violations with
+          | v :: _ -> describe_violation v
+          | [] -> "unknown"
         in
-        let schedule = List.nth live_schedules pick in
-        let seed = Int64.to_int (Int64.logand (Rng.mix64_absorb h 1) 0x3FFFFFFFL) in
-        let report = Oracle.run ?max_rounds ~seed ~schedule case in
-        match report.Oracle.verdict with
-        | Oracle.Violation ->
-          let detail =
-            match report.Oracle.violations with
-            | v :: _ -> describe_violation v
-            | [] -> "unknown"
-          in
-          Frame.Failed ("VIOLATION: " ^ detail), true
-        | Oracle.Expected_degradation ->
-          Frame.Failed "degraded: fault budget exceeded", false
-        | Oracle.Ok ->
-          ( Frame.Matched
-              {
-                fingerprint = metrics_fingerprint report.Oracle.metrics;
-                rounds = report.Oracle.metrics.rounds_used;
-              },
-            false )
-      end
-      else begin
-        let scenario = Sweep.scenario_of_case case in
-        let report = Scenario.run ?max_rounds scenario in
-        match report.Scenario.violations with
-        | [] ->
-          ( Frame.Matched
-              {
-                fingerprint = metrics_fingerprint report.Scenario.metrics;
-                rounds = report.Scenario.metrics.rounds_used;
-              },
-            false )
-        | Core.Problem.Termination _ :: _ -> Frame.Timed_out, false
-        | v :: _ -> Frame.Failed (describe_violation v), false
-      end)
+        Frame.Failed ("VIOLATION: " ^ detail), true
+      | Oracle.Expected_degradation ->
+        Frame.Failed "degraded: fault budget exceeded", false
+      | Oracle.Ok ->
+        ( Frame.Matched
+            {
+              fingerprint = metrics_fingerprint report.Oracle.metrics;
+              rounds = report.Oracle.metrics.rounds_used;
+            },
+          false )
+    end
+    else begin
+      let scenario = Sweep.scenario_of_case case in
+      let report = Scenario.run ?max_rounds scenario in
+      match report.Scenario.violations with
+      | [] ->
+        ( Frame.Matched
+            {
+              fingerprint = metrics_fingerprint report.Scenario.metrics;
+              rounds = report.Scenario.metrics.rounds_used;
+            },
+          false )
+      | Core.Problem.Termination _ :: _ -> Frame.Timed_out, false
+      | v :: _ -> Frame.Failed (describe_violation v), false
+    end
 
 let execute ~chaos ~chaos_seed ~max_rounds (spec : Frame.spec) =
   match spec.workload with
@@ -149,20 +146,16 @@ let execute ~chaos ~chaos_seed ~max_rounds (spec : Frame.spec) =
       ( Frame.Matched
           { fingerprint = s.SM.Flat.fingerprint; rounds = s.SM.Flat.stats.rounds },
         false )
-  | Frame.Bsm { k; topology; auth; t_left; t_right; profile_seed; scenario_seed; coalition }
-    ->
-    execute_bsm ~chaos ~chaos_seed ~max_rounds ~req_id:spec.req_id ~k ~topology
-      ~auth ~t_left ~t_right ~profile_seed ~scenario_seed ~coalition
+  | Frame.Bsm { setting; profile_seed; scenario_seed; coalition } ->
+    execute_bsm ~chaos ~chaos_seed ~max_rounds ~req_id:spec.req_id ~setting
+      ~profile_seed ~scenario_seed ~coalition
 
 (* --- admission ----------------------------------------------------------- *)
 
 let solvable (workload : Frame.workload) =
   match workload with
   | Frame.Gs _ -> true
-  | Frame.Bsm { k; topology; auth; t_left; t_right; _ } -> (
-    match Core.Setting.make ~k ~topology ~auth ~t_left ~t_right with
-    | Error _ -> false
-    | Ok setting -> Result.is_ok (Core.Select.plan setting))
+  | Frame.Bsm { setting; _ } -> Result.is_ok (Core.Select.plan setting)
 
 let submit t ~tick (spec : Frame.spec) =
   let reject reason = Frame.Rejected { req_id = spec.req_id; reason } in

@@ -382,21 +382,20 @@ let bool = { write = Enc.bool; read = Dec.bool }
 let string = { write = Enc.string; read = Dec.string }
 let unit = { write = (fun _ () -> ()); read = (fun _ -> ()) }
 
-(* IEEE-754 bits split into two 32-bit halves, each a non-negative varint
-   on any OCaml word size. Canonical: equal bit patterns give equal bytes,
-   so nan payloads and signed zeros survive the round trip. *)
-let float =
-  let write e x =
-    let bits = Int64.bits_of_float x in
-    Enc.uint e (Int64.to_int (Int64.logand bits 0xFFFFFFFFL));
-    Enc.uint e (Int64.to_int (Int64.shift_right_logical bits 32))
+(* Two 32-bit halves, low first, each a non-negative varint on any OCaml
+   word size. Canonical: a half outside 32 bits is never written, so
+   reading one is malformed. *)
+let int64 =
+  let write e v =
+    Enc.uint e (Int64.to_int (Int64.logand v 0xFFFFFFFFL));
+    Enc.uint e (Int64.to_int (Int64.shift_right_logical v 32))
   in
   let read d =
     let lo = Dec.uint d in
     let hi = Dec.uint d in
     if lo land lnot 0xFFFFFFFF <> 0 || hi land lnot 0xFFFFFFFF <> 0 then
-      malformed "float half out of 32-bit range";
-    Int64.float_of_bits (Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32))
+      malformed "int64 half out of 32-bit range";
+    Int64.logor (Int64.of_int lo) (Int64.shift_left (Int64.of_int hi) 32)
   in
   { write; read }
 
@@ -450,6 +449,24 @@ let triple ca cb cc =
 
 let map ~inject ~project c =
   { write = (fun e v -> c.write e (project v)); read = (fun d -> inject (c.read d)) }
+
+(* The IEEE-754 bits: equal bit patterns give equal bytes, so nan
+   payloads and signed zeros survive the round trip. *)
+let float = map ~inject:Int64.float_of_bits ~project:Int64.bits_of_float int64
+
+(* The tag rule of every enumeration, written once: a value travels as
+   the uint of its position in [values]. *)
+let enum ~name values =
+  let table = Array.of_list values in
+  let inject n =
+    if n < Array.length table then table.(n) else malformed "%s: unknown tag %d" name n
+  in
+  let rec position v i =
+    if i = Array.length table then invalid_arg (name ^ ": value not in the enumeration")
+    else if table.(i) = v then i
+    else position v (i + 1)
+  in
+  map ~inject ~project:(fun v -> position v 0) uint
 
 type ('v, 'a) case_ = {
   case_tag : int;

@@ -209,8 +209,12 @@ val bool : bool t
 val string : string t
 val unit : unit t
 
-(** IEEE-754 bits as two 32-bit varint halves; canonical per bit pattern
-    (nan payloads and signed zeros round-trip). *)
+(** Two 32-bit varint halves, low half first; decoding a half outside
+    32 bits raises [Malformed]. Canonical: equal values, equal bytes. *)
+val int64 : int64 t
+
+(** The IEEE-754 bits, as {!int64}; canonical per bit pattern (nan
+    payloads and signed zeros round-trip). *)
 val float : float t
 
 (* Combinators. *)
@@ -224,6 +228,13 @@ val triple : 'a t -> 'b t -> 'c t -> ('a * 'b * 'c) t
     pair; [inject] may raise [Malformed] to reject invalid decoded
     values. *)
 val map : inject:('a -> 'b) -> project:('b -> 'a) -> 'a t -> 'b t
+
+(** [enum ~name values] codes a value as the uint of its position in
+    [values], compared with [( = )]: the tag rule of every enumeration on
+    the wire. Decoding a tag past the list raises [Malformed] naming
+    [name]; encoding a value not in the list raises [Invalid_argument].
+    Appending a value keeps every earlier value's bytes. *)
+val enum : name:string -> 'a list -> 'a t
 
 (** Variant codec: [variant ~name cases] where each case is a
     [case] built by [case tag codec ~inject ~match_]. Decoding an unknown

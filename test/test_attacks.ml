@@ -210,6 +210,35 @@ let test_scaling_mutual_favorites_matched () =
       | None -> Alcotest.failf "%s no output" (Party_id.to_string r.Engine.id))
     res.Engine.parties
 
+(* Output bytes that do not decode as a decision are no decision: every
+   honest party that outputs them violates termination, as it does under
+   [Scenario.run], rather than reading as "matched with nobody". *)
+let test_undecodable_output_is_no_output () =
+  let k = 2 in
+  let garbage =
+    {
+      A.Protocol_under_test.name = "outputs undecodable bytes";
+      rounds = 0;
+      program =
+        (fun ~topology:_ ~k:_ ~favorite:_ ~self:_ env ->
+          env.Bsm_runtime.Engine.output "\xff\xff");
+    }
+  in
+  let violations =
+    A.Evaluate.run ~topology:Topology.Fully_connected ~k
+      ~favorites:(A.Evaluate.random_favorites (Rng.make 1) ~k)
+      ~byzantine:[] garbage
+  in
+  let silent =
+    List.filter_map
+      (function Core.Problem.Termination p -> Some p | _ -> None)
+      violations
+  in
+  Alcotest.(check (list string))
+    "a termination violation per honest party"
+    (List.map Party_id.to_string (Party_id.all ~k))
+    (List.map Party_id.to_string (List.sort Party_id.compare silent))
+
 let () =
   Alcotest.run "attacks"
     [
@@ -263,6 +292,8 @@ let () =
                   (List.map (fun _ -> ()) (A.Evaluate.run ~topology ~k ~favorites ~byzantine ours))
               done;
               Alcotest.(check bool) "naive violated at least once" true (!naive_bad > 0));
+          Alcotest.test_case "undecodable output is no output" `Quick
+            test_undecodable_output_is_no_output;
         ] );
       ( "scaling",
         [

@@ -582,36 +582,23 @@ let test_repro_roundtrip_and_replay () =
   let report = Oracle.run ~seed:0 ~schedule case in
   Alcotest.(check bool) "the minimal schedule violates" true
     (report.Oracle.verdict = Oracle.Violation);
-  match Repro.make ~case ~schedule ~seed:0 report with
-  | Error msg -> Alcotest.fail msg
-  | Ok t ->
-    let bytes = Wire.encode Repro.codec t in
-    Alcotest.(check bool) "codec roundtrip" true
-      (Wire.decode_exn Repro.codec bytes = t);
-    let path = Filename.temp_file "bsm-repro" ".repro" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        Repro.to_file path t;
-        match Repro.of_file path with
-        | Error msg -> Alcotest.fail msg
-        | Ok t' -> (
-          Alcotest.(check bool) "file roundtrip" true (t = t');
-          match Repro.check t' with
-          | Ok r ->
-            Alcotest.(check bool) "replay reproduces the violation" true
-              (r.Oracle.verdict = Oracle.Violation)
-          | Error msg -> Alcotest.failf "replay diverged: %s" msg))
-
-let test_repro_rejects_scripted_adversary () =
-  let case =
-    H.Sweep.case ~adversary:(H.Sweep.Scripted []) (injected_setting ())
-  in
-  let schedule = Schedule.sabotage (Party_id.left 0) ~at_round:0 in
-  let report = Oracle.run ~seed:0 ~schedule case in
-  match Repro.make ~case ~schedule ~seed:0 report with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "scripted adversaries must not serialize"
+  let t = Repro.make ~case ~schedule ~seed:0 report in
+  let bytes = Wire.encode Repro.codec t in
+  Alcotest.(check bool) "codec roundtrip" true (Wire.decode_exn Repro.codec bytes = t);
+  let path = Filename.temp_file "bsm-repro" ".repro" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Repro.to_file path t;
+      match Repro.of_file path with
+      | Error msg -> Alcotest.fail msg
+      | Ok t' -> (
+        Alcotest.(check bool) "file roundtrip" true (t = t');
+        match Repro.check t' with
+        | Ok r ->
+          Alcotest.(check bool) "replay reproduces the violation" true
+            (r.Oracle.verdict = Oracle.Violation)
+        | Error msg -> Alcotest.failf "replay diverged: %s" msg))
 
 (* The bytes of a repro record and of a schedule with a corrupt atom and
    a bernoulli rate, pinned as hex: repro files written earlier must
@@ -697,16 +684,13 @@ let test_shrink_and_replay_corrupt_state () =
   let report = Oracle.run ~seed:0 ~schedule:full case in
   Alcotest.(check bool) "violates with the scramble aboard" true
     (report.Oracle.verdict = Oracle.Violation);
-  match Repro.make ~case ~schedule:full ~seed:0 report with
-  | Error msg -> Alcotest.fail msg
-  | Ok t -> (
-    let t = Wire.decode_exn Repro.codec (Wire.encode Repro.codec t) in
-    match Repro.check t with
-    | Ok r ->
-      Alcotest.(check bool) "replay reproduces the scramble counts" true
-        (r.Oracle.metrics.Engine.cells_scrambled
-        = report.Oracle.metrics.Engine.cells_scrambled)
-    | Error msg -> Alcotest.failf "corrupt-state replay diverged: %s" msg)
+  let t = Repro.make ~case ~schedule:full ~seed:0 report in
+  match Repro.check (Wire.decode_exn Repro.codec (Wire.encode Repro.codec t)) with
+  | Ok r ->
+    Alcotest.(check bool) "replay reproduces the scramble counts" true
+      (r.Oracle.metrics.Engine.cells_scrambled
+      = report.Oracle.metrics.Engine.cells_scrambled)
+  | Error msg -> Alcotest.failf "corrupt-state replay diverged: %s" msg
 
 let test_replay_gate_exit_codes () =
   (* The CLI's exit-code policy: reproducing a Violation is a failing
@@ -1001,8 +985,6 @@ let () =
             test_shrinker_rejects_non_violation;
           Alcotest.test_case "repro roundtrip and replay" `Quick
             test_repro_roundtrip_and_replay;
-          Alcotest.test_case "scripted adversary rejected" `Quick
-            test_repro_rejects_scripted_adversary;
           Alcotest.test_case "repro bytes pinned" `Quick test_repro_bytes_pinned;
           Alcotest.test_case "garbage repro files rejected" `Quick
             test_repro_file_rejects_garbage;

@@ -598,7 +598,6 @@ let bare_net ~k ~self ~auth =
           feed := [];
           inbox);
       output = ignore;
-      log = ignore;
       register_state = (fun c r -> cells := Engine.state_cell c r :: !cells);
       register_cell = ignore;
     }

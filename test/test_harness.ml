@@ -182,7 +182,7 @@ let check_pinned ~index name rows () =
         Printf.sprintf "k=%d %s" k
           (match adversary with
           | H.Sweep.Honest -> "honest"
-          | H.Sweep.Random_coalition | H.Sweep.Scripted _ -> "coalition")
+          | H.Sweep.Random_coalition -> "coalition")
       in
       let digest = String.sub (Digest.to_hex (Digest.string (Buffer.contents frames))) 0 16 in
       Alcotest.(check (pair (pair int int) (pair (pair int int) (pair string string))))

@@ -327,13 +327,12 @@ let sweep_cases =
          ~tl:2 ~tr:1);
   ]
 
+let run_case c = fingerprint (H.Scenario.run (H.Sweep.scenario_of_case c))
+
 let test_sweep_parallel_equals_sequential () =
-  let sequential =
-    List.map (fun (_, r) -> fingerprint r) (H.Sweep.run_cases sweep_cases)
-  in
+  let sequential = H.Sweep.map run_case sweep_cases in
   let parallel =
-    Pool.with_pool ~jobs:4 (fun pool ->
-        List.map (fun (_, r) -> fingerprint r) (H.Sweep.run_cases ~pool sweep_cases))
+    Pool.with_pool ~jobs:4 (fun pool -> H.Sweep.map ~pool run_case sweep_cases)
   in
   List.iteri
     (fun i ((seq_pp, seq_m), (par_pp, par_m)) ->
@@ -349,21 +348,18 @@ let test_sweep_repeated_runs_identical () =
   (* The same parallel sweep twice: domain scheduling must not leak into
      results. *)
   let run () =
-    Pool.with_pool ~jobs:3 (fun pool ->
-        List.map (fun (_, r) -> fingerprint r) (H.Sweep.run_cases ~pool sweep_cases))
+    Pool.with_pool ~jobs:3 (fun pool -> H.Sweep.map ~pool run_case sweep_cases)
   in
   Alcotest.(check bool) "two parallel runs identical" true (run () = run ())
 
-let test_scenario_run_all_parallel () =
+let test_scenario_run_parallel () =
   let scenarios = List.map H.Sweep.scenario_of_case sweep_cases in
-  let sequential = List.map fingerprint (H.Scenario.run_all scenarios) in
-  let parallel =
-    Pool.with_pool ~jobs:2 (fun pool ->
-        List.map fingerprint (H.Scenario.run_all ~pool scenarios))
-  in
-  Alcotest.(check bool) "run_all identical" true (sequential = parallel)
+  let run t = fingerprint (H.Scenario.run t) in
+  let sequential = H.Sweep.map run scenarios in
+  let parallel = Pool.with_pool ~jobs:2 (fun pool -> H.Sweep.map ~pool run scenarios) in
+  Alcotest.(check bool) "Scenario.run identical" true (sequential = parallel)
 
-let test_evaluate_batch_parallel () =
+let test_evaluate_run_parallel () =
   let k = 3 in
   let topology = Topology.Fully_connected in
   let cases =
@@ -382,11 +378,11 @@ let test_evaluate_batch_parallel () =
       ~setting:
         (setting ~k ~topology ~auth:Core.Setting.Unauthenticated ~tl:1 ~tr:1)
   in
-  let sequential = A.Evaluate.run_batch ~topology ~k ~cases protocol in
-  let parallel =
-    Pool.with_pool ~jobs:3 (fun pool ->
-        A.Evaluate.run_batch ~pool ~topology ~k ~cases protocol)
+  let run (favorites, byzantine) =
+    A.Evaluate.run ~topology ~k ~favorites ~byzantine protocol
   in
+  let sequential = H.Sweep.map run cases in
+  let parallel = Pool.with_pool ~jobs:3 (fun pool -> H.Sweep.map ~pool run cases) in
   Alcotest.(check bool) "violation lists identical" true (sequential = parallel);
   Alcotest.(check int) "six cases evaluated" 6 (List.length parallel);
   List.iter
@@ -595,10 +591,10 @@ let () =
             test_sweep_parallel_equals_sequential;
           Alcotest.test_case "parallel sweep repeatable" `Quick
             test_sweep_repeated_runs_identical;
-          Alcotest.test_case "Scenario.run_all parallel == sequential" `Quick
-            test_scenario_run_all_parallel;
-          Alcotest.test_case "Evaluate.run_batch parallel == sequential" `Quick
-            test_evaluate_batch_parallel;
+          Alcotest.test_case "Scenario.run parallel == sequential" `Quick
+            test_scenario_run_parallel;
+          Alcotest.test_case "Evaluate.run parallel == sequential" `Quick
+            test_evaluate_run_parallel;
           Alcotest.test_case "Scaling.stress parallel == sequential" `Quick
             test_scaling_stress_parallel;
         ] );

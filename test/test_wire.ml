@@ -73,6 +73,28 @@ let test_variant_unknown_tag_rejected () =
   Alcotest.(check bool) "unknown side" true
     (Result.is_error (Wire.decode Wire.party_id (Wire.Enc.to_string e)))
 
+let test_enum_tags_by_position () =
+  let codec = Wire.enum ~name:"colour" [ `Red; `Green; `Blue ] in
+  Alcotest.(check (list string)) "tag = position" [ "00"; "01"; "02" ]
+    (List.map (fun v -> Wire.to_hex (Wire.encode codec v)) [ `Red; `Green; `Blue ]);
+  check_roundtrip "enum" codec ( = ) `Blue;
+  Alcotest.(check bool) "tag past the list" true
+    (Result.is_error (Wire.decode codec (Wire.encode Wire.uint 3)));
+  match Wire.encode codec `Mauve with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "encoded a value outside the enumeration"
+
+let test_int64_halves () =
+  List.iter
+    (fun v -> check_roundtrip "int64" Wire.int64 Int64.equal v)
+    [ 0L; 1L; -1L; Int64.min_int; Int64.max_int; 0x8123_4567_89ab_cdefL ];
+  (* Low half first: 2^32 is the halves (0, 1). *)
+  Alcotest.(check string) "low half first" "0001"
+    (Wire.to_hex (Wire.encode Wire.int64 0x1_0000_0000L));
+  let halves = Wire.encode (Wire.pair Wire.uint Wire.uint) (1 lsl 32, 0) in
+  Alcotest.(check bool) "a half past 32 bits" true
+    (Result.is_error (Wire.decode Wire.int64 halves))
+
 let test_canonical_encoding () =
   (* Equal values encode to equal bytes (no nondeterminism anywhere). *)
   let v = [ Some (Party_id.left 3, "payload"); None ] in
@@ -405,6 +427,8 @@ let () =
           Alcotest.test_case "unknown variant tag rejected" `Quick
             test_variant_unknown_tag_rejected;
           Alcotest.test_case "canonical encoding" `Quick test_canonical_encoding;
+          Alcotest.test_case "enum tags by position" `Quick test_enum_tags_by_position;
+          Alcotest.test_case "int64 as two 32-bit halves" `Quick test_int64_halves;
         ] );
       ( "encoder reuse",
         [
