@@ -424,17 +424,13 @@ let table_t3_distributed_gs ~sched () =
 
 (* Run a given program assignment honestly and return metrics. *)
 let run_programs ~k ~topology programs =
-  let cfg = Engine.config ~k ~link:(Engine.Of_topology topology) () in
-  let res = Engine.run cfg ~programs in
+  let e = H.Scenario.execute ~k ~topology ~byzantine:[] programs in
   List.iter
-    (fun (r : Engine.party_result) ->
-      match r.Engine.status with
-      | Engine.Terminated -> ()
-      | Engine.Out_of_rounds | Engine.Crashed _ ->
-        failwith
-          (Printf.sprintf "bench: %s did not terminate" (Party_id.to_string r.Engine.id)))
-    res.Engine.parties;
-  res.Engine.metrics
+    (fun (p, d) ->
+      if d = Core.Problem.No_output then
+        failwith (Printf.sprintf "bench: %s did not decide" (Party_id.to_string p)))
+    e.H.Scenario.decisions;
+  e.H.Scenario.result.Engine.metrics
 
 let table_a1 ~sched () =
   let table =
@@ -561,7 +557,7 @@ let table_a3 ~sched () =
       ~k_range:"k=4"
       (fun seed ->
         let rng = Rng.make seed in
-        let favorites = Attacks.Evaluate.random_favorites rng ~k in
+        let favorites = Core.Ssm.random_favorites rng ~k in
         let byzantine =
           [
             Party_id.left 3, Attacks.Naive.equivocating_announcer ~topology ~k;

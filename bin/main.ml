@@ -185,9 +185,12 @@ let crash_conv =
 let run_cmd =
   let run (k, drop_rate, crashes) topology auth tl tr seed verbose =
     let s = setting_of k topology auth tl tr in
-    let rng = Rng.make seed in
-    let profile = SM.Profile.random rng k in
-    let byzantine = H.Adversaries.random_coalition rng ~setting:s ~seed ~profile in
+    let scenario =
+      H.Sweep.scenario_of_case
+        (H.Sweep.case ~profile_seed:seed ~scenario_seed:seed
+           ~adversary:H.Sweep.Random_coalition s)
+    in
+    let byzantine = scenario.H.Scenario.byzantine in
     Format.printf "%a — %d byzantine parties: %s@." Core.Setting.pp s
       (List.length byzantine)
       (String.concat ", " (List.map (fun (p, _) -> Party_id.to_string p) byzantine));
@@ -206,9 +209,7 @@ let run_cmd =
         Some (Chaos.Schedule.compile ~seed schedule)
       end
     in
-    let report =
-      H.Scenario.run ?faults (H.Scenario.make_exn ~byzantine ~seed s profile)
-    in
+    let report = H.Scenario.run ?faults scenario in
     if verbose then Format.printf "%a@." H.Scenario.pp_report report
     else begin
       Format.printf "plan: %s@." report.H.Scenario.plan.Core.Select.describe;
@@ -599,15 +600,7 @@ let ssm_cmd =
   let run k topology auth tl tr seed =
     let s = setting_of k topology auth tl tr in
     let rng = Rng.make seed in
-    (* Random favorites. *)
-    let favs =
-      List.map
-        (fun p ->
-          ( p,
-            Party_id.make (Side.opposite (Party_id.side p)) (Rng.int rng k) ))
-        (Party_id.all ~k)
-    in
-    let favorites p = List.assoc p favs in
+    let favorites = Core.Ssm.random_favorites rng ~k in
     let profile = Core.Ssm.favorites_to_profile ~k favorites in
     let byzantine = H.Adversaries.random_coalition rng ~setting:s ~seed ~profile in
     let scenario = H.Scenario.make_exn ~byzantine ~seed s profile in
@@ -726,33 +719,23 @@ let bsr_cmd =
             p, if i mod 2 = 0 then H.Adversaries.silent else H.Adversaries.noise ~seed:i)
           (Rng.sample rng t (Party_id.all ~k))
     in
-    let byz_set = Party_set.of_list (List.map fst byzantine) in
-    let programs p =
-      match List.assoc_opt p byzantine with
-      | Some program -> program
-      | None -> Core.Roommates_bsm.program ~k ~t ~pki ~input:(inputs p) ~self:p
+    let e =
+      H.Scenario.execute ~k ~topology:Topology.Fully_connected ~byzantine (fun p ->
+          Core.Roommates_bsm.program ~k ~t ~pki ~input:(inputs p) ~self:p)
     in
-    let cfg =
-      Bsm_runtime.Engine.config ~k
-        ~link:(Bsm_runtime.Engine.Of_topology Topology.Fully_connected) ()
-    in
-    let res = Bsm_runtime.Engine.run cfg ~programs:(fun p -> programs p) in
     Format.printf
       "byzantine stable roommates: n = %d parties, %d byzantine (%s)@." (2 * k)
       (List.length byzantine)
       (String.concat ", " (List.map (fun (p, _) -> Party_id.to_string p) byzantine));
     let decisions =
-      List.filter_map
-        (fun (r : Bsm_runtime.Engine.party_result) ->
-          if Party_set.mem r.Bsm_runtime.Engine.id byz_set then None
-          else
-            Some
-              ( r.Bsm_runtime.Engine.id,
-                match Core.Problem.decision_of_result r with
-                | Core.Problem.Matched q -> Some (Some q)
-                | Core.Problem.Nobody -> Some None
-                | Core.Problem.No_output -> None ))
-        res.Bsm_runtime.Engine.parties
+      List.map
+        (fun (p, (d : Core.Problem.decision)) ->
+          ( p,
+            match d with
+            | Core.Problem.Matched q -> Some (Some q)
+            | Core.Problem.Nobody -> Some None
+            | Core.Problem.No_output -> None ))
+        e.H.Scenario.decisions
     in
     List.iter
       (fun (p, d) ->
@@ -761,7 +744,9 @@ let bsr_cmd =
         | Some None -> Format.printf "  %a -> nobody@." Party_id.pp p
         | None -> Format.printf "  %a -> NO OUTPUT@." Party_id.pp p)
       decisions;
-    match Core.Roommates_bsm.check ~k ~inputs ~byzantine:byz_set ~decisions with
+    match
+      Core.Roommates_bsm.check ~k ~inputs ~byzantine:e.H.Scenario.corrupted ~decisions
+    with
     | [] -> Format.printf "result: byzantine stable roommates achieved@."
     | vs ->
       Format.printf "result: %d VIOLATIONS@." (List.length vs);

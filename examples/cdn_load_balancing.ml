@@ -73,14 +73,15 @@ let () =
       (* the compromised cluster lies about its preferences, trying to
          grab high-value traffic it doesn't deserve *)
       ( compromised,
-        H.Adversaries.lying ~setting ~seed
-          ~fake:(SM.Prefs.of_list_exn (List.init k (fun i -> (i + 5) mod k)))
+        H.Adversaries.honest ~setting ~seed
+          ~input:(SM.Prefs.of_list_exn (List.init k (fun i -> (i + 5) mod k)))
           ~self:compromised );
       (* another cluster fails mid-protocol *)
       ( crashing,
-        H.Adversaries.crash ~setting ~seed
-          ~input:(SM.Profile.prefs profile crashing)
-          ~self:crashing ~round:4 );
+        H.Adversaries.crash_at ~round:4
+          (H.Adversaries.honest ~setting ~seed
+             ~input:(SM.Profile.prefs profile crashing)
+             ~self:crashing) );
     ]
   in
   let report = H.Scenario.run (H.Scenario.make_exn ~byzantine ~seed setting profile) in

@@ -26,7 +26,7 @@ let () =
   let profile = SM.Profile.random rng k in
   let pki = Crypto.Pki.setup ~k ~seed:1 in
   let programs p =
-    if Side.equal (Party_id.side p) Side.Right then Bsm_broadcast.Strategies.silent
+    if Side.equal (Party_id.side p) Side.Right then Bsm_harness.Adversaries.silent
     else
       Core.Pi_bsm.program setting ~pki ~computing_side:Side.Left
         ~input:(SM.Profile.prefs profile p) ~self:p

@@ -2,8 +2,8 @@
 
     Shared by the attack test suite and the A3 experiment: run a
     {!Protocol_under_test.t} on a real (small-system) network with scripted
-    byzantine parties and return the sSM property violations of the honest
-    outputs. *)
+    byzantine parties, for at most 500 rounds, and return the sSM property
+    violations of the honest outputs. *)
 
 open Bsm_prelude
 module Engine := Bsm_runtime.Engine
@@ -15,7 +15,3 @@ val run :
   byzantine:(Party_id.t * Engine.program) list ->
   Protocol_under_test.t ->
   Bsm_core.Problem.violation list
-
-(** [random_favorites rng ~k] assigns each party a uniform favorite on the
-    other side. *)
-val random_favorites : Rng.t -> k:int -> Party_id.t -> Party_id.t

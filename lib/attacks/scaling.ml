@@ -109,7 +109,7 @@ let stress ?pool ~topology ~big_k ~small_ks ~seeds protocol =
   Bsm_harness.Sweep.map ?pool
     (fun (small_k, seed) ->
       let small = shrink ~big_k ~small_k protocol in
-      let favorites = Evaluate.random_favorites (Rng.make seed) ~k:small_k in
+      let favorites = Bsm_core.Ssm.random_favorites (Rng.make seed) ~k:small_k in
       let violations =
         Evaluate.run ~topology ~k:small_k ~favorites ~byzantine:[] small
       in

@@ -98,10 +98,7 @@ let run ?max_rounds ~seed ~schedule (case : H.Sweep.case) =
   let charged = Schedule.charged ~k:setting.Core.Setting.k schedule in
   let byzantine = sr.H.Scenario.outcome.Core.Problem.byzantine in
   let corrupted = Party_set.union byzantine charged in
-  let within_budget =
-    Party_set.count_side Side.Left corrupted <= setting.Core.Setting.t_left
-    && Party_set.count_side Side.Right corrupted <= setting.Core.Setting.t_right
-  in
+  let within_budget = Core.Setting.within_budget setting corrupted in
   (* Re-judge the outcome with the charged parties moved into the corrupt
      set: the properties are promised to parties that are neither
      byzantine nor omission-faulty. *)

@@ -41,6 +41,9 @@ let codec =
 let structure t =
   Bsm_broadcast.Adversary_structure.Two_sided { t_left = t.t_left; t_right = t.t_right }
 
+let within_budget t set =
+  Bsm_broadcast.Adversary_structure.possibly_corrupt (structure t) set
+
 let auth_to_string = function
   | Unauthenticated -> "unauthenticated"
   | Authenticated -> "authenticated"

@@ -41,5 +41,9 @@ val codec : t Bsm_wire.Wire.t
 (** The paper's adversary structure [Z*] for this setting. *)
 val structure : t -> Bsm_broadcast.Adversary_structure.t
 
+(** [within_budget t set] — [set] has at most [t_left] members in L and
+    [t_right] in R: [possibly_corrupt (structure t) set]. *)
+val within_budget : t -> Bsm_prelude.Party_set.t -> bool
+
 val auth_to_string : auth -> string
 val pp : Format.formatter -> t -> unit

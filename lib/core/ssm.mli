@@ -17,6 +17,10 @@ val prefs_of_favorite : k:int -> Party_id.t -> SM.Prefs.t
     bSM profile ([favs] gives each party's favorite). *)
 val favorites_to_profile : k:int -> (Party_id.t -> Party_id.t) -> SM.Profile.t
 
+(** [random_favorites rng ~k] draws each party a uniform favorite on the
+    other side, in roster order. *)
+val random_favorites : Rng.t -> k:int -> Party_id.t -> Party_id.t
+
 (** [program plan ~pki ~favorite ~self] — run the plan's bSM protocol on
     the constructed list. *)
 val program :

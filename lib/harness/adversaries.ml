@@ -1,45 +1,56 @@
 open Bsm_prelude
 module SM = Bsm_stable_matching
 module Engine = Bsm_runtime.Engine
-module B = Bsm_broadcast
 module Core = Bsm_core
 module Crypto = Bsm_crypto.Crypto
 
-let silent = B.Strategies.silent
+let silent (_ : Engine.env) = ()
+
+let random_bytes rng len = String.init len (fun _ -> Char.chr (Rng.int rng 256))
+
+let flood ~seed ~rounds ~burst ~targets (env : Engine.env) =
+  let rng = Rng.make (seed lxor Party_id.hash env.self) in
+  let blast () =
+    for _ = 1 to burst do
+      let dst = Rng.choose rng targets in
+      let len = 1 + Rng.int rng 64 in
+      if not (Party_id.equal dst env.self) then env.send dst (random_bytes rng len)
+    done
+  in
+  blast ();
+  for _ = 1 to rounds do
+    ignore (env.next_round ());
+    blast ()
+  done
 
 let noise ~seed (env : Engine.env) =
-  B.Strategies.noise ~seed ~rounds:60 ~burst:8 ~targets:(Party_id.all ~k:env.Engine.k)
-    env
+  flood ~seed ~rounds:60 ~burst:8 ~targets:(Party_id.all ~k:env.k) env
 
-(* Reconstruct the honest program inside the adversary: PKI derivation is
-   deterministic in (k, seed), so a corrupted party still signs as itself. *)
-let honest_program ~setting ~seed ~input ~self =
+let crash_at ~round program (env : Engine.env) =
+  let crashed () = env.round () >= round in
+  program
+    {
+      env with
+      send = (fun dst msg -> if not (crashed ()) then env.send dst msg);
+      output = (fun out -> if not (crashed ()) then env.output out);
+    }
+
+(* Shape-preserving garbage from [from_round] on; a crash of the wrapped
+   program is adversary-internal, not an error. *)
+let garble_after ~from_round ~seed program (env : Engine.env) =
+  let rng = Rng.make (seed lxor 0xbad) in
+  let send dst msg =
+    if env.round () < from_round then env.send dst msg
+    else env.send dst (random_bytes rng (String.length msg))
+  in
+  try program { env with send } with _ -> ()
+
+(* PKI derivation is deterministic in (k, seed), so a corrupted party
+   still signs as itself. *)
+let honest ~setting ~seed ~input ~self =
   let plan = Core.Select.plan_exn setting in
   let pki = Crypto.Pki.setup ~k:setting.Core.Setting.k ~seed in
   plan.Core.Select.program ~pki ~input ~self
-
-let crash ~setting ~seed ~input ~self ~round =
-  B.Strategies.crash_at ~round ~honest:(honest_program ~setting ~seed ~input ~self)
-
-let lying ~setting ~seed ~fake ~self = honest_program ~setting ~seed ~input:fake ~self
-
-let garble_after ~setting ~seed ~input ~self ~from_round (env : Engine.env) =
-  (* Honest sends before [from_round], shape-preserving garbage afterwards;
-     a crash of the wrapped program is adversary-internal, not an error. *)
-  let honest = honest_program ~setting ~seed ~input ~self in
-  let rng = Rng.make (seed lxor 0xbad) in
-  let env' =
-    {
-      env with
-      send =
-        (fun dst msg ->
-          if env.Engine.round () < from_round then env.Engine.send dst msg
-          else
-            env.Engine.send dst
-              (String.init (String.length msg) (fun _ -> Char.chr (Rng.int rng 256))));
-    }
-  in
-  try honest env' with _ -> ()
 
 let random_coalition rng ~setting ~seed ~profile =
   let k = setting.Core.Setting.k in
@@ -52,18 +63,16 @@ let random_coalition rng ~setting ~seed ~profile =
   in
   List.map
     (fun p ->
+      let truthful () =
+        honest ~setting ~seed ~input:(SM.Profile.prefs profile p) ~self:p
+      in
       let strategy =
         match Rng.int rng 5 with
         | 0 -> silent
         | 1 -> noise ~seed:(Rng.int rng 1_000_000)
-        | 2 ->
-          crash ~setting ~seed ~input:(SM.Profile.prefs profile p) ~self:p
-            ~round:(Rng.int rng 20)
-        | 3 ->
-          lying ~setting ~seed ~fake:(SM.Prefs.random rng k) ~self:p
-        | _ ->
-          garble_after ~setting ~seed ~input:(SM.Profile.prefs profile p) ~self:p
-            ~from_round:(Rng.int rng 15)
+        | 2 -> crash_at ~round:(Rng.int rng 20) (truthful ())
+        | 3 -> honest ~setting ~seed ~input:(SM.Prefs.random rng k) ~self:p
+        | _ -> garble_after ~from_round:(Rng.int rng 15) ~seed (truthful ())
       in
       p, strategy)
     members

@@ -1,58 +1,68 @@
-(** Byzantine strategy kit for bSM scenarios.
+(** The byzantine strategy kit.
 
-    Everything here produces an {!Bsm_runtime.Engine.program} to be listed
-    in a scenario's [byzantine] field. Generic transport-level strategies
-    ({!Bsm_broadcast.Strategies}) are complemented by protocol-aware ones
-    that participate correctly but adversarially. *)
+    A byzantine party is a fiber running an arbitrary
+    {!Bsm_runtime.Engine.program}. Each strategy here is a program or a
+    transformer of one; a protocol-aware strategy is a composition with
+    {!honest}: a crash is [crash_at ~round (honest …)], a lie about the
+    input is [honest ~input:fake …], an equivocation is
+    [garble_after ~from_round ~seed (honest …)]. Protocol-specific
+    attacks (equivocating Dolev–Strong senders, the covering-system
+    adversaries of Figures 2–4) live next to the protocols they target.
+
+    {!crash_at} and {!garble_after} wrap only [env.send] (and [crash_at]
+    also [env.output]): messages the wrapped program sends with
+    [send_w], [send_multi_w] or [send_slice] still go out unchanged.
+    That is how the virtual channels of {!Bsm_core.Channels} and Π_bSM's
+    own messages are sent, so for the protocols that use them a crashed
+    or garbling party still sends what an honest one sends, and moving a
+    message from one send function to another changes what such parties
+    send. *)
 
 open Bsm_prelude
 module SM := Bsm_stable_matching
 module Engine := Bsm_runtime.Engine
 
-(** Never sends a message (non-participation). *)
+(** Sends nothing, ever — the paper's "byzantine parties may choose not to
+    participate". *)
 val silent : Engine.program
 
-(** Random bytes to random parties every round. *)
+(** [flood ~seed ~rounds ~burst ~targets] sends [burst] random byte
+    strings (1 to 64 bytes) to random members of [targets] in each of
+    [rounds + 1] rounds. Exercises every decoder's malformed-input
+    paths. *)
+val flood :
+  seed:int -> rounds:int -> burst:int -> targets:Party_id.t list -> Engine.program
+
+(** [noise ~seed] is [flood ~seed] for 60 rounds of 8 messages to every
+    party. *)
 val noise : seed:int -> Engine.program
 
-(** Follows the protocol honestly until [round], then goes dark through
-    {!Bsm_broadcast.Strategies.crash_at}, which stops only [env.send] and
-    [output]: the channel layer's sends continue. *)
-val crash :
+(** [crash_at ~round p] behaves like [p] until the start of round
+    [round], then stops sending through [env.send] and producing output
+    (a crash fault). *)
+val crash_at : round:int -> Engine.program -> Engine.program
+
+(** [garble_after ~from_round ~seed p] runs [p] with every payload it
+    sends through [env.send] from round [from_round] on replaced by
+    random bytes of the same length, drawn from [seed]. An exception
+    from [p] ends the party quietly. *)
+val garble_after : from_round:int -> seed:int -> Engine.program -> Engine.program
+
+(** [honest ~setting ~seed ~input ~self] is the program an honest [self]
+    with preference list [input] runs in [setting], with the PKI of the
+    scenario seed [seed]. *)
+val honest :
   setting:Bsm_core.Setting.t ->
   seed:int ->
   input:SM.Prefs.t ->
   self:Party_id.t ->
-  round:int ->
-  Engine.program
-
-(** Runs the honest protocol with a misreported preference list — the
-    classical manipulation, which is {e not} a bSM violation but changes
-    the matching; used by the manipulation experiments. [seed] must equal
-    the scenario's seed (same trusted setup). *)
-val lying :
-  setting:Bsm_core.Setting.t ->
-  seed:int ->
-  fake:SM.Prefs.t ->
-  self:Party_id.t ->
-  Engine.program
-
-(** Equivocates at the input-dissemination stage: runs the honest protocol
-    but with every payload it sends through [env.send] after
-    [from_round] replaced by random bytes of the same length. It wraps
-    only [env.send]; what the protocol sends with the other send
-    functions is not garbled. *)
-val garble_after :
-  setting:Bsm_core.Setting.t ->
-  seed:int ->
-  input:SM.Prefs.t ->
-  self:Party_id.t ->
-  from_round:int ->
   Engine.program
 
 (** [random_coalition rng ~setting ~seed ~profile] draws a maximal
     admissible coalition (exactly [t_left] + [t_right] members) with an
-    independently random strategy per member. *)
+    independently random strategy per member: {!silent}, {!noise}, a
+    crash of the honest program, the honest program on a random list,
+    or a garbling of the honest program. [seed] is the scenario's. *)
 val random_coalition :
   Rng.t ->
   setting:Bsm_core.Setting.t ->

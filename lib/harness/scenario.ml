@@ -17,10 +17,8 @@ let make ?(byzantine = []) ?(seed = 0) (setting : Core.Setting.t) profile =
     Error "profile and setting disagree on k"
   else if List.length byzantine <> Party_set.cardinal corrupted then
     Error "duplicate byzantine party"
-  else if Party_set.count_side Side.Left corrupted > setting.Core.Setting.t_left then
-    Error "byzantine coalition exceeds t_left"
-  else if Party_set.count_side Side.Right corrupted > setting.Core.Setting.t_right
-  then Error "byzantine coalition exceeds t_right"
+  else if not (Core.Setting.within_budget setting corrupted) then
+    Error "byzantine coalition exceeds the (t_left, t_right) budget"
   else Ok { setting; profile; byzantine; seed }
 
 let make_exn ?byzantine ?seed setting profile =
@@ -36,58 +34,66 @@ type report = {
   plan : Core.Select.plan;
 }
 
-let byzantine_set t = Party_set.of_list (List.map fst t.byzantine)
+type execution = {
+  corrupted : Party_set.t;
+  decisions : (Party_id.t * Core.Problem.decision) list;
+  result : Engine.result;
+}
 
-let execute ?(max_rounds = 2000) ?faults t ~honest_program =
-  let setting = t.setting in
-  let k = setting.Core.Setting.k in
-  let byz = byzantine_set t in
+let execute ?max_rounds ?faults ~k ~topology ~byzantine honest =
+  let corrupted = Party_set.of_list (List.map fst byzantine) in
   let programs p =
-    match List.find_opt (fun (q, _) -> Party_id.equal p q) t.byzantine with
-    | Some (_, program) -> program
-    | None -> honest_program p
+    match List.assoc_opt p byzantine with
+    | Some program -> program
+    | None -> honest p
   in
-  let cfg =
-    Engine.config ~max_rounds ?faults ~k
-      ~link:(Engine.Of_topology setting.Core.Setting.topology) ()
+  let result =
+    Engine.run
+      (Engine.config ?max_rounds ?faults ~k ~link:(Engine.Of_topology topology) ())
+      ~programs
   in
-  let res = Engine.run cfg ~programs in
   let decisions =
     List.filter_map
       (fun (r : Engine.party_result) ->
-        if Party_set.mem r.id byz then None
+        if Party_set.mem r.id corrupted then None
         else Some (r.id, Core.Problem.decision_of_result r))
-      res.Engine.parties
+      result.Engine.parties
+  in
+  { corrupted; decisions; result }
+
+(* [run] and [run_ssm]: the plan's [program] on each honest party's
+   input, a 2,000-round budget, and [judge] over the outcome. *)
+let judged ?(max_rounds = 2000) ?faults t ~profile ~judge program =
+  let setting = t.setting in
+  let plan = Core.Select.plan_exn setting in
+  let pki = Crypto.Pki.setup ~k:setting.Core.Setting.k ~seed:t.seed in
+  let e =
+    execute ~max_rounds ?faults ~k:setting.Core.Setting.k
+      ~topology:setting.Core.Setting.topology ~byzantine:t.byzantine
+      (program plan ~pki)
   in
   let outcome =
-    { Core.Problem.profile = t.profile; byzantine = byz; decisions }
+    { Core.Problem.profile; byzantine = e.corrupted; decisions = e.decisions }
   in
-  outcome, res.Engine.metrics, res.Engine.parties
-
-let run ?max_rounds ?faults t =
-  let plan = Core.Select.plan_exn t.setting in
-  let pki = Crypto.Pki.setup ~k:t.setting.Core.Setting.k ~seed:t.seed in
-  let honest_program p =
-    plan.Core.Select.program ~pki ~input:(SM.Profile.prefs t.profile p) ~self:p
-  in
-  let outcome, metrics, parties = execute ?max_rounds ?faults t ~honest_program in
-  { outcome; violations = Core.Problem.check outcome; metrics; parties; plan }
-
-let run_ssm ?max_rounds ?faults ~favorites t =
-  let plan = Core.Select.plan_exn t.setting in
-  let k = t.setting.Core.Setting.k in
-  let pki = Crypto.Pki.setup ~k ~seed:t.seed in
-  let honest_program p = Core.Ssm.program plan ~pki ~favorite:(favorites p) ~self:p in
-  (* For evaluation, the true profile is the reduction's constructed one. *)
-  let t = { t with profile = Core.Ssm.favorites_to_profile ~k favorites } in
-  let outcome, metrics, parties = execute ?max_rounds ?faults t ~honest_program in
   {
     outcome;
-    violations = Core.Problem.check_simplified ~favorites outcome;
-    metrics;
-    parties;
+    violations = judge outcome;
+    metrics = e.result.Engine.metrics;
+    parties = e.result.Engine.parties;
     plan;
   }
+
+let run ?max_rounds ?faults t =
+  judged ?max_rounds ?faults t ~profile:t.profile ~judge:Core.Problem.check
+    (fun plan ~pki p ->
+      plan.Core.Select.program ~pki ~input:(SM.Profile.prefs t.profile p) ~self:p)
+
+(* For evaluation, the true profile is the reduction's constructed one. *)
+let run_ssm ?max_rounds ?faults ~favorites t =
+  judged ?max_rounds ?faults t
+    ~profile:(Core.Ssm.favorites_to_profile ~k:t.setting.Core.Setting.k favorites)
+    ~judge:(Core.Problem.check_simplified ~favorites)
+    (fun plan ~pki p -> Core.Ssm.program plan ~pki ~favorite:(favorites p) ~self:p)
 
 let ok report = report.violations = []
 

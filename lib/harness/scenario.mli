@@ -45,11 +45,34 @@ type report = {
   plan : Core.Select.plan;
 }
 
+(** What {!execute} observed. *)
+type execution = {
+  corrupted : Party_set.t;  (** the byzantine parties *)
+  decisions : (Party_id.t * Core.Problem.decision) list;
+      (** every other party's {!Core.Problem.decision_of_result}, in
+          roster order *)
+  result : Engine.result;
+}
+
+(** [execute ?max_rounds ?faults ~k ~topology ~byzantine honest] — the
+    one run assembly: each party listed in [byzantine] runs its program,
+    every other party [p] runs [honest p], on [topology] with [k] parties
+    per side. [max_rounds] and [faults] default to the engine's. *)
+val execute :
+  ?max_rounds:int ->
+  ?faults:Engine.fault_model ->
+  k:int ->
+  topology:Bsm_topology.Topology.t ->
+  byzantine:(Party_id.t * Engine.program) list ->
+  (Party_id.t -> Engine.program) ->
+  execution
+
 (** [run scenario] — selects the protocol (raising [Invalid_argument] when
-    the setting is impossible), executes it, and checks all four bSM
-    properties. [faults] injects engine-level omissions on top of the
-    byzantine coalition (the chaos subsystem compiles its fault schedules
-    into this; see {!Bsm_chaos.Schedule}). *)
+    the setting is impossible), {!execute}s it within [max_rounds]
+    (default 2,000), and checks all four bSM properties. [faults] injects
+    engine-level omissions on top of the byzantine coalition (the chaos
+    subsystem compiles its fault schedules into this; see
+    {!Bsm_chaos.Schedule}). *)
 val run : ?max_rounds:int -> ?faults:Engine.fault_model -> t -> report
 
 (** [run_ssm ~favorites scenario] — the sSM variant: inputs are single

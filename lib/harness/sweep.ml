@@ -65,17 +65,24 @@ type measurement = {
   major_collections : int;
 }
 
+(* The minor words are read innermost: [Gc.minor_words] allocates
+   nothing, so the count is [f]'s alone, while the tuples [Gc.counters]
+   returns and the records of [Gc.quick_stat] fall outside it. *)
 let measure f =
   let g0 = Gc.quick_stat () in
+  let _, promoted0, major0 = Gc.counters () in
   let t0 = Unix.gettimeofday () in
+  let minor0 = Gc.minor_words () in
   let v = f () in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000. in
+  let minor1 = Gc.minor_words () in
+  let t1 = Unix.gettimeofday () in
+  let _, promoted1, major1 = Gc.counters () in
   let g1 = Gc.quick_stat () in
   ( v,
     {
-      wall_ms;
-      minor_words = g1.Gc.minor_words -. g0.Gc.minor_words;
-      major_words = g1.Gc.major_words -. g0.Gc.major_words;
+      wall_ms = (t1 -. t0) *. 1000.;
+      minor_words = minor1 -. minor0;
+      major_words = major1 -. promoted1 -. (major0 -. promoted0);
       minor_collections = g1.Gc.minor_collections - g0.Gc.minor_collections;
       major_collections = g1.Gc.major_collections - g0.Gc.major_collections;
     } )
@@ -134,21 +141,14 @@ module Fused = struct
     let wall = Array.make n 0. in
     let minor = Array.make n 0. in
     let major = Array.make n 0. in
-    (* Per-task Gc.quick_stat deltas are attributed to the task alone: it
-       runs start-to-finish on one domain, and that domain runs nothing
-       else meanwhile, so the domain-local counters move only for this
-       task. Major words repeat exactly from run to run; minor words only
-       to a step of about 115k words on OCaml 5.1, which they move by
-       with the minor collections that fall inside the task. *)
+    (* A task runs start-to-finish on one domain, which runs nothing else
+       meanwhile, so [measure]'s words on that domain are the task's
+       own. *)
     let run i =
-      let g0 = Gc.quick_stat () in
-      let t0 = Unix.gettimeofday () in
-      let v = f items.(i) in
-      let t1 = Unix.gettimeofday () in
-      let g1 = Gc.quick_stat () in
-      wall.(i) <- (t1 -. t0) *. 1000.;
-      minor.(i) <- g1.Gc.minor_words -. g0.Gc.minor_words;
-      major.(i) <- g1.Gc.major_words -. g0.Gc.major_words;
+      let v, m = measure (fun () -> f items.(i)) in
+      wall.(i) <- m.wall_ms;
+      minor.(i) <- m.minor_words;
+      major.(i) <- m.major_words;
       out.(i) <- Some v
     in
     let entry =

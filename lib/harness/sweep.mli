@@ -55,12 +55,15 @@ val scenario_of_case : case -> Scenario.t
     self-contained (own Rng per call, no shared mutable state). *)
 val map : ?pool:Pool.t -> ('a -> 'b) -> 'a list -> 'b list
 
-(** Wall-clock and GC cost of one sweep, from [Gc.quick_stat] deltas
-    around the run. Words are OCaml words (8 bytes on 64-bit). On OCaml 5
-    the counters are per-domain: for a parallel sweep they cover the
-    submitting domain only (its share of the cells plus orchestration),
-    so compare like with like — sequential vs sequential across PRs, and
-    parallel allocation trends only qualitatively. *)
+(** Wall-clock and GC cost of one call. Words are OCaml words (8 bytes
+    on 64-bit), counted exactly on the calling domain: [minor_words]
+    from [Gc.minor_words ()], [major_words] as [Gc.counters]' major words
+    less its promoted words (what the domain allocated straight into the
+    major heap; promotions move with minor-GC timing). A sequential or
+    one-lane sweep therefore repeats its counts exactly, a warm call
+    repeats its own, and a parallel sweep's counts cover the calling
+    domain's share only. The collection counts come from
+    [Gc.quick_stat] and count every domain's collections. *)
 type measurement = {
   wall_ms : float;
   minor_words : float;
@@ -88,12 +91,10 @@ val measure : (unit -> 'a) -> 'a * measurement
     sequential [List.map] of the same cells is bit-identical (the bench
     asserts this per table).
 
-    Instrumentation: every task is individually timed and its
-    domain-local GC counters delta'd, attributed to the task alone, since
-    a task runs start-to-finish on one domain that runs nothing else
-    meanwhile. Major words repeat exactly from run to run; minor words
-    only to a step of about 115k words on OCaml 5.1, which they move by
-    with the minor collections that fall inside the task. {!stats}
+    Instrumentation: every task is {!measure}d on the domain it runs on,
+    start to finish, so its words are its own and exact; which domain's
+    kept engine planes it reuses, and so how much it allocates, can
+    depend on the schedule when the pool has two or more lanes. {!stats}
     aggregates per table; {!drain} reports the whole-run wall clock plus
     the pool's steal counter delta. *)
 module Fused : sig

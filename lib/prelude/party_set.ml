@@ -151,9 +151,7 @@ let fold_side side a f acc =
   !acc
 
 let fold f t acc = fold_side Side.Right t.right f (fold_side Side.Left t.left f acc)
-let iter f t = fold (fun p () -> f p) t ()
 let elements t = List.rev (fold (fun p acc -> p :: acc) t [])
-let to_list = elements
 
 (* One pass over the list when every index fits one word: each side is
    built with a single allocation instead of one copy per [add]. *)
@@ -171,18 +169,6 @@ let of_list ps =
       end
   in
   words 0 0 ps
-
-let filter f t = fold (fun p acc -> if f p then add p acc else acc) t empty
-
-exception Early_exit
-
-let for_all f t =
-  try
-    iter (fun p -> if not (f p) then raise_notrace Early_exit) t;
-    true
-  with Early_exit -> false
-
-let exists f t = not (for_all (fun p -> not (f p)) t)
 
 let restrict_side side t =
   match (side : Side.t) with

@@ -24,13 +24,7 @@ val diff : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
 val of_list : Party_id.t list -> t
-val to_list : t -> Party_id.t list
 val elements : t -> Party_id.t list
-val fold : (Party_id.t -> 'a -> 'a) -> t -> 'a -> 'a
-val iter : (Party_id.t -> unit) -> t -> unit
-val filter : (Party_id.t -> bool) -> t -> t
-val for_all : (Party_id.t -> bool) -> t -> bool
-val exists : (Party_id.t -> bool) -> t -> bool
 
 (** [count_side side t] is the number of members of [t] on [side]. *)
 val count_side : Side.t -> t -> int

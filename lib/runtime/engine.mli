@@ -69,9 +69,8 @@ val state_cell : 'a Bsm_wire.Wire.t -> 'a ref -> state_cell
     against [env] rather than against the engine directly. The send
     functions write the party's own outbox directly; only [next_round]
     suspends the fiber. A wrapper of one send function does not see the
-    others: the byzantine wrappers of [Bsm_broadcast.Strategies] wrap only
-    [send], so moving a message from one send function to another changes
-    what such byzantine parties send. *)
+    others (the byzantine kit, [Bsm_harness.Adversaries], says what that
+    means for its crash and garble wrappers). *)
 type env = {
   self : Party_id.t;
   k : int;

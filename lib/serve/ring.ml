@@ -9,9 +9,7 @@ type 'a t = {
 
 let create ~capacity () =
   if capacity < 1 then invalid_arg "Ring.create: capacity < 1";
-  let cap = ref 2 in
-  while !cap < capacity do cap := !cap * 2 done;
-  { queue = Queue.create (); capacity = !cap; mutex = Mutex.create () }
+  { queue = Queue.create (); capacity; mutex = Mutex.create () }
 
 let capacity t = t.capacity
 let length t = Mutex.protect t.mutex (fun () -> Queue.length t.queue)

@@ -13,11 +13,11 @@
 
 type 'a t
 
-(** [create ~capacity ()] — capacity is rounded up to the next power of
-    two (minimum 2). Raises [Invalid_argument] when [capacity < 1]. *)
+(** [create ~capacity ()] holds at most [capacity] elements. Raises
+    [Invalid_argument] when [capacity < 1]. *)
 val create : capacity:int -> unit -> 'a t
 
-(** Elements the ring can hold (the rounded-up power of two). *)
+(** Elements the ring can hold. *)
 val capacity : 'a t -> int
 
 (** Elements currently queued. *)

@@ -163,8 +163,8 @@ let test_scaling_tolerates_scaled_budget () =
   let favorites p = Party_id.make (Side.opposite (Party_id.side p)) (Party_id.index p) in
   let byzantine =
     [
-      Party_id.left 1, Bsm_broadcast.Strategies.silent;
-      Party_id.right 0, Bsm_broadcast.Strategies.silent;
+      Party_id.left 1, Bsm_harness.Adversaries.silent;
+      Party_id.right 0, Bsm_harness.Adversaries.silent;
     ]
   in
   match
@@ -226,7 +226,7 @@ let test_undecodable_output_is_no_output () =
   in
   let violations =
     A.Evaluate.run ~topology:Topology.Fully_connected ~k
-      ~favorites:(A.Evaluate.random_favorites (Rng.make 1) ~k)
+      ~favorites:(Core.Ssm.random_favorites (Rng.make 1) ~k)
       ~byzantine:[] garbage
   in
   let silent =
@@ -269,7 +269,7 @@ let () =
               let naive_bad = ref 0 in
               for seed = 1 to 12 do
                 let rng = Rng.make seed in
-                let favorites = A.Evaluate.random_favorites rng ~k in
+                let favorites = Core.Ssm.random_favorites rng ~k in
                 let byzantine =
                   [
                     Party_id.left 3, A.Naive.equivocating_announcer ~topology ~k;

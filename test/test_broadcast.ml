@@ -7,6 +7,7 @@ open Bsm_prelude
 module Engine = Bsm_runtime.Engine
 module Net = Bsm_runtime.Net
 module B = Bsm_broadcast
+module H = Bsm_harness
 module Crypto = Bsm_crypto.Crypto
 module Wire = Bsm_wire.Wire
 
@@ -184,9 +185,10 @@ let pk_split_brain values (env : Engine.env) =
 
 let pk_strategies ~k =
   [
-    "silent", B.Strategies.silent;
-    "crash", B.Strategies.crash_at ~round:2 ~honest:(fun env -> pk_split_brain [ "a" ] env);
-    "noise", B.Strategies.noise ~seed:42 ~rounds:30 ~burst:6 ~targets:(left_parties ~k);
+    "silent", H.Adversaries.silent;
+    "crash", H.Adversaries.crash_at ~round:2 (fun env -> pk_split_brain [ "a" ] env);
+    ( "noise",
+      H.Adversaries.flood ~seed:42 ~rounds:30 ~burst:6 ~targets:(left_parties ~k) );
     "split-brain", pk_split_brain [ "a"; "b"; "zzz" ];
   ]
 
@@ -398,7 +400,8 @@ let test_pi_bb_silent_sender_default () =
       ~honest:(fun p env ->
         if Side.equal (Party_id.side p) Side.Left then
           bb_honest params ~sender (fun _ -> "ignored") p env)
-      ~byzantine:(fun p -> if Party_id.equal p sender then Some B.Strategies.silent else None)
+      ~byzantine:(fun p ->
+        if Party_id.equal p sender then Some H.Adversaries.silent else None)
       ()
   in
   let honest = List.filter (fun p -> not (Party_id.equal p sender)) (left_parties ~k) in
@@ -545,7 +548,8 @@ let test_dolev_strong_silent_sender () =
   let res =
     run_protocol ~k
       ~honest:(fun p env -> ds_honest params pki ~sender (fun _ -> "ignored") p env)
-      ~byzantine:(fun p -> if Party_id.equal p sender then Some B.Strategies.silent else None)
+      ~byzantine:(fun p ->
+        if Party_id.equal p sender then Some H.Adversaries.silent else None)
       ()
   in
   let honest = List.filter (fun p -> not (Party_id.equal p sender)) participants in
@@ -614,7 +618,7 @@ let test_phase_king_unanimity_persistence =
             (match Rng.int rng 2 with
             | 0 -> pk_split_brain [ "not-v"; "v" ]
             | _ ->
-              B.Strategies.noise ~seed:(Rng.int rng 9999) ~rounds:30 ~burst:5
+              H.Adversaries.flood ~seed:(Rng.int rng 9999) ~rounds:30 ~burst:5
                 ~targets:(left_parties ~k))
         else None
       in
@@ -748,7 +752,7 @@ let test_gradecast_silent_sender_grade0 () =
         if Side.equal (Party_id.side p) Side.Left then
           gc_honest params ~sender (fun _ -> "unused") p env)
       ~byzantine:(fun p ->
-        if Party_id.equal p sender then Some B.Strategies.silent else None)
+        if Party_id.equal p sender then Some H.Adversaries.silent else None)
       ()
   in
   let honest = List.filter (fun p -> not (Party_id.equal p sender)) (left_parties ~k) in
@@ -821,9 +825,9 @@ let prop_gradecast_consistency_random =
         if List.exists (Party_id.equal p) bad then
           Some
             (match Rng.int rng 3 with
-            | 0 -> B.Strategies.silent
+            | 0 -> H.Adversaries.silent
             | 1 ->
-              B.Strategies.noise ~seed:(Rng.int rng 9999) ~rounds:10 ~burst:4
+              H.Adversaries.flood ~seed:(Rng.int rng 9999) ~rounds:10 ~burst:4
                 ~targets:(left_parties ~k)
             | _ -> pk_split_brain [ "a"; "b" ])
         else None
@@ -861,9 +865,9 @@ let prop_phase_king_agreement_random =
         if List.exists (Party_id.equal p) bad then
           Some
             (match Rng.int rng 3 with
-            | 0 -> B.Strategies.silent
+            | 0 -> H.Adversaries.silent
             | 1 ->
-              B.Strategies.noise ~seed:(Rng.int rng 10000) ~rounds:30 ~burst:4
+              H.Adversaries.flood ~seed:(Rng.int rng 10000) ~rounds:30 ~burst:4
                 ~targets:(left_parties ~k)
             | _ -> pk_split_brain [ "0"; "1"; "2" ])
         else None

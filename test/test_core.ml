@@ -155,7 +155,7 @@ let test_majority_proxy_survives_minority_byz () =
       ~k:5
       ~byz:(fun p ->
         if Party_id.equal p (Party_id.right 0) || Party_id.equal p (Party_id.right 1)
-        then Some B.Strategies.silent
+        then Some H.Adversaries.silent
         else None)
   with
   | Some [ (_, "hello-there") ] -> ()
@@ -207,7 +207,7 @@ let test_signed_proxy_single_honest_relay () =
       ~k:3
       ~byz:(fun p ->
         if Party_id.equal p (Party_id.right 0) || Party_id.equal p (Party_id.right 2)
-        then Some B.Strategies.silent
+        then Some H.Adversaries.silent
         else None)
   with
   | Some [ (_, "hello-there") ] -> ()
@@ -231,7 +231,7 @@ let test_signed_proxy_drops_late_forward () =
   let programs p (env : Engine.env) =
     if Side.equal (Party_id.side p) Side.Right then
       (if Party_id.equal p (Party_id.right 0) then withhold env
-       else B.Strategies.silent env)
+       else H.Adversaries.silent env)
     else begin
       let net =
         Core.Channels.virtual_net env ~topology:Topology.Bipartite
@@ -1314,7 +1314,7 @@ let test_lying_is_not_a_violation () =
   let byzantine =
     [
       ( liar,
-        H.Adversaries.lying ~setting:s ~seed ~fake:manipulation.SM.Truthfulness.fake
+        H.Adversaries.honest ~setting:s ~seed ~input:manipulation.SM.Truthfulness.fake
           ~self:liar );
     ]
   in
@@ -1460,12 +1460,7 @@ let test_run_ssm_all_settings_byzantine () =
   let rng = Rng.make 101 in
   List.iter
     (fun s ->
-      let favs =
-        List.map
-          (fun p -> p, Party_id.make (Side.opposite (Party_id.side p)) (Rng.int rng k))
-          (Party_id.all ~k)
-      in
-      let favorites p = List.assoc p favs in
+      let favorites = Core.Ssm.random_favorites rng ~k in
       let profile = Core.Ssm.favorites_to_profile ~k favorites in
       let byzantine = H.Adversaries.random_coalition rng ~setting:s ~seed:7 ~profile in
       let scenario = H.Scenario.make_exn ~byzantine ~seed:7 s profile in
@@ -1550,7 +1545,7 @@ let test_channels_duplicate_forwards_delivered_once () =
   let programs p (env : Engine.env) =
     if Side.equal (Party_id.side p) Side.Right then
       if Party_id.equal p (Party_id.right 0) then duplicating_relay env
-      else B.Strategies.silent env
+      else H.Adversaries.silent env
     else begin
       let net =
         Core.Channels.virtual_net env ~topology:Topology.Bipartite

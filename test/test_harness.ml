@@ -45,8 +45,9 @@ let test_crash_adversary_partial_participation () =
   let byzantine =
     [
       ( crasher,
-        H.Adversaries.crash ~setting:s ~seed:9 ~input:(SM.Profile.prefs profile crasher)
-          ~self:crasher ~round:1 );
+        H.Adversaries.crash_at ~round:1
+          (H.Adversaries.honest ~setting:s ~seed:9
+             ~input:(SM.Profile.prefs profile crasher) ~self:crasher) );
     ]
   in
   let report = run ~byzantine ~seed:9 s profile in
@@ -65,8 +66,9 @@ let test_crash_round_zero_equals_silent () =
   in
   let crashed =
     with_strategy
-      (H.Adversaries.crash ~setting:s ~seed:4 ~input:(SM.Profile.prefs profile target)
-         ~self:target ~round:0)
+      (H.Adversaries.crash_at ~round:0
+         (H.Adversaries.honest ~setting:s ~seed:4
+            ~input:(SM.Profile.prefs profile target) ~self:target))
   in
   let silent = with_strategy H.Adversaries.silent in
   Alcotest.(check bool) "same decisions" true (crashed = silent)
@@ -82,8 +84,9 @@ let test_garble_after_keeps_early_rounds () =
   let byzantine =
     [
       ( target,
-        H.Adversaries.garble_after ~setting:s ~seed:6
-          ~input:(SM.Profile.prefs profile target) ~self:target ~from_round:50 );
+        H.Adversaries.garble_after ~from_round:50 ~seed:6
+          (H.Adversaries.honest ~setting:s ~seed:6
+             ~input:(SM.Profile.prefs profile target) ~self:target) );
     ]
   in
   let garbled = run ~byzantine ~seed:6 s profile in

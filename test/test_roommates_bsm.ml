@@ -7,6 +7,7 @@ open Bsm_prelude
 module Core = Bsm_core
 module Engine = Bsm_runtime.Engine
 module B = Bsm_broadcast
+module H = Bsm_harness
 module Crypto = Bsm_crypto.Crypto
 module Wire = Bsm_wire.Wire
 module Topology = Bsm_topology.Topology
@@ -94,9 +95,9 @@ let test_byzantine_cannot_break_properties () =
     let inputs = Core.Roommates_bsm.random_inputs rng ~k in
     let bad = Rng.sample rng 2 (Party_id.all ~k) in
     let strategy i p =
-      if i mod 2 = 0 then B.Strategies.silent
+      if i mod 2 = 0 then H.Adversaries.silent
       else
-        B.Strategies.noise ~seed:(trial * 10 + Party_id.hash p) ~rounds:20 ~burst:5
+        H.Adversaries.flood ~seed:(trial * 10 + Party_id.hash p) ~rounds:20 ~burst:5
           ~targets:(Party_id.all ~k)
     in
     let byzantine = List.mapi (fun i p -> p, strategy i p) bad in

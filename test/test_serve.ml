@@ -54,12 +54,12 @@ let test_ring_spsc_ordering () =
 
 let test_ring_try_ops_and_close () =
   let ring = Ring.create ~capacity:3 () in
-  Alcotest.(check int) "capacity rounds up" 4 (Ring.capacity ring);
-  for i = 0 to 3 do
+  Alcotest.(check int) "capacity is exact" 3 (Ring.capacity ring);
+  for i = 0 to 2 do
     Alcotest.(check bool) "push fits" true (Ring.try_push ring i)
   done;
   Alcotest.(check bool) "full" false (Ring.try_push ring 99);
-  Alcotest.(check int) "length" 4 (Ring.length ring);
+  Alcotest.(check int) "length" 3 (Ring.length ring);
   Alcotest.(check (option int)) "pop" (Some 0) (Ring.try_pop ring);
   Alcotest.(check bool) "space again" true (Ring.try_push ring 4)
 
@@ -105,6 +105,23 @@ let test_backpressure_reject () =
   match Server.submit s ~tick:3 (gs_spec 12) with
   | Frame.Rejected { reason = Frame.Shutting_down; _ } -> ()
   | r -> Alcotest.failf "expected Shutting_down, got %a" Frame.pp_response r
+
+(* The submission queue holds exactly [queue_capacity] requests: a
+   capacity that is not a power of two is not rounded up. *)
+let test_queue_capacity_exact () =
+  let s = server ~queue_capacity:3 () in
+  List.iter
+    (fun i ->
+      match Server.submit s ~tick:0 (gs_spec i) with
+      | Frame.Accepted _ -> ()
+      | r ->
+        Alcotest.failf "submission %d: expected acceptance, got %a" i Frame.pp_response
+          r)
+    [ 0; 1; 2 ];
+  match Server.submit s ~tick:0 (gs_spec 3) with
+  | Frame.Rejected { reason = Frame.Queue_full; _ } -> ()
+  | r ->
+    Alcotest.failf "fourth submission: expected Queue_full, got %a" Frame.pp_response r
 
 let test_lifecycle_transitions () =
   let t = Instances.create () in
@@ -772,6 +789,7 @@ let () =
         [
           Alcotest.test_case "backpressure and typed rejects" `Quick
             test_backpressure_reject;
+          Alcotest.test_case "queue capacity is exact" `Quick test_queue_capacity_exact;
           Alcotest.test_case "instance lifecycle" `Quick test_lifecycle_transitions;
           Alcotest.test_case "instance table holds live requests only" `Quick
             test_instance_table_bounded;

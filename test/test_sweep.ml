@@ -366,7 +366,7 @@ let test_evaluate_run_parallel () =
     List.map
       (fun seed ->
         let rng = Rng.make seed in
-        let favorites = A.Evaluate.random_favorites rng ~k in
+        let favorites = Core.Ssm.random_favorites rng ~k in
         let byzantine =
           [ Party_id.left 2, A.Naive.equivocating_announcer ~topology ~k ]
         in
@@ -547,6 +547,43 @@ let test_scale_json_schema () =
         = Some (Json.Int r.H.Scale.blocking_perturbed)))
     results rows
 
+(* [measure] counts words exactly on the calling domain: one honest op
+   per mechanism, run three times on one domain, allocates the same minor
+   and the same major words on its second and third runs (the first grows
+   the domain's engine planes). Under [Gc.quick_stat] the minor count
+   moved in steps of ~115k words with the minor collections inside the
+   op, and the major count with the words those collections promoted. *)
+let test_measure_repeats_warm_op () =
+  let setting topology auth ~tl ~tr =
+    Core.Setting.make_exn ~k:4 ~topology ~auth ~t_left:tl ~t_right:tr
+  in
+  List.iter
+    (fun s ->
+      let op () =
+        H.Scenario.run
+          (H.Sweep.scenario_of_case (H.Sweep.case ~profile_seed:1 ~scenario_seed:1 s))
+      in
+      let run () = snd (H.Sweep.measure op) in
+      let second, third =
+        Domain.join
+          (Domain.spawn (fun () ->
+               ignore (run ());
+               let second = run () in
+               second, run ()))
+      in
+      let name = Format.asprintf "%a" Core.Setting.pp s in
+      Alcotest.(check (float 0.)) (name ^ ": minor words") second.H.Sweep.minor_words
+        third.H.Sweep.minor_words;
+      Alcotest.(check (float 0.)) (name ^ ": major words") second.H.Sweep.major_words
+        third.H.Sweep.major_words)
+    [
+      setting Topology.Fully_connected Core.Setting.Unauthenticated ~tl:1 ~tr:4;
+      setting Topology.Fully_connected Core.Setting.Authenticated ~tl:4 ~tr:4;
+      setting Topology.Bipartite Core.Setting.Authenticated ~tl:1 ~tr:4;
+      setting Topology.One_sided Core.Setting.Unauthenticated ~tl:0 ~tr:1;
+      setting Topology.One_sided Core.Setting.Authenticated ~tl:1 ~tr:3;
+    ]
+
 let () =
   Alcotest.run "sweep"
     [
@@ -584,6 +621,8 @@ let () =
           Alcotest.test_case "lifecycle errors" `Quick test_fused_lifecycle_errors;
           Alcotest.test_case "failure isolates tables" `Quick
             test_fused_failure_isolates_tables;
+          Alcotest.test_case "measure repeats a warm op" `Quick
+            test_measure_repeats_warm_op;
         ] );
       ( "determinism",
         [
